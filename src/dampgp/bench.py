@@ -201,7 +201,7 @@ def generate_dataset(
     if noise_std > 0:
         rng = np.random.default_rng(seed)
         Y = Y + rng.normal(0.0, noise_std, size=Y.shape)
-    return Dataset(Q, Y, noise_variance_hint=noise_std**2)
+    return Dataset(Q, Y)
 
 
 def adversarial_dataset(
@@ -233,7 +233,7 @@ def adversarial_dataset(
         power = float(q @ Y[i])
         Y[i] = Y[i] - 2.0 * (power / float(q @ q)) * q
     Y = Y + rng.normal(0.0, noise_std, size=Y.shape)
-    return Dataset(Q, Y, noise_variance_hint=noise_std**2)
+    return Dataset(Q, Y)
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, charts, modelio, models, passivity
+from .bench import _fmt
 from .errors import DampGpError, InfeasibilityError, InputError, NumericalError
 from .models import PriorMean, fit_prior_mean
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _sub_seed(seed: int, tag: int) -> int:

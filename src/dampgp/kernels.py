@@ -71,11 +71,6 @@ class SeArdKernel:
         return self.hypervariance * _se_correlation(self.lengthscales, X, X2)
 
 
-def se_ard_eval(kernel: SeArdKernel, x, xp) -> float:
-    """Functional alias for ``SeArdKernel.__call__``."""
-    return kernel(x, xp)
-
-
 @dataclass(frozen=True)
 class _PerOutputKernel:
     """Scalar kernel for one output of a structured torque kernel.
@@ -209,19 +204,3 @@ class SeArdKernelBank:
         if not 0 <= m < self.dim:
             raise InputError(f"output index {m} out of range [0, {self.dim})")
         return SeArdKernel(self.lengthscales, float(self.hypervariances[m]))
-
-
-def full_torque_kernel_eval(kernel: FullTorqueKernel, qd, qd2) -> np.ndarray:
-    """Functional alias for ``FullTorqueKernel.__call__``."""
-    return kernel(qd, qd2)
-
-
-def diag_torque_kernel_eval(kernel: DiagTorqueKernel, qd, qd2) -> np.ndarray:
-    """Functional alias for ``DiagTorqueKernel.__call__``."""
-    return kernel(qd, qd2)
-
-
-def per_output_scalar_kernel(kernel, m: int):
-    """Scalar kernel of output ``m`` (0-based), the (m, m) entry of the
-    matrix kernel.  Suitable for ``gp_core.assemble_gram``."""
-    return kernel.output_kernel(m)

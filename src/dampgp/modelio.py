@@ -11,15 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import models
+from .bench import _fmt
 from .errors import ParseError
 from .kernels import DiagTorqueKernel, FullTorqueKernel, SeArdKernelBank
 from .models import Dataset, FittedModel, PriorMean
 
 MAGIC = "dampgp-model 1"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _block(name: str, array: np.ndarray) -> list[str]:

@@ -42,7 +42,6 @@ class Dataset:
 
     velocities: np.ndarray  # (D, N)
     torques: np.ndarray  # (D, N)
-    noise_variance_hint: float | None = None
 
     def __post_init__(self):
         q = np.atleast_2d(np.asarray(self.velocities, dtype=float))

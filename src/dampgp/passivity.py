@@ -2,9 +2,11 @@
 
 The feasibility region ties the kernel amplitude bounds |sigma_f| to the
 scalar factor c = sigma_eps^2 / (sqrt(D) * max|velocity| * ||residual||):
-the full model needs c*diag(m_d) - Sigma_f to be positive semidefinite,
-the diagonal model needs |sigma_f_n| <= c * m_d_n per dimension.  Models
-whose hypervariances satisfy the bound dissipate power at every velocity.
+the full model needs the symmetric part (A + A^T)/2 of A = c*diag(m_d) -
+Sigma_f to be positive semidefinite (the power bound is qd^T A qd, which
+sees only that part), the diagonal model needs |sigma_f_n| <= c * m_d_n per
+dimension.  Models whose hypervariances satisfy the bound dissipate power
+at every velocity.
 
 Hypervariances are passed and returned in sigma_f^2 units (matching the
 kernel objects); the bound matrix Sigma_f holds |sigma_f|, their square
@@ -15,14 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import InfeasibilityError, InputError
 from .models import Dataset, FittedModel, PriorMean, predict_torque, predict_torque_batch
-
-_BISECT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class PassivityBound:
     d_count: int
     inf_norm_velocities: float
     residual_norm: float
-    hypervariance_matrix: np.ndarray  # Sigma_f, entries |sigma_f_mn|
+    hypervariance_matrix: np.ndarray  # Sigma_f, entries |sigma_f_mn|; need not be symmetric
     mean_coefficients: np.ndarray
     noise_variance: float
     diagonal: bool  # True when built from an N-vector of hypervariances
@@ -41,8 +42,8 @@ class PassivityBound:
 
 def _sigma_f_matrix(hypervariances) -> tuple[np.ndarray, bool]:
     hyp = np.asarray(hypervariances, dtype=float)
-    if np.any(hyp < 0):
-        raise InputError("hypervariances must be nonnegative")
+    if not np.all(np.isfinite(hyp) & (hyp >= 0)):
+        raise InputError("hypervariances must be finite and nonnegative")
     if hyp.ndim == 1:
         return np.diag(np.sqrt(hyp)), True
     if hyp.ndim == 2 and hyp.shape[0] == hyp.shape[1]:
@@ -50,6 +51,12 @@ def _sigma_f_matrix(hypervariances) -> tuple[np.ndarray, bool]:
     raise InputError(
         f"hypervariances must be an N-vector or N x N matrix, got shape {hyp.shape}"
     )
+
+
+def _bound_factor(noise_variance: float, d_count: int, inf_norm: float, resid_norm: float) -> float:
+    if inf_norm == 0.0 or resid_norm == 0.0:
+        return math.inf
+    return noise_variance / (math.sqrt(d_count) * inf_norm * resid_norm)
 
 
 def compute_bound(
@@ -68,12 +75,8 @@ def compute_bound(
     resid = data.torques - q * prior_mean.coefficients
     inf_norm = float(np.max(np.abs(q)))
     resid_norm = float(np.linalg.norm(resid.reshape(-1)))
-    if inf_norm == 0.0 or resid_norm == 0.0:
-        c = math.inf
-    else:
-        c = noise_variance / (math.sqrt(data.n_samples) * inf_norm * resid_norm)
     return PassivityBound(
-        c=c,
+        c=_bound_factor(noise_variance, data.n_samples, inf_norm, resid_norm),
         d_count=data.n_samples,
         inf_norm_velocities=inf_norm,
         residual_norm=resid_norm,
@@ -87,7 +90,7 @@ def compute_bound(
 @dataclass(frozen=True)
 class FullCheck:
     feasible: bool
-    margin: float  # min eigenvalue of c*diag(m_d) - Sigma_f
+    margin: float  # min eigenvalue of the symmetric part of c*diag(m_d) - Sigma_f
 
 
 @dataclass(frozen=True)
@@ -96,38 +99,44 @@ class DiagCheck:
     per_dim_margins: np.ndarray  # c*m_d_n - |sigma_f_n|
 
 
-def _check_full_at(bound: PassivityBound, sigma_f: np.ndarray, c: float) -> FullCheck:
-    if math.isinf(c):
-        return FullCheck(feasible=True, margin=math.inf)
-    residual = c * np.diag(bound.mean_coefficients) - sigma_f
-    min_eig = float(np.linalg.eigvalsh(residual)[0])
-    tol = 1e-12 * abs(float(np.trace(residual)))
-    return FullCheck(feasible=min_eig >= -tol, margin=min_eig)
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.T)
 
 
 def check_bound_full(bound: PassivityBound) -> FullCheck:
-    """PSD test of c*diag(m_d) - Sigma_f (the full-model sufficient condition)."""
-    return _check_full_at(bound, bound.hypervariance_matrix, bound.c)
-
-
-def _check_diag_at(bound: PassivityBound, sigma_f_vec: np.ndarray, c: float) -> DiagCheck:
-    if math.isinf(c):
-        return DiagCheck(feasible=True, per_dim_margins=np.full(sigma_f_vec.size, math.inf))
-    margins = c * bound.mean_coefficients - sigma_f_vec
-    return DiagCheck(feasible=bool(np.all(sigma_f_vec <= c * bound.mean_coefficients)), per_dim_margins=margins)
+    """PSD test of sym(c*diag(m_d) - Sigma_f) (the full-model sufficient condition)."""
+    if math.isinf(bound.c):
+        return FullCheck(feasible=True, margin=math.inf)
+    residual = bound.c * np.diag(bound.mean_coefficients) - _sym(bound.hypervariance_matrix)
+    min_eig = float(np.linalg.eigvalsh(residual)[0])
+    tol = 1e-12 * abs(float(np.trace(residual)))
+    return FullCheck(feasible=min_eig >= -tol, margin=min_eig)
 
 
 def check_bound_diag(bound: PassivityBound) -> DiagCheck:
     """Per-dimension test |sigma_f_n| <= c * m_d_n (the diagonal condition)."""
     if not bound.diagonal:
         raise InputError("check_bound_diag requires a bound built from an N-vector")
-    return _check_diag_at(bound, np.diag(bound.hypervariance_matrix), bound.c)
+    sigma_f = np.diag(bound.hypervariance_matrix)
+    if math.isinf(bound.c):
+        return DiagCheck(feasible=True, per_dim_margins=np.full(sigma_f.size, math.inf))
+    limits = bound.c * bound.mean_coefficients
+    return DiagCheck(feasible=bool(np.all(sigma_f <= limits)), per_dim_margins=limits - sigma_f)
 
 
-def _feasible(bound: PassivityBound, sigma_f: np.ndarray, c: float) -> bool:
-    if bound.diagonal:
-        return _check_diag_at(bound, np.diag(sigma_f), c).feasible
-    return _check_full_at(bound, sigma_f, c).feasible
+def _critical_c(bound: PassivityBound) -> float:
+    """Smallest c at which the unscaled Sigma_f meets the bound: the largest
+    generalized eigenvalue of (sym Sigma_f, diag(m_d)) over the dimensions
+    with m_d_n > 0 (max_n |sigma_f_n| / m_d_n for a diagonal Sigma_f); +inf
+    when a zero m_d_n has a nonzero row of sym Sigma_f.
+    """
+    sym = _sym(bound.hypervariance_matrix)
+    m = bound.mean_coefficients
+    active = m > 0
+    if np.any(sym[~active] != 0):
+        return math.inf
+    eigvals = eigh(sym[np.ix_(active, active)], np.diag(m[active]), eigvals_only=True)
+    return float(np.max(eigvals, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,8 @@ class EnforcementResult:
 
     ``hypervariances`` are in sigma_f^2 units, in the same layout as the
     input to ``compute_bound`` (vector or matrix); ``alpha`` is the scale
-    applied to |sigma_f| (1.0 in raise_noise mode).
+    applied to |sigma_f| (1.0 in raise_noise mode); ``bound`` is what
+    ``compute_bound`` returns for the adjusted hyperparameters.
     """
 
     hypervariances: np.ndarray
@@ -145,83 +155,61 @@ class EnforcementResult:
     bound: PassivityBound
 
 
-def _result(bound: PassivityBound, sigma_f: np.ndarray, noise_variance: float, alpha: float) -> EnforcementResult:
+def _result(bound: PassivityBound, alpha: float, noise_variance: float) -> EnforcementResult:
+    sigma_f = alpha * bound.hypervariance_matrix
     hyp = np.diag(sigma_f) ** 2 if bound.diagonal else sigma_f ** 2
-    new_c = bound.c
-    if noise_variance != bound.noise_variance and not math.isinf(bound.c):
-        new_c = bound.c * noise_variance / bound.noise_variance
-    new_bound = PassivityBound(
-        c=new_c,
-        d_count=bound.d_count,
-        inf_norm_velocities=bound.inf_norm_velocities,
-        residual_norm=bound.residual_norm,
-        hypervariance_matrix=sigma_f,
-        mean_coefficients=bound.mean_coefficients,
-        noise_variance=noise_variance,
-        diagonal=bound.diagonal,
+    new_bound = replace(
+        bound,
+        c=_bound_factor(noise_variance, bound.d_count, bound.inf_norm_velocities, bound.residual_norm),
+        hypervariance_matrix=_sigma_f_matrix(hyp)[0],
+        noise_variance=float(noise_variance),
     )
     return EnforcementResult(
         hypervariances=hyp,
-        noise_variance=noise_variance,
-        alpha=alpha,
+        noise_variance=float(noise_variance),
+        alpha=float(alpha),
         bound=new_bound,
     )
 
 
 def enforce_bound(bound: PassivityBound, mode: str = "scale_hypervariances") -> EnforcementResult:
-    """Project onto the feasible set.
+    """Project onto the feasible set in closed form.
 
-    scale_hypervariances: largest alpha in (0, 1] with alpha*Sigma_f feasible
-    (bisection to 1e-10 relative; alpha = 1 when already feasible).
-    raise_noise: smallest noise variance making the unscaled Sigma_f feasible,
-    exploiting that c is proportional to it.
+    With c* the smallest c at which the unscaled Sigma_f is feasible,
+    scale_hypervariances returns alpha = min(1, c / c*) and raise_noise the
+    noise variance at which c = c* (c is proportional to it).  Squaring
+    alpha*Sigma_f and re-rooting it can round outside the bound, so the
+    result is stepped inward an ulp at a time until ``result.bound`` passes.
     """
-    sigma_f = bound.hypervariance_matrix
-
-    if mode == "scale_hypervariances":
-        if _feasible(bound, sigma_f, bound.c):
-            return _result(bound, sigma_f, bound.noise_variance, 1.0)
-        eps = 1e-15
-        if not _feasible(bound, eps * sigma_f, bound.c):
-            raise InfeasibilityError(
-                "no positive hypervariance scale is feasible "
-                "(prior mean too small for the data residual)"
-            )
-        lo, hi = eps, 1.0  # lo feasible, hi infeasible
-        while (hi - lo) > _BISECT_RTOL * hi:
-            mid = 0.5 * (lo + hi)
-            if _feasible(bound, mid * sigma_f, bound.c):
-                lo = mid
-            else:
-                hi = mid
-        return _result(bound, lo * sigma_f, bound.noise_variance, lo)
-
-    if mode == "raise_noise":
-        if _feasible(bound, sigma_f, bound.c):
-            return _result(bound, sigma_f, bound.noise_variance, 1.0)
-        if math.isinf(bound.c):
-            raise InfeasibilityError("bound is vacuous yet infeasible; inconsistent state")
-        scale = bound.c / bound.noise_variance  # c per unit noise variance
-        lo = bound.noise_variance
-        hi = lo if lo > 0 else 1.0
-        grown = 0
-        while not _feasible(bound, sigma_f, scale * hi):
-            hi *= 2.0
-            grown += 1
-            if grown > 200:
-                raise InfeasibilityError(
-                    "no finite noise variance satisfies the bound "
-                    "(a prior mean coefficient is zero with nonzero hypervariance)"
-                )
-        while (hi - lo) > _BISECT_RTOL * hi:
-            mid = 0.5 * (lo + hi)
-            if _feasible(bound, sigma_f, scale * mid):
-                hi = mid
-            else:
-                lo = mid
-        return _result(bound, sigma_f, hi, 1.0)
-
-    raise InputError(f"unknown enforcement mode {mode!r}")
+    if mode not in ("scale_hypervariances", "raise_noise"):
+        raise InputError(f"unknown enforcement mode {mode!r}")
+    critical = _critical_c(bound)
+    if math.isinf(critical):
+        raise InfeasibilityError(
+            "no finite noise variance or positive hypervariance scale satisfies the bound "
+            "(a prior mean coefficient is zero with nonzero hypervariance)"
+        )
+    alpha, noise = 1.0, bound.noise_variance
+    if critical > bound.c:
+        if mode == "scale_hypervariances":
+            alpha = bound.c / critical
+        else:
+            unit_c = _bound_factor(1.0, bound.d_count, bound.inf_norm_velocities, bound.residual_norm)
+            noise = critical / unit_c
+    if alpha == 0.0:
+        raise InfeasibilityError(
+            "no positive hypervariance scale is feasible "
+            "(prior mean too small for the data residual)"
+        )
+    check = check_bound_diag if bound.diagonal else check_bound_full
+    result = _result(bound, alpha, noise)
+    while not check(result.bound).feasible:
+        if mode == "scale_hypervariances":
+            alpha = np.nextafter(alpha, 0.0)
+        else:
+            noise = np.nextafter(noise, math.inf)
+        result = _result(bound, alpha, noise)
+    return result
 
 
 def dissipated_power(model: FittedModel, qd) -> float:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,14 @@ class TestComputeBound:
         data = Dataset(np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(InputError):
             compute_bound(data, PriorMean.zero(1), 1.0, np.array([-1.0]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_hypervariance_rejected(self, bad):
+        data = Dataset(np.ones((1, 1)), np.ones((1, 1)))
+        with pytest.raises(InputError):
+            compute_bound(data, PriorMean.zero(1), 1.0, np.array([bad]))
+        with pytest.raises(InputError):
+            compute_bound(data, PriorMean.zero(1), 1.0, np.array([[1.0, 1.0], [bad, 1.0]]))
 
 
 def bound_with_c(c, m_d, hyp):
@@ -178,6 +187,167 @@ class TestEnforceBound:
         bound = bound_with_c(1.0, [1.0], np.array([1.0]))
         with pytest.raises(InputError):
             enforce_bound(bound, mode="shrink")
+
+
+def bisection_oracle(bound, mode="scale_hypervariances"):
+    """Bisection projection onto the feasible set, the reference for the closed forms.
+
+    Returns alpha in scale_hypervariances mode and the noise variance in
+    raise_noise mode; both are bisected to 1e-10 relative on the public check.
+    """
+    check = check_bound_diag if bound.diagonal else check_bound_full
+
+    def feasible(scale, c):
+        return check(replace(bound, hypervariance_matrix=scale * bound.hypervariance_matrix, c=c)).feasible
+
+    if mode == "scale_hypervariances":
+        if feasible(1.0, bound.c):
+            return 1.0
+        lo, hi = 1e-15, 1.0  # lo feasible, hi infeasible
+        assert feasible(lo, bound.c)
+        while hi - lo > 1e-10 * hi:
+            mid = 0.5 * (lo + hi)
+            if feasible(mid, bound.c):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+    per_unit = bound.c / bound.noise_variance
+    lo = hi = bound.noise_variance  # hi doubles until feasible; a feasible start is returned as is
+    while not feasible(1.0, per_unit * hi):
+        hi *= 2.0
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if feasible(1.0, per_unit * mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def random_bound(rng, layout, n=None, d=None):
+    """compute_bound on a random dataset, with the data returned for rebuilding.
+
+    layout: "diag" (N-vector), "sym" (symmetric N x N grid) or "full"
+    (independent, generally non-symmetric N x N grid).
+    """
+    n = n or int(rng.integers(1, 5))
+    d = d or int(rng.integers(2, 30))
+    q = rng.uniform(-3.0, 3.0, (d, n))
+    prior = PriorMean(rng.uniform(0.3, 3.0, n))
+    data = Dataset(q, q * prior.coefficients + rng.normal(0.0, 1.0, (d, n)))
+    if layout == "diag":
+        hyp = rng.uniform(0.01, 5.0, n)
+    else:
+        hyp = rng.uniform(0.01, 5.0, (n, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (n, n))
+        if layout == "sym":
+            hyp = 0.5 * (hyp + hyp.T)
+    nv = float(10.0 ** rng.uniform(-2.0, 2.0))
+    return data, prior, compute_bound(data, prior, nv, hyp)
+
+
+class TestSymmetricPartCondition:
+    """The full check is a PSD test of the symmetric part of c*diag(m_d) - Sigma_f."""
+
+    def test_asymmetric_grid_regression(self):
+        # Only the upper triangle of Sigma_f is large: a lower-triangle
+        # eigen-solve sees a feasible matrix, the quadratic form does not.
+        system = bench.get_system("full3")
+        q = bench.sample_trajectory(system, 60, seed=0, waveform="uniform")
+        data = bench.generate_dataset(system, q, 1.0, seed=0)
+        prior = fit_prior_mean(data)
+        hyp = np.full((3, 3), 1e-12)
+        hyp[0, 2] = 1.0
+        bound = compute_bound(data, prior, 100.0, hyp)
+        residual = bound.c * np.diag(bound.mean_coefficients) - bound.hypervariance_matrix
+        min_sym_eig = np.linalg.eigvalsh(0.5 * (residual + residual.T))[0]
+        assert min_sym_eig == pytest.approx(-0.499, abs=1e-3)
+
+        check = check_bound_full(bound)
+        assert not check.feasible
+        assert check.margin == pytest.approx(min_sym_eig, rel=1e-12)
+
+        res = enforce_bound(bound)
+        assert res.alpha < 1e-2
+        projected = res.bound.c * np.diag(res.bound.mean_coefficients) - res.bound.hypervariance_matrix
+        v = np.linalg.eigh(0.5 * (projected + projected.T))[1][:, 0]
+        assert v @ projected @ v >= -1e-12 * np.trace(projected)
+        rebuilt = compute_bound(data, prior, res.noise_variance, res.hypervariances)
+        assert check_bound_full(rebuilt).feasible
+
+    def test_check_matches_symmetric_part_on_random_grids(self):
+        rng = np.random.default_rng(11)
+        seen = {True: 0, False: 0}
+        for _ in range(500):
+            n = int(rng.integers(2, 5))
+            sigma_f = rng.uniform(0.0, 2.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+            m_d = rng.uniform(0.2, 3.0, n)
+            sym = 0.5 * (sigma_f + sigma_f.T)
+            critical = np.linalg.eigvalsh(sym / np.sqrt(np.outer(m_d, m_d)))[-1]
+            # c on either side of the critical value, away from the knife edge
+            c = critical * rng.choice([rng.uniform(0.3, 0.999), rng.uniform(1.001, 3.0)])
+            bound = bound_with_c(c, m_d, sigma_f ** 2)
+            residual = c * np.diag(m_d) - sigma_f
+            eigvals, eigvecs = np.linalg.eigh(0.5 * (residual + residual.T))
+            tol = 1e-12 * abs(np.trace(residual))
+            check = check_bound_full(bound)
+            assert check.feasible == (eigvals[0] >= -tol)
+            assert check.margin == pytest.approx(eigvals[0], rel=1e-9, abs=1e-12)
+            if not check.feasible:
+                # a velocity direction with negative power bound on the raw grid
+                v = eigvecs[:, 0]
+                assert v @ residual @ v < -tol
+            seen[check.feasible] += 1
+        assert min(seen.values()) > 100
+
+
+class TestClosedFormProjection:
+    @pytest.mark.parametrize("layout", ["diag", "sym"])
+    @pytest.mark.parametrize("mode", ["scale_hypervariances", "raise_noise"])
+    def test_agrees_with_bisection_oracle(self, layout, mode):
+        rng = np.random.default_rng(12)
+        projected = 0
+        for _ in range(60):
+            _, _, bound = random_bound(rng, layout)
+            res = enforce_bound(bound, mode=mode)
+            want = bisection_oracle(bound, mode)
+            got = res.alpha if mode == "scale_hypervariances" else res.noise_variance
+            assert got == pytest.approx(want, rel=1e-9)
+            projected += want != (1.0 if mode == "scale_hypervariances" else bound.noise_variance)
+        assert projected > 20
+
+    @pytest.mark.parametrize("layout", ["diag", "sym", "full"])
+    @pytest.mark.parametrize("mode", ["scale_hypervariances", "raise_noise"])
+    def test_rebuilt_result_passes_check(self, layout, mode):
+        # The returned hypervariances are squared, so compute_bound re-roots
+        # them; the result must still pass the check to the last ulp.
+        rng = np.random.default_rng(13)
+        check = check_bound_diag if layout == "diag" else check_bound_full
+        for _ in range(1000):
+            data, prior, bound = random_bound(rng, layout, d=int(rng.integers(2, 8)))
+            res = enforce_bound(bound, mode=mode)
+            rebuilt = compute_bound(data, prior, res.noise_variance, res.hypervariances)
+            assert np.array_equal(rebuilt.hypervariance_matrix, res.bound.hypervariance_matrix)
+            assert rebuilt.c == res.bound.c
+            assert check(rebuilt).feasible
+
+    def test_zero_mean_with_coupled_row_infeasible(self):
+        # m_d_2 = 0: row 2 of sym Sigma_f must vanish for any scale to work
+        hyp = np.array([[1.0, 0.0], [0.25, 0.0]])
+        with pytest.raises(InfeasibilityError):
+            enforce_bound(bound_with_c(1.0, [1.0, 0.0], hyp))
+        res = enforce_bound(bound_with_c(1.0, [1.0, 0.0], np.array([[4.0, 0.0], [0.0, 0.0]])))
+        assert res.alpha == pytest.approx(0.5, rel=1e-12)
+
+    def test_raise_noise_from_zero_noise(self):
+        data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
+        bound = compute_bound(data, PriorMean(np.array([1.0])), 0.0, np.array([4.0]))
+        assert bound.c == 0.0
+        with pytest.raises(InfeasibilityError):
+            enforce_bound(bound)
+        res = enforce_bound(bound, mode="raise_noise")
+        assert res.noise_variance == pytest.approx(2.0, rel=1e-12)
+        assert check_bound_diag(res.bound).feasible
 
 
 class TestPassivityGuarantee:
