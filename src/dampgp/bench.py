@@ -367,7 +367,7 @@ CONFIG_KEYS = {
     "kinds": "comma-separated estimator kinds (ard, diag, full)",
     "lengthscales": "comma-separated shared lengthscales (default: system choice)",
     "noise_variance": "GP noise variance sigma_eps^2",
-    "constrained": "true/false: enforce the passivity bound",
+    "constrained": "true/false: enforce the passivity bound (diag and full only; ard has none)",
     "budget": "hypervariance optimization budget (objective evaluations)",
 }
 

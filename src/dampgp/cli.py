@@ -73,7 +73,9 @@ def cmd_generate(cfg: bench.ExperimentConfig, out_dir: Path) -> int:
     for seed in cfg.seeds:
         splits = {
             "train": bench.sample_trajectory(system, train_size, waveform="periodic"),
-            "val": bench.sample_trajectory(system, cfg.val_size, waveform="periodic"),
+            "val": bench.sample_trajectory(
+                system, cfg.val_size, seed=_sub_seed(seed, 3), waveform="uniform"
+            ),
             "test": bench.sample_trajectory(
                 system, cfg.test_size, seed=_sub_seed(seed, 2), waveform="uniform"
             ),
@@ -231,7 +233,7 @@ def run_efficiency(cfg: bench.ExperimentConfig, sizes: list[int]) -> list[dict]:
                     val,
                     ell,
                     cfg.noise_variance,
-                    constrained=cfg.constrained,
+                    constrained=cfg.constrained and kind != "ard",
                     budget=cfg.budget,
                     prior_mean=prior,
                 )

@@ -51,10 +51,9 @@ class GramFactorization:
 
 @dataclass(frozen=True)
 class PosteriorResult:
-    """Posterior mean and (optionally) covariance at the test points."""
+    """Posterior mean at the test points."""
 
     mean: np.ndarray
-    covariance: np.ndarray | None = None
 
 
 def _as_input_matrix(inputs) -> np.ndarray:
@@ -74,18 +73,10 @@ def _as_input_matrix(inputs) -> np.ndarray:
 def assemble_gram(kernel, inputs) -> np.ndarray:
     """Kernel matrix over all training pairs, explicitly symmetrized.
 
-    ``kernel`` is either a plain callable k(x, x') -> float or an object
-    additionally exposing ``pairwise(X, X2)`` for vectorized evaluation.
+    ``kernel`` is a scalar kernel exposing ``pairwise(X, X2)``.
     """
     X = _as_input_matrix(inputs)
-    if hasattr(kernel, "pairwise"):
-        K = np.asarray(kernel.pairwise(X, X), dtype=float)
-    else:
-        d = X.shape[0]
-        K = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                K[i, j] = K[j, i] = kernel(X[i], X[j])
+    K = np.asarray(kernel.pairwise(X, X), dtype=float)
     return 0.5 * (K + K.T)
 
 
@@ -124,13 +115,8 @@ def posterior(
     prior_mean_train: np.ndarray,
     prior_mean_test: np.ndarray,
     observations: np.ndarray,
-    test_self_cov: np.ndarray | None = None,
-    want_cov: bool = False,
 ) -> PosteriorResult:
-    """Posterior mean (and covariance) from a cached factorization.
-
-    mean = m* + C^T (K + s I)^-1 (y - m),  cov = K** - C^T (K + s I)^-1 C.
-    """
+    """Posterior mean m* + C^T (K + s I)^-1 (y - m) from a factorization."""
     cross_cov = np.asarray(cross_cov, dtype=float)
     prior_mean_train = np.asarray(prior_mean_train, dtype=float)
     prior_mean_test = np.asarray(prior_mean_test, dtype=float)
@@ -150,18 +136,7 @@ def posterior(
 
     cross = cross_cov.reshape(d, m)
     alpha = fact.solve(observations - prior_mean_train)
-    mean = prior_mean_test + cross.T @ alpha
-
-    cov = None
-    if want_cov:
-        if test_self_cov is None:
-            raise InputError("want_cov requires test_self_cov")
-        test_self_cov = np.asarray(test_self_cov, dtype=float)
-        if test_self_cov.shape != (m, m):
-            raise InputError("test_self_cov shape mismatch")
-        cov = test_self_cov - cross.T @ fact.solve(cross)
-        cov = 0.5 * (cov + cov.T)
-    return PosteriorResult(mean=mean, covariance=cov)
+    return PosteriorResult(mean=prior_mean_test + cross.T @ alpha)
 
 
 def joint_multi_output_oracle(

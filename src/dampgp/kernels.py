@@ -9,6 +9,7 @@ bound sigma_f^2, which is what the passivity constraint binds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -100,35 +101,45 @@ class _PerOutputKernel:
         return corr * ((X * self.row_variances) @ X2.T)
 
 
-def _validate_structured(hyp: np.ndarray, shape: tuple) -> None:
-    if hyp.shape != shape:
-        raise InputError(f"hypervariances must have shape {shape}, got {hyp.shape}")
-    if not np.all(hyp > 0):
-        raise InputError("hypervariances must be strictly positive")
-
-
 @dataclass(frozen=True)
-class FullTorqueKernel:
-    """Torque covariance of an independently modeled full damping grid.
+class _KernelCore:
+    """ARD lengthscales plus a positive sigma_f^2 array of ``hyp_ndim``
+    dimensions of size N, with the output-index check of ``output_kernel``.
+    """
+
+    lengthscales: np.ndarray
+    hypervariances: np.ndarray
+    hyp_ndim: ClassVar[int] = 1
+
+    def __post_init__(self):
+        ell = _validate_lengthscales(self.lengthscales)
+        object.__setattr__(self, "lengthscales", ell)
+        hyp = np.asarray(self.hypervariances, dtype=float)
+        shape = (ell.size,) * self.hyp_ndim
+        if hyp.shape != shape:
+            raise InputError(f"hypervariances must have shape {shape}, got {hyp.shape}")
+        if not np.all(hyp > 0):
+            raise InputError("hypervariances must be strictly positive")
+        object.__setattr__(self, "hypervariances", hyp)
+
+    @property
+    def dim(self) -> int:
+        return self.lengthscales.size
+
+    def output_kernel(self, m: int):
+        """Scalar kernel of output m, over velocities."""
+        if not 0 <= m < self.dim:
+            raise InputError(f"output index {m} out of range [0, {self.dim})")
+        return self._output_kernel(m)
+
+
+class _TorqueKernel(_KernelCore):
+    """Torque covariance of a damping model with an N x N sigma_f^2 ``grid``.
 
     K(q, q') = sum_n q_n q'_n diag(k_{1n}(q, q'), ..., k_{Nn}(q, q')),
-    always a diagonal N x N matrix.  ``hypervariances[m, n]`` is the
-    sigma_f^2 of element kernel k_{mn}.
+    always a diagonal N x N matrix; ``grid[m, n]`` is the sigma_f^2 of
+    element kernel k_{mn} (zero where the model has no element).
     """
-
-    lengthscales: np.ndarray
-    hypervariances: np.ndarray  # (N, N) of sigma_f^2
-
-    def __post_init__(self):
-        ell = _validate_lengthscales(self.lengthscales)
-        object.__setattr__(self, "lengthscales", ell)
-        hyp = np.asarray(self.hypervariances, dtype=float)
-        _validate_structured(hyp, (ell.size, ell.size))
-        object.__setattr__(self, "hypervariances", hyp)
-
-    @property
-    def dim(self) -> int:
-        return self.lengthscales.size
 
     def __call__(self, qd, qd2) -> np.ndarray:
         qd = np.asarray(qd, dtype=float)
@@ -136,71 +147,36 @@ class FullTorqueKernel:
         if qd.shape != (self.dim,) or qd2.shape != (self.dim,):
             raise InputError(f"velocities must have dimension {self.dim}")
         corr = _se_correlation(self.lengthscales, qd[None, :], qd2[None, :])[0, 0]
-        return np.diag(corr * (self.hypervariances @ (qd * qd2)))
+        return np.diag(corr * (self.grid @ (qd * qd2)))
 
-    def output_kernel(self, m: int) -> _PerOutputKernel:
-        if not 0 <= m < self.dim:
-            raise InputError(f"output index {m} out of range [0, {self.dim})")
-        return _PerOutputKernel(self.lengthscales, self.hypervariances[m].copy())
+    def _output_kernel(self, m: int) -> _PerOutputKernel:
+        return _PerOutputKernel(self.lengthscales, self.grid[m].copy())
 
 
-@dataclass(frozen=True)
-class DiagTorqueKernel:
-    """Torque covariance of a diagonal damping model.
+class FullTorqueKernel(_TorqueKernel):
+    """Full damping grid: ``hypervariances[m, n]`` is the sigma_f^2 of k_{mn}."""
 
-    K(q, q') = diag(q) diag(k_1(q, q'), ..., k_N(q, q')) diag(q'), so entry
-    (n, n) is q_n q'_n k_n(q, q') and off-diagonals vanish identically.
+    hyp_ndim = 2
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.hypervariances
+
+
+class DiagTorqueKernel(_TorqueKernel):
+    """Diagonal damping model: the full model with its off-diagonal elements
+    removed, so entry (n, n) of K(q, q') is q_n q'_n k_n(q, q').
+    ``hypervariances`` is the (N,) diagonal of the grid.
     """
 
-    lengthscales: np.ndarray
-    hypervariances: np.ndarray  # (N,) of sigma_f^2
-
-    def __post_init__(self):
-        ell = _validate_lengthscales(self.lengthscales)
-        object.__setattr__(self, "lengthscales", ell)
-        hyp = np.asarray(self.hypervariances, dtype=float)
-        _validate_structured(hyp, (ell.size,))
-        object.__setattr__(self, "hypervariances", hyp)
-
     @property
-    def dim(self) -> int:
-        return self.lengthscales.size
-
-    def __call__(self, qd, qd2) -> np.ndarray:
-        qd = np.asarray(qd, dtype=float)
-        qd2 = np.asarray(qd2, dtype=float)
-        if qd.shape != (self.dim,) or qd2.shape != (self.dim,):
-            raise InputError(f"velocities must have dimension {self.dim}")
-        corr = _se_correlation(self.lengthscales, qd[None, :], qd2[None, :])[0, 0]
-        return np.diag(qd * qd2 * self.hypervariances * corr)
-
-    def output_kernel(self, m: int) -> _PerOutputKernel:
-        if not 0 <= m < self.dim:
-            raise InputError(f"output index {m} out of range [0, {self.dim})")
-        row = np.zeros(self.dim)
-        row[m] = self.hypervariances[m]
-        return _PerOutputKernel(self.lengthscales, row)
+    def grid(self) -> np.ndarray:
+        return np.diag(self.hypervariances)
 
 
-@dataclass(frozen=True)
-class SeArdKernelBank:
-    """One independent SE-ARD kernel per output (the unstructured baseline)."""
+class SeArdKernelBank(_KernelCore):
+    """One independent SE-ARD kernel per output (the unstructured baseline);
+    ``hypervariances`` holds one sigma_f^2 per output GP."""
 
-    lengthscales: np.ndarray
-    hypervariances: np.ndarray  # (N,) of sigma_f^2, one per output GP
-
-    def __post_init__(self):
-        ell = _validate_lengthscales(self.lengthscales)
-        object.__setattr__(self, "lengthscales", ell)
-        hyp = np.asarray(self.hypervariances, dtype=float)
-        _validate_structured(hyp, (ell.size,))
-        object.__setattr__(self, "hypervariances", hyp)
-
-    @property
-    def dim(self) -> int:
-        return self.lengthscales.size
-
-    def output_kernel(self, m: int) -> SeArdKernel:
-        if not 0 <= m < self.dim:
-            raise InputError(f"output index {m} out of range [0, {self.dim})")
+    def _output_kernel(self, m: int) -> SeArdKernel:
         return SeArdKernel(self.lengthscales, float(self.hypervariances[m]))

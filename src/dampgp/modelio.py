@@ -3,7 +3,7 @@
 Format: a versioned header of ``key: value`` lines followed by named matrix
 blocks, one ``[block]`` heading per array, rows whitespace-delimited with
 17-significant-digit decimals.  Loading re-runs the deterministic fit, so a
-round-trip reproduces the cached factorizations exactly.
+round-trip reproduces the residual solves exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 from . import models
 from .bench import _fmt
 from .errors import ParseError
-from .kernels import DiagTorqueKernel, FullTorqueKernel, SeArdKernelBank
 from .models import Dataset, FittedModel, PriorMean
 
 MAGIC = "dampgp-model 1"
@@ -91,23 +90,17 @@ def load_model(path) -> tuple[FittedModel, bool]:
             raise ParseError(f"{path}: missing block [{name}]")
 
     kind = meta["kind"]
+    if kind not in models.KERNEL_TYPES:
+        raise ParseError(f"{path}: unknown model kind {kind!r}")
     n = int(meta["n_dim"])
     noise_variance = float(meta["noise_variance"])
     constrained = meta["constrained"] == "true"
 
     ell = np.array(blocks["lengthscales"][0])
     prior = PriorMean(np.array(blocks["prior_mean"][0]))
+    kernel_type = models.KERNEL_TYPES[kind]
     hyp = np.array(blocks["hypervariances"])
-    if kind == "full":
-        if hyp.shape != (n, n):
-            raise ParseError(f"{path}: full model needs {n}x{n} hypervariances")
-        kernel = FullTorqueKernel(ell, hyp)
-    elif kind == "diag":
-        kernel = DiagTorqueKernel(ell, hyp[0])
-    elif kind == "ard":
-        kernel = SeArdKernelBank(ell, hyp[0])
-    else:
-        raise ParseError(f"{path}: unknown model kind {kind!r}")
+    kernel = kernel_type(ell, hyp[0] if kernel_type.hyp_ndim == 1 else hyp)
 
     data = Dataset(np.array(blocks["train_velocities"]), np.array(blocks["train_torques"]))
     if data.n_dim != n:

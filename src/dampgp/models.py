@@ -2,9 +2,9 @@
 
 Because cross-output covariances vanish under the independence assumption on
 the damping elements, the stacked ND x ND system factors into N independent
-D x D systems; fitting caches one Gram factorization and one residual solve
-per output dimension.  ``gp_core.joint_multi_output_oracle`` provides the
-dense reference path the tests compare against.
+D x D systems; fitting factorizes each and keeps only its residual solve.
+``gp_core.joint_multi_output_oracle`` provides the dense reference path the
+tests compare against.
 
 Estimator kinds:
     "ard"  -- independent zero-mean SE-ARD GP per torque output (baseline)
@@ -27,7 +27,8 @@ from .kernels import (
     _se_correlation,
 )
 
-KINDS = ("ard", "diag", "full")
+KERNEL_TYPES = {"ard": SeArdKernelBank, "diag": DiagTorqueKernel, "full": FullTorqueKernel}
+KINDS = tuple(KERNEL_TYPES)
 
 
 def _check_kind(kind: str) -> str:
@@ -104,13 +105,14 @@ def fit_prior_mean(data: Dataset) -> PriorMean:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Immutable trained estimator with cached per-output factorized data."""
+    """Immutable trained estimator: the per-output residual solves
+    alpha_m = (K_m + noise_variance*I)^-1 (y_m - prior_m) are all a
+    prediction needs."""
 
     kind: str
     kernel: object
     prior_mean: PriorMean
     noise_variance: float
-    factorizations: tuple
     residual_solves: tuple
     train: Dataset
 
@@ -133,16 +135,13 @@ def fit(
     data: Dataset,
     noise_variance: float,
 ) -> FittedModel:
-    """Assemble, factorize and cache the N per-output training systems."""
+    """Assemble and factorize the N per-output training systems and keep
+    their residual solves."""
     kind = _check_kind(kind)
     if not noise_variance > 0:
         raise InputError(f"noise_variance must be > 0, got {noise_variance}")
-    expected = {
-        "ard": SeArdKernelBank,
-        "diag": DiagTorqueKernel,
-        "full": FullTorqueKernel,
-    }[kind]
-    if not isinstance(kernel, expected):
+    expected = KERNEL_TYPES[kind]
+    if type(kernel) is not expected:
         raise InputError(
             f"kind {kind!r} requires a {expected.__name__}, got {type(kernel).__name__}"
         )
@@ -159,20 +158,17 @@ def fit(
 
     q = data.velocities
     prior_y = _prior_torque_matrix(kind, prior_mean, q)
-    facts = []
     solves = []
     for m in range(data.n_dim):
         km = kernel.output_kernel(m)
         gram = gp_core.assemble_gram(km, q)
         fact = gp_core.factorize(gram, noise_variance)
-        facts.append(fact)
         solves.append(fact.solve(data.torques[:, m] - prior_y[:, m]))
     return FittedModel(
         kind=kind,
         kernel=kernel,
         prior_mean=prior_mean,
         noise_variance=float(noise_variance),
-        factorizations=tuple(facts),
         residual_solves=tuple(solves),
         train=data,
     )
@@ -206,7 +202,8 @@ def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
     """Posterior damping matrix estimate with D_hat(qd) @ qd == predicted torque.
 
     Column n collects the prior coefficient plus the data correction weighted
-    by the n-th training velocity component.
+    by the n-th training velocity component; the kernel's grid zeroes the
+    elements a diagonal model does not have.
     """
     if model.kind == "ard":
         raise UnsupportedModelError(
@@ -220,10 +217,7 @@ def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
     alphas = np.vstack(model.residual_solves)  # (N, D)
     # G[m, n] = sum_i corr_i * q_train[i, n] * alpha[m, i]
     G = alphas @ (corr[:, None] * q_train)
-    if model.kind == "diag":
-        d_hat = model.prior_mean.coefficients + model.kernel.hypervariances * np.diag(G)
-        return np.diag(d_hat)
-    return np.diag(model.prior_mean.coefficients) + model.kernel.hypervariances * G
+    return np.diag(model.prior_mean.coefficients) + model.kernel.grid * G
 
 
 @dataclass(frozen=True)
@@ -232,14 +226,6 @@ class OptimizationResult:
     val_mse: float
     n_evaluations: int
     projected: bool  # True when the passivity constraint was enforced
-
-
-def _make_kernel(kind: str, lengthscales: np.ndarray, hyp: np.ndarray):
-    if kind == "ard":
-        return SeArdKernelBank(lengthscales, hyp)
-    if kind == "diag":
-        return DiagTorqueKernel(lengthscales, hyp)
-    return FullTorqueKernel(lengthscales, hyp)
 
 
 def _initial_hypervariances(kind: str, data: Dataset, prior_mean: PriorMean) -> np.ndarray:
@@ -268,7 +254,6 @@ def optimize_hypervariances(
     constrained: bool = False,
     budget: int = 60,
     tie_full: bool = True,
-    init_hypervariances: np.ndarray | None = None,
     prior_mean: PriorMean | None = None,
 ) -> OptimizationResult:
     """Derivative-free search over log-hypervariances against validation MSE.
@@ -277,7 +262,8 @@ def optimize_hypervariances(
     for fixed inputs and budget (one budget unit = one fit + validation pass).
     When ``constrained`` is set every candidate is projected onto the feasible
     set of the passivity bound before evaluation, so the returned kernel is
-    always feasible.  For the full kind with ``tie_full`` the N^2 grid is tied
+    always feasible; the ard baseline has no bound, so it cannot be
+    constrained.  For the full kind with ``tie_full`` the N^2 grid is tied
     to a row-scale times column-scale pattern to keep the search space small.
     """
     from . import passivity  # local import to avoid a module cycle
@@ -289,6 +275,8 @@ def optimize_hypervariances(
         raise InputError("validation set is empty")
     if data_val.n_dim != data_train.n_dim:
         raise InputError("train/validation dimension mismatch")
+    if constrained and kind == "ard":
+        raise InputError("the ard baseline has no passivity bound to constrain")
     ell = np.asarray(lengthscales, dtype=float)
     n = data_train.n_dim
 
@@ -297,11 +285,7 @@ def optimize_hypervariances(
             PriorMean.zero(n) if kind == "ard" else fit_prior_mean(data_train)
         )
 
-    init = (
-        np.asarray(init_hypervariances, dtype=float)
-        if init_hypervariances is not None
-        else _initial_hypervariances(kind, data_train, prior_mean)
-    )
+    init = _initial_hypervariances(kind, data_train, prior_mean)
 
     tied = kind == "full" and tie_full
     if tied:
@@ -333,7 +317,7 @@ def optimize_hypervariances(
                 data_train, prior_mean, noise_variance, hyp
             )
             hyp = passivity.enforce_bound(bound, mode="scale_hypervariances").hypervariances
-        model = fit(kind, _make_kernel(kind, ell, hyp), prior_mean, data_train, noise_variance)
+        model = fit(kind, KERNEL_TYPES[kind](ell, hyp), prior_mean, data_train, noise_variance)
         pred = predict_torque_batch(model, data_val.velocities)
         mse = float(np.mean((pred - data_val.torques) ** 2))
         if mse < best["mse"]:
@@ -381,7 +365,7 @@ def optimize_hypervariances(
             break
 
     return OptimizationResult(
-        kernel=_make_kernel(kind, ell, best["hyp"]),
+        kernel=KERNEL_TYPES[kind](ell, best["hyp"]),
         val_mse=best["mse"],
         n_evaluations=evals,
         projected=constrained,

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import InfeasibilityError, InputError
-from .models import Dataset, FittedModel, PriorMean, predict_torque, predict_torque_batch
+from .models import Dataset, FittedModel, PriorMean, predict_torque_batch
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,6 @@ def enforce_bound(bound: PassivityBound, mode: str = "scale_hypervariances") -> 
             noise = np.nextafter(noise, math.inf)
         result = _result(bound, alpha, noise)
     return result
-
-
-def dissipated_power(model: FittedModel, qd) -> float:
-    """P = qd . predicted torque; nonnegative for a passive estimate."""
-    qd = np.asarray(qd, dtype=float)
-    return float(qd @ predict_torque(model, qd))
 
 
 @dataclass(frozen=True)

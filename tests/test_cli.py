@@ -54,6 +54,14 @@ class TestGenerate:
         for f in sorted(out1.glob("*.csv")):
             assert f.read_bytes() == (out2 / f.name).read_bytes()
 
+    def test_validation_is_drawn_apart_from_training(self, tmp_path, cfg_path):
+        out = tmp_path / "data"
+        assert run_cli("--config", cfg_path, "--out-dir", out, "generate") == 0
+        val = {s: bench.read_dataset(out / f"seed{s}_val.csv").velocities for s in (0, 1)}
+        train = bench.read_dataset(out / "seed0_train.csv").velocities
+        assert not set(map(tuple, train.tolist())) & set(map(tuple, val[0].tolist()))
+        assert not np.array_equal(val[0], val[1])
+
     def test_unknown_system_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("system = warp9\n")
@@ -92,6 +100,37 @@ class TestFit:
         )
         assert code == 0
         assert "n/a" in capsys.readouterr().out
+
+    def test_ard_constrained_rejected(self, tmp_path, cfg_path, capsys):
+        train, val, _ = self._generated(tmp_path, cfg_path)
+        code = run_cli(
+            "fit", train, "--kind", "ard", "--val", val, "--lengthscales", "12",
+            "--constrained", "--budget", "3", "--out", tmp_path / "a.model",
+        )
+        assert code == cli.EXIT_INPUT
+        assert "no passivity bound" in capsys.readouterr().err
+
+    def test_free_hypervariances_saves_untied_search(self, tmp_path):
+        out = tmp_path / "data"
+        cfg = tmp_path / "full3.cfg"
+        cfg.write_text("system = full3\ntrain_sizes = 12\nval_size = 8\n"
+                       "test_size = 4\nseeds = 0\n")
+        run_cli("--config", cfg, "--out-dir", out, "generate")
+        train, val = out / "seed0_train.csv", out / "seed0_val.csv"
+        model_path = tmp_path / "free.model"
+        code = run_cli(
+            "fit", train, "--kind", "full", "--val", val, "--lengthscales", "12,12,12",
+            "--free-hypervariances", "--budget", "12", "--out", model_path,
+        )
+        assert code == 0
+        expected = models.optimize_hypervariances(
+            "full", bench.read_dataset(train), bench.read_dataset(val),
+            [12.0, 12.0, 12.0], 100.0, budget=12, tie_full=False,
+        ).kernel.hypervariances
+        saved = modelio.load_model(model_path)[0].kernel.hypervariances
+        assert np.array_equal(saved, expected)
+        # the untied search moves single elements, which the tied grid cannot
+        assert not np.allclose(saved * saved.T, np.outer(np.diag(saved), np.diag(saved)))
 
     def test_refit_byte_identical(self, tmp_path, cfg_path):
         train, val, _ = self._generated(tmp_path, cfg_path)
@@ -194,6 +233,20 @@ class TestEfficiency:
                        "efficiency", "--sizes", "20,10")
         assert code == cli.EXIT_INPUT
 
+    def test_constrained_run_leaves_ard_unconstrained(self, tmp_path):
+        rows = {}
+        for flag in ("false", "true"):
+            cfg = tmp_path / f"{flag}.cfg"
+            cfg.write_text(SMALL_CFG.replace("kinds = diag", "kinds = ard,diag")
+                           + f"constrained = {flag}\n")
+            out = tmp_path / flag
+            assert run_cli("--config", cfg, "--out-dir", out,
+                           "efficiency", "--sizes", "10") == 0
+            lines = (out / "efficiency.csv").read_text().splitlines()[1:]
+            rows[flag] = {k: [r for r in lines if r.startswith(k + ",")] for k in ("ard", "diag")}
+        assert rows["true"]["ard"] == rows["false"]["ard"]
+        assert rows["true"]["diag"] != rows["false"]["diag"]  # projected
+
     def test_run_efficiency_deterministic(self):
         cfg = bench.ExperimentConfig(
             system="linear1", val_size=10, test_size=10, seeds=(0,),
@@ -251,7 +304,7 @@ class TestModelIo:
         data = Dataset(q, q * np.array([1.0, 2.0]) + rng.normal(0, 0.2, (12, n)))
         prior = PriorMean.zero(n) if kind == "ard" else fit_prior_mean(data)
         hyp = rng.uniform(0.2, 1.0, (n, n)) if kind == "full" else rng.uniform(0.2, 1.0, n)
-        kernel = models._make_kernel(kind, np.ones(n), hyp)
+        kernel = models.KERNEL_TYPES[kind](np.ones(n), hyp)
         return fit(kind, kernel, prior, data, 0.7)
 
     @pytest.mark.parametrize("kind", ["ard", "diag", "full"])

@@ -33,7 +33,7 @@ class TestAssembleGram:
         k = SeArdKernel(np.array([1.5, 0.7]), 2.0)
         pts = np.random.default_rng(0).normal(0, 1, (6, 2))
         K_fast = gp_core.assemble_gram(k, pts)
-        K_slow = gp_core.assemble_gram(lambda a, b: k(a, b), pts)
+        K_slow = np.array([[k(a, b) for b in pts] for a in pts])
         assert np.allclose(K_fast, K_slow, atol=1e-14)
 
     def test_gram_psd_over_random_draws(self):
@@ -111,32 +111,11 @@ class TestPosterior:
         y = rng.normal(0, 1, 2)
         m_tr = rng.normal(0, 1, 2)
         m_te = rng.normal(0, 1, 3)
-        self_cov = np.eye(3)
         fact = gp_core.factorize(gram, s)
-        res = gp_core.posterior(fact, cross, m_tr, m_te, y, self_cov, want_cov=True)
+        res = gp_core.posterior(fact, cross, m_tr, m_te, y)
         Ky_inv = np.linalg.inv(0.5 * (gram + gram.T) + s * np.eye(2))
         mean_ref = m_te + cross.T @ Ky_inv @ (y - m_tr)
-        cov_ref = self_cov - cross.T @ Ky_inv @ cross
         assert np.allclose(res.mean, mean_ref, rtol=1e-10)
-        assert np.allclose(res.covariance, cov_ref, rtol=1e-10, atol=1e-12)
-
-    def test_covariance_nearly_psd(self):
-        rng = np.random.default_rng(6)
-        k = SeArdKernel(np.array([1.0]), 1.0)
-        X = rng.normal(0, 1, (8, 1))
-        Xs = rng.normal(0, 1, (4, 1))
-        fact = gp_core.factorize(gp_core.assemble_gram(k, X), 0.1)
-        res = gp_core.posterior(
-            fact,
-            k.pairwise(X, Xs),
-            np.zeros(8),
-            np.zeros(4),
-            rng.normal(0, 1, 8),
-            k.pairwise(Xs, Xs),
-            want_cov=True,
-        )
-        min_eig = np.linalg.eigvalsh(res.covariance)[0]
-        assert min_eig >= -1e-8 * np.max(np.diag(res.covariance))
 
     def test_shape_mismatch(self):
         fact = gp_core.factorize(np.eye(2), 0.1)

@@ -115,6 +115,23 @@ class TestDiagTorqueKernel:
                 assert K[n, n] == pytest.approx(a[n] * b[n] * hyp[n] * base(a, b), rel=1e-12, abs=1e-15)
 
 
+class TestGrid:
+    def test_diag_grid_is_full_layout_with_zero_off_diagonals(self):
+        hyp = np.array([0.5, 1.5, 2.5])
+        assert np.array_equal(DiagTorqueKernel(np.ones(3), hyp).grid, np.diag(hyp))
+        full = np.arange(1.0, 10.0).reshape(3, 3)
+        assert np.array_equal(FullTorqueKernel(np.ones(3), full).grid, full)
+
+    @pytest.mark.parametrize("make, shape", [
+        (FullTorqueKernel, (2,)),
+        (DiagTorqueKernel, (2, 2)),
+        (SeArdKernelBank, (3,)),
+    ])
+    def test_hypervariance_shape_checked(self, make, shape):
+        with pytest.raises(InputError, match="shape"):
+            make(np.ones(2), np.ones(shape))
+
+
 class TestMatrixKernelSymmetry:
     @pytest.mark.parametrize("make", [
         lambda rng: FullTorqueKernel(rng.uniform(0.5, 2, 3), rng.uniform(0.1, 2, (3, 3))),

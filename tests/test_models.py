@@ -95,9 +95,10 @@ class TestFit:
         kernel, data, prior = random_instance(rng, "diag")
         model = fit("diag", kernel, prior, data, 0.3)
         prior_y = data.velocities * prior.coefficients
-        for m, (fact, solve) in enumerate(zip(model.factorizations, model.residual_solves)):
+        for m, solve in enumerate(model.residual_solves):
             resid = data.torques[:, m] - prior_y[:, m]
-            lhs = (fact.gram + (fact.noise_variance + fact.jitter_used) * np.eye(fact.n_train)) @ solve
+            gram = gp_core.assemble_gram(kernel.output_kernel(m), data.velocities)
+            lhs = (gram + 0.3 * np.eye(data.n_samples)) @ solve
             assert np.linalg.norm(lhs - resid) <= 1e-8 * max(np.linalg.norm(resid), 1e-12)
 
 
@@ -295,6 +296,13 @@ class TestOptimizeHypervariances:
         )
         bound = passivity.compute_bound(train, prior, 1.0, res.kernel.hypervariances)
         assert passivity.check_bound_diag(bound).feasible
+
+    def test_constrained_ard_rejected(self):
+        rng = np.random.default_rng(12)
+        _, data, _ = random_instance(rng, "ard", n=2)
+        with pytest.raises(InputError, match="no passivity bound"):
+            models.optimize_hypervariances(
+                "ard", data, data, np.ones(2), 0.5, constrained=True, budget=2)
 
     def test_empty_validation_rejected(self):
         rng = np.random.default_rng(20)

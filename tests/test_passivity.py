@@ -12,7 +12,6 @@ from dampgp.passivity import (
     check_bound_diag,
     check_bound_full,
     compute_bound,
-    dissipated_power,
     enforce_bound,
     passivity_sweep,
 )
@@ -409,10 +408,11 @@ class TestDissipatedPower:
         model = fit(
             "diag", DiagTorqueKernel(np.ones(2), np.array([0.1, 0.1])), prior, data, 1.0
         )
-        qd = np.array([0.5, -1.5])
-        assert dissipated_power(model, qd) == pytest.approx(
-            float(qd @ models.predict_torque(model, qd)), rel=1e-14
-        )
+        sweep = passivity_sweep(model, np.array([[-2.0, 2.0], [-2.0, 2.0]]), 20, seed=1)
+        for qd, power in zip(sweep.points, sweep.powers):
+            assert power == pytest.approx(
+                float(qd @ models.predict_torque(model, qd)), rel=1e-12, abs=1e-15
+            )
 
     def test_zero_velocity_zero_power(self):
         rng = np.random.default_rng(5)
@@ -425,7 +425,10 @@ class TestDissipatedPower:
             data,
             1.0,
         )
-        assert dissipated_power(model, np.zeros(2)) == 0.0
+        sweep = passivity_sweep(model, np.array([[-1.0, 1.0], [-1.0, 1.0]]), 1, seed=0)
+        assert np.array_equal(sweep.points[-1], np.zeros(2))  # the origin comes last
+        assert sweep.powers[-1] == 0.0
+        assert float(np.zeros(2) @ models.predict_torque(model, np.zeros(2))) == 0.0
 
 
 class TestPassivitySweep:
