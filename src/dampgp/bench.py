@@ -19,10 +19,14 @@ from .errors import InputError, ParseError
 from .models import Dataset
 
 PSD_SWEEP_POINTS = 10_000
+PSD_SWEEP_BLOCK = 1_000
 
 # Periodic excitation constants: frequencies and phases per input dimension.
 TRAJECTORY_FREQUENCIES = (0.1, 0.2, 0.3)
 TRAJECTORY_PHASES = (0.0, 2.0, 3.0)
+# Periodic start time in periods: seed * 0.618... mod 1, which is 0 for seed 0
+# and distinct for distinct seeds.
+_GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -53,18 +57,29 @@ class GroundTruthSystem:
 
 
 def _psd_construction_sweep(system: GroundTruthSystem) -> None:
-    """Reject systems whose damping field is not PSD across the domain."""
+    """Reject systems whose damping field is not PSD across the domain.
+
+    The points are checked in blocks, one batched ``eigvalsh`` each, so the
+    sweep never holds more than one block of matrices.
+    """
     rng = np.random.default_rng(0)
     lo, hi = system.domain[:, 0], system.domain[:, 1]
     pts = rng.uniform(lo, hi, size=(PSD_SWEEP_POINTS, system.n_dim))
-    for q in pts:
-        d = system.damping(q)
-        d = 0.5 * (d + d.T)
-        min_eig = float(np.linalg.eigvalsh(d)[0])
-        if min_eig < -1e-10 * abs(float(np.trace(d))):
+    buf = np.empty((PSD_SWEEP_BLOCK, system.n_dim, system.n_dim))
+    for start in range(0, PSD_SWEEP_POINTS, PSD_SWEEP_BLOCK):
+        block = pts[start : start + PSD_SWEEP_BLOCK]
+        sym = buf[: len(block)]
+        for out, q in zip(sym, block):
+            d = system.damping(q)
+            np.add(d, d.T, out=out)
+        sym *= 0.5
+        min_eig = np.linalg.eigvalsh(sym)[:, 0]
+        bad = np.flatnonzero(min_eig < -1e-10 * np.abs(np.trace(sym, axis1=1, axis2=2)))
+        if bad.size:
+            i = bad[0]
             raise InputError(
-                f"system {system.name!r}: damping matrix not PSD at {q} "
-                f"(min eigenvalue {min_eig:g})"
+                f"system {system.name!r}: damping matrix not PSD at {block[i]} "
+                f"(min eigenvalue {min_eig[i]:g})"
             )
 
 
@@ -117,43 +132,44 @@ def _full3_damping(qd: np.ndarray) -> np.ndarray:
 _BOX3 = [[-25.0, 25.0], [-25.0, 25.0], [40.0, 90.0]]
 
 
+# id -> make_system arguments after the id
+_SYSTEM_SPECS = {
+    "linear1": (
+        "diagonal",
+        lambda qd: np.array([[2.0]]),
+        [[-25.0, 25.0]],
+        "scalar constant damping d = 2 (analytic reference case)",
+        [12.0],
+    ),
+    "diag3": (
+        "diagonal",
+        _diag3_damping,
+        _BOX3,
+        "diagonal damping: quadratic, absolute-value and tanh^2 laws",
+        [12.0, 12.0, 12.0],
+    ),
+    "full3": (
+        "full",
+        _full3_damping,
+        _BOX3,
+        "full damping L(qd) L(qd)^T + 0.1 I with smooth triangular factor",
+        [12.0, 12.0, 12.0],
+    ),
+}
+
+
 def builtin_systems() -> dict[str, GroundTruthSystem]:
     """The shipped ground-truth systems, keyed by id."""
-    return {
-        "linear1": make_system(
-            "linear1",
-            "diagonal",
-            lambda qd: np.array([[2.0]]),
-            [[-25.0, 25.0]],
-            "scalar constant damping d = 2 (analytic reference case)",
-            [12.0],
-        ),
-        "diag3": make_system(
-            "diag3",
-            "diagonal",
-            _diag3_damping,
-            _BOX3,
-            "diagonal damping: quadratic, absolute-value and tanh^2 laws",
-            [12.0, 12.0, 12.0],
-        ),
-        "full3": make_system(
-            "full3",
-            "full",
-            _full3_damping,
-            _BOX3,
-            "full damping L(qd) L(qd)^T + 0.1 I with smooth triangular factor",
-            [12.0, 12.0, 12.0],
-        ),
-    }
+    return {system_id: get_system(system_id) for system_id in _SYSTEM_SPECS}
 
 
 def get_system(system_id: str) -> GroundTruthSystem:
-    systems = builtin_systems()
-    if system_id not in systems:
+    """Build one shipped system; only that system's PSD sweep runs."""
+    if system_id not in _SYSTEM_SPECS:
         raise InputError(
-            f"unknown system id {system_id!r}; available: {sorted(systems)}"
+            f"unknown system id {system_id!r}; available: {sorted(_SYSTEM_SPECS)}"
         )
-    return systems[system_id]
+    return make_system(system_id, *_SYSTEM_SPECS[system_id])
 
 
 def sample_trajectory(
@@ -165,8 +181,10 @@ def sample_trajectory(
     """Velocity samples: sinusoidal sweep of the box or seeded uniform draws.
 
     Periodic mode places ``count`` equally spaced times over one fundamental
-    period of the per-dimension frequencies; the box center and half-width
-    give offset and amplitude, so every sample stays inside the domain.
+    period of the per-dimension frequencies, starting at the seed's fraction
+    of the golden ratio times the period (time 0 for seed 0); the box center
+    and half-width give offset and amplitude, so every sample stays inside
+    the domain.
     """
     if count < 1:
         raise InputError("count must be >= 1")
@@ -183,7 +201,8 @@ def sample_trajectory(
     if freqs.size < system.n_dim:
         raise InputError("periodic waveform supports at most 3 dimensions")
     period = 10.0  # fundamental period of frequencies 0.1, 0.2, 0.3
-    t = np.linspace(0.0, period, count, endpoint=False)
+    t0 = period * ((seed * _GOLDEN_FRACTION) % 1.0)
+    t = t0 + np.linspace(0.0, period, count, endpoint=False)
     return center + amplitude * np.sin(2.0 * math.pi * freqs * t[:, None] + phases)
 
 

@@ -72,7 +72,7 @@ def cmd_generate(cfg: bench.ExperimentConfig, out_dir: Path) -> int:
     files = []
     for seed in cfg.seeds:
         splits = {
-            "train": bench.sample_trajectory(system, train_size, waveform="periodic"),
+            "train": bench.sample_trajectory(system, train_size, seed=seed, waveform="periodic"),
             "val": bench.sample_trajectory(
                 system, cfg.val_size, seed=_sub_seed(seed, 3), waveform="uniform"
             ),

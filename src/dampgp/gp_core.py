@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from .errors import InputError, NumericalError
 
@@ -26,8 +27,9 @@ ORACLE_SIZE_CAP = 2000
 class GramFactorization:
     """Cholesky factorization of (gram + noise_variance*I + jitter*I).
 
-    ``factor`` is lower triangular; ``jitter_used`` is 0 unless the plain
-    factorization failed and the jitter ladder had to be climbed.
+    ``gram`` is the symmetric part of the matrix passed to ``factorize``;
+    ``factor`` is exactly lower triangular; ``jitter_used`` is 0 unless the
+    plain factorization failed and the jitter ladder had to be climbed.
     """
 
     gram: np.ndarray
@@ -46,7 +48,7 @@ class GramFactorization:
             raise InputError(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self.n_train}"
             )
-        return cho_solve((self.factor, True), rhs)
+        return cho_solve((self.factor, True), rhs, check_finite=False)
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,12 @@ class PosteriorResult:
 
 
 def _as_input_matrix(inputs) -> np.ndarray:
-    """Stack a list of equal-dimension vectors into a (D, N) matrix."""
+    """A (D, N) matrix as is, or a list of equal-dimension vectors stacked
+    into one."""
+    if isinstance(inputs, np.ndarray) and inputs.ndim == 2:
+        if inputs.shape[0] == 0:
+            raise InputError("need at least one input point")
+        return inputs.astype(float, copy=False)
     rows = [np.atleast_1d(np.asarray(x, dtype=float)) for x in inputs]
     if not rows:
         raise InputError("need at least one input point")
@@ -71,39 +78,43 @@ def _as_input_matrix(inputs) -> np.ndarray:
 
 
 def assemble_gram(kernel, inputs) -> np.ndarray:
-    """Kernel matrix over all training pairs, explicitly symmetrized.
+    """Kernel matrix over all training pairs; ``factorize`` symmetrizes it.
 
     ``kernel`` is a scalar kernel exposing ``pairwise(X, X2)``.
     """
     X = _as_input_matrix(inputs)
-    K = np.asarray(kernel.pairwise(X, X), dtype=float)
-    return 0.5 * (K + K.T)
+    return np.asarray(kernel.pairwise(X, X), dtype=float)
 
 
 def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:
-    """Factorize gram + noise_variance*I, escalating jitter on failure."""
+    """Factorize sym(gram) + noise_variance*I, escalating jitter on failure.
+
+    ``gram`` itself is left unchanged.
+    """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InputError(f"gram must be square, got shape {gram.shape}")
-    if noise_variance < 0:
-        raise InputError(f"noise_variance must be >= 0, got {noise_variance}")
-    gram = 0.5 * (gram + gram.T)
-    eye = np.eye(gram.shape[0])
+    if not (np.isfinite(noise_variance) and noise_variance >= 0):
+        raise InputError(f"noise_variance must be finite and >= 0, got {noise_variance}")
+    sym = gram + gram.T
+    sym *= 0.5
+    if not np.all(np.isfinite(sym)):
+        raise InputError("gram contains non-finite entries")
     attempted = []
     for jitter in (0.0, *JITTER_LADDER):
         attempted.append(jitter)
-        try:
-            factor, _ = cho_factor(
-                gram + (noise_variance + jitter) * eye, lower=True
+        work = sym.copy()
+        work.flat[:: len(work) + 1] += noise_variance + jitter
+        # work is symmetric, so its transpose is the same matrix in the
+        # column-major order LAPACK factors in place
+        factor, info = dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return GramFactorization(
+                gram=sym,
+                noise_variance=float(noise_variance),
+                jitter_used=jitter,
+                factor=factor,
             )
-        except np.linalg.LinAlgError:
-            continue
-        return GramFactorization(
-            gram=gram,
-            noise_variance=float(noise_variance),
-            jitter_used=jitter,
-            factor=np.tril(factor),
-        )
     raise NumericalError(
         f"factorization failed at every jitter level {attempted}"
     )

@@ -20,13 +20,18 @@ def _validate_lengthscales(ell: np.ndarray) -> np.ndarray:
     ell = np.asarray(ell, dtype=float)
     if ell.ndim != 1 or ell.size < 1:
         raise InputError("lengthscales must be a nonempty vector")
-    if not np.all(ell > 0):
-        raise InputError(f"lengthscales must be strictly positive, got {ell}")
+    if not np.all(np.isfinite(ell) & (ell > 0)):
+        raise InputError(f"lengthscales must be finite and strictly positive, got {ell}")
     return ell
 
 
-def _se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Unit-amplitude SE-ARD correlation over all row pairs of X, X2."""
+def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """Unit-amplitude SE-ARD correlation over all row pairs of X, X2.
+
+    Every element kernel of a model shares it, so a caller that needs the
+    matrices of all N outputs over the same inputs computes it once and
+    hands it to each output's ``pairwise``.
+    """
     S = X / ell
     S2 = X2 / ell
     sq = (
@@ -46,8 +51,8 @@ class SeArdKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "lengthscales", _validate_lengthscales(self.lengthscales))
-        if not self.hypervariance > 0:
-            raise InputError(f"hypervariance must be > 0, got {self.hypervariance}")
+        if not (np.isfinite(self.hypervariance) and self.hypervariance > 0):
+            raise InputError(f"hypervariance must be finite and > 0, got {self.hypervariance}")
 
     @property
     def dim(self) -> int:
@@ -68,8 +73,12 @@ class SeArdKernel:
         z = (x - xp) / self.lengthscales
         return float(self.hypervariance * np.exp(-0.5 * np.dot(z, z)))
 
-    def pairwise(self, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        return self.hypervariance * _se_correlation(self.lengthscales, X, X2)
+    def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
+        """Kernel matrix over all row pairs; ``corr`` is the shared
+        ``se_correlation(lengthscales, X, X2)`` when the caller has it."""
+        if corr is None:
+            corr = se_correlation(self.lengthscales, X, X2)
+        return self.hypervariance * corr
 
 
 @dataclass(frozen=True)
@@ -92,12 +101,15 @@ class _PerOutputKernel:
     def __call__(self, x, xp) -> float:
         return float(self.pairwise(np.atleast_2d(x), np.atleast_2d(xp))[0, 0])
 
-    def pairwise(self, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
+        """Kernel matrix over all row pairs; ``corr`` is the shared
+        ``se_correlation(lengthscales, X, X2)`` when the caller has it."""
         X = np.asarray(X, dtype=float)
         X2 = np.asarray(X2, dtype=float)
         if X.shape[1] != self.dim or X2.shape[1] != self.dim:
             raise InputError(f"inputs must have dimension {self.dim}")
-        corr = _se_correlation(self.lengthscales, X, X2)
+        if corr is None:
+            corr = se_correlation(self.lengthscales, X, X2)
         return corr * ((X * self.row_variances) @ X2.T)
 
 
@@ -118,8 +130,8 @@ class _KernelCore:
         shape = (ell.size,) * self.hyp_ndim
         if hyp.shape != shape:
             raise InputError(f"hypervariances must have shape {shape}, got {hyp.shape}")
-        if not np.all(hyp > 0):
-            raise InputError("hypervariances must be strictly positive")
+        if not np.all(np.isfinite(hyp) & (hyp > 0)):
+            raise InputError("hypervariances must be finite and strictly positive")
         object.__setattr__(self, "hypervariances", hyp)
 
     @property
@@ -146,7 +158,7 @@ class _TorqueKernel(_KernelCore):
         qd2 = np.asarray(qd2, dtype=float)
         if qd.shape != (self.dim,) or qd2.shape != (self.dim,):
             raise InputError(f"velocities must have dimension {self.dim}")
-        corr = _se_correlation(self.lengthscales, qd[None, :], qd2[None, :])[0, 0]
+        corr = se_correlation(self.lengthscales, qd[None, :], qd2[None, :])[0, 0]
         return np.diag(corr * (self.grid @ (qd * qd2)))
 
     def _output_kernel(self, m: int) -> _PerOutputKernel:

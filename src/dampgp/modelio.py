@@ -92,8 +92,11 @@ def load_model(path) -> tuple[FittedModel, bool]:
     kind = meta["kind"]
     if kind not in models.KERNEL_TYPES:
         raise ParseError(f"{path}: unknown model kind {kind!r}")
-    n = int(meta["n_dim"])
-    noise_variance = float(meta["noise_variance"])
+    try:
+        n = int(meta["n_dim"])
+        noise_variance = float(meta["noise_variance"])
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad header value: {exc}") from exc
     constrained = meta["constrained"] == "true"
 
     ell = np.array(blocks["lengthscales"][0])

@@ -24,7 +24,7 @@ from .kernels import (
     DiagTorqueKernel,
     FullTorqueKernel,
     SeArdKernelBank,
-    _se_correlation,
+    se_correlation,
 )
 
 KERNEL_TYPES = {"ard": SeArdKernelBank, "diag": DiagTorqueKernel, "full": FullTorqueKernel}
@@ -77,8 +77,8 @@ class PriorMean:
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
         if c.ndim != 1:
             raise InputError("prior mean coefficients must be a vector")
-        if not np.all(c >= 0):
-            raise InputError(f"prior mean coefficients must be >= 0, got {c}")
+        if not np.all(np.isfinite(c) & (c >= 0)):
+            raise InputError(f"prior mean coefficients must be finite and >= 0, got {c}")
         object.__setattr__(self, "coefficients", c)
 
     def torque(self, qd: np.ndarray) -> np.ndarray:
@@ -136,10 +136,10 @@ def fit(
     noise_variance: float,
 ) -> FittedModel:
     """Assemble and factorize the N per-output training systems and keep
-    their residual solves."""
+    their residual solves.  Their Gram matrices share one SE correlation."""
     kind = _check_kind(kind)
-    if not noise_variance > 0:
-        raise InputError(f"noise_variance must be > 0, got {noise_variance}")
+    if not (np.isfinite(noise_variance) and noise_variance > 0):
+        raise InputError(f"noise_variance must be finite and > 0, got {noise_variance}")
     expected = KERNEL_TYPES[kind]
     if type(kernel) is not expected:
         raise InputError(
@@ -157,13 +157,12 @@ def fit(
         raise InputError("the ard baseline is zero-mean; pass a zero prior mean")
 
     q = data.velocities
-    prior_y = _prior_torque_matrix(kind, prior_mean, q)
+    resid = data.torques - _prior_torque_matrix(kind, prior_mean, q)
+    corr = se_correlation(kernel.lengthscales, q, q)
     solves = []
     for m in range(data.n_dim):
-        km = kernel.output_kernel(m)
-        gram = gp_core.assemble_gram(km, q)
-        fact = gp_core.factorize(gram, noise_variance)
-        solves.append(fact.solve(data.torques[:, m] - prior_y[:, m]))
+        gram = kernel.output_kernel(m).pairwise(q, q, corr)
+        solves.append(gp_core.factorize(gram, noise_variance).solve(resid[:, m]))
     return FittedModel(
         kind=kind,
         kernel=kernel,
@@ -175,7 +174,11 @@ def fit(
 
 
 def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray) -> np.ndarray:
-    """Posterior mean torques at each row of ``qd_stars`` (M, N) -> (M, N)."""
+    """Posterior mean torques at each row of ``qd_stars`` (M, N) -> (M, N).
+
+    The N cross-covariance matrices share one SE correlation and are built
+    one output at a time: a large M never holds all N (D, M) matrices at once.
+    """
     qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
     if qs.shape[1] != model.n_dim:
         raise InputError(
@@ -183,9 +186,9 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray) -> np.ndarray
         )
     out = _prior_torque_matrix(model.kind, model.prior_mean, qs)
     q_train = model.train.velocities
+    corr = se_correlation(model.kernel.lengthscales, q_train, qs)
     for m in range(model.n_dim):
-        km = model.kernel.output_kernel(m)
-        cross = km.pairwise(q_train, qs)  # (D, M)
+        cross = model.kernel.output_kernel(m).pairwise(q_train, qs, corr)  # (D, M)
         out[:, m] += cross.T @ model.residual_solves[m]
     return out
 
@@ -213,7 +216,7 @@ def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
     if qs.shape != (model.n_dim,):
         raise InputError(f"qd_star must have shape ({model.n_dim},)")
     q_train = model.train.velocities
-    corr = _se_correlation(model.kernel.lengthscales, q_train, qs[None, :])[:, 0]
+    corr = se_correlation(model.kernel.lengthscales, q_train, qs[None, :])[:, 0]
     alphas = np.vstack(model.residual_solves)  # (N, D)
     # G[m, n] = sum_i corr_i * q_train[i, n] * alpha[m, i]
     G = alphas @ (corr[:, None] * q_train)

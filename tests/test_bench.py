@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,24 @@ class TestBuiltinSystems:
                 "bad", "diagonal", lambda qd: np.array([[-1.0]]), [[-1.0, 1.0]],
                 "indefinite", [1.0],
             )
+
+    def test_psd_sweep_names_the_first_failing_point(self):
+        # reference: the sweep's points in order, checked one at a time
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(bench.PSD_SWEEP_POINTS, 1))
+        first_bad = next(q for q in pts if q[0] < 0)
+        with pytest.raises(InputError, match=re.escape(f"not PSD at {first_bad}")):
+            bench.make_system(
+                "half", "diagonal", lambda qd: np.array([[qd[0]]]), [[-1.0, 1.0]],
+                "indefinite on half the domain", [1.0],
+            )
+
+    def test_get_system_sweeps_only_the_requested_system(self, monkeypatch):
+        swept = []
+        sweep = bench._psd_construction_sweep
+        monkeypatch.setattr(bench, "_psd_construction_sweep",
+                            lambda system: swept.append(system.name) or sweep(system))
+        assert bench.get_system("full3").name == "full3"
+        assert swept == ["full3"]
 
 
 class TestSampleTrajectory:

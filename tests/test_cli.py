@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -61,6 +62,14 @@ class TestGenerate:
         train = bench.read_dataset(out / "seed0_train.csv").velocities
         assert not set(map(tuple, train.tolist())) & set(map(tuple, val[0].tolist()))
         assert not np.array_equal(val[0], val[1])
+
+    def test_training_trajectory_differs_per_seed(self, tmp_path, cfg_path):
+        out = tmp_path / "data"
+        assert run_cli("--config", cfg_path, "--out-dir", out, "generate") == 0
+        train = [bench.read_dataset(out / f"seed{s}_train.csv").velocities for s in (0, 1)]
+        assert not np.array_equal(train[0], train[1])
+        assert np.array_equal(
+            train[0], bench.sample_trajectory(bench.get_system("linear1"), 20))
 
     def test_unknown_system_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -204,6 +213,20 @@ class TestEvaluate:
         bench.write_dataset(other, Dataset(np.ones((2, 2)), np.ones((2, 2))))
         assert run_cli("evaluate", model_path, other,
                        "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("pattern, value", [
+        (r"n_dim: (\S+)", "three"),
+        (r"\[hypervariances\]\n(\S+)", "inf"),
+    ], ids=["n_dim", "hypervariance"])
+    def test_malformed_model_values_exit_code(self, tmp_path, cfg_path, pattern, value,
+                                              capsys):
+        model_path, test_path = self._fitted(tmp_path, cfg_path)
+        text = model_path.read_text()
+        span = re.search(pattern, text).span(1)
+        model_path.write_text(text[:span[0]] + value + text[span[1]:])
+        assert run_cli("evaluate", model_path, test_path,
+                       "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
 
     def test_corrupt_model_file(self, tmp_path, cfg_path):
         _, test_path = self._fitted(tmp_path, cfg_path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dampgp import gp_core, models
-from dampgp.errors import InputError
+from dampgp.errors import InputError, NumericalError
 from dampgp.kernels import DiagTorqueKernel, SeArdKernel
 
 
@@ -28,6 +28,16 @@ class TestAssembleGram:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             gp_core.assemble_gram(se1(), [np.array([0.0]), np.array([0.0, 1.0])])
+
+    def test_array_and_list_inputs_agree(self):
+        k = SeArdKernel(np.array([1.5, 0.7]), 2.0)
+        pts = np.random.default_rng(2).normal(0, 1, (6, 2))
+        assert np.array_equal(gp_core.assemble_gram(k, pts), gp_core.assemble_gram(k, list(pts)))
+
+    @pytest.mark.parametrize("inputs", [[], np.empty((0, 1))])
+    def test_empty_inputs_rejected(self, inputs):
+        with pytest.raises(InputError, match="at least one"):
+            gp_core.assemble_gram(se1(), inputs)
 
     def test_plain_callable_matches_vectorized(self):
         k = SeArdKernel(np.array([1.5, 0.7]), 2.0)
@@ -79,6 +89,48 @@ class TestFactorize:
         f1 = gp_core.factorize(gram, 0.1)
         f2 = gp_core.factorize(gram, 0.1)
         assert np.array_equal(f1.factor, f2.factor)
+
+    def test_factor_is_exactly_lower_triangular(self):
+        A = np.random.default_rng(4).normal(0, 1, (6, 6))
+        fact = gp_core.factorize(A @ A.T, 0.3)
+        assert np.array_equal(np.triu(fact.factor, 1), np.zeros((6, 6)))
+        assert np.all(np.diag(fact.factor) > 0)
+
+    def test_input_gram_is_left_unchanged(self):
+        gram = np.random.default_rng(5).normal(0, 1, (5, 5)) + 5.0 * np.eye(5)
+        before = gram.copy()
+        gp_core.factorize(gram, 0.3)
+        assert np.array_equal(gram, before)
+
+    def test_non_symmetric_gram_factors_its_symmetric_part(self):
+        rng = np.random.default_rng(6)
+        A = rng.normal(0, 1, (5, 5))
+        gram = A @ A.T + 1e-3 * rng.normal(0, 1, (5, 5))
+        sym = 0.5 * (gram + gram.T)
+        fact = gp_core.factorize(gram, 0.2)
+        assert np.array_equal(fact.gram, sym)
+        assert np.array_equal(fact.factor, gp_core.factorize(sym, 0.2).factor)
+
+    def test_jitter_ladder_rung_is_deterministic(self):
+        # minimum eigenvalue -1e-9: rungs up to 1e-9 fail, 1e-8 is the first to pass
+        gram = np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]])
+        facts = [gp_core.factorize(gram, 0.0) for _ in range(2)]
+        assert [f.jitter_used for f in facts] == [1e-8, 1e-8]
+        assert np.array_equal(facts[0].factor, facts[1].factor)
+        assert np.array_equal(np.triu(facts[0].factor, 1), np.zeros((2, 2)))
+
+    def test_every_rung_failing_raises(self):
+        with pytest.raises(NumericalError, match="every jitter level"):
+            gp_core.factorize(-np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_inputs_rejected(self, bad):
+        gram = np.eye(2)
+        gram[0, 1] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            gp_core.factorize(gram, 0.1)
+        with pytest.raises(InputError, match="finite"):
+            gp_core.factorize(np.eye(2), bad)
 
 
 class TestPosterior:

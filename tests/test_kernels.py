@@ -8,7 +8,14 @@ from dampgp.kernels import (
     FullTorqueKernel,
     SeArdKernel,
     SeArdKernelBank,
+    se_correlation,
 )
+
+KERNEL_MAKERS = {
+    "ard": lambda rng: SeArdKernelBank(rng.uniform(0.5, 2, 3), rng.uniform(0.1, 2, 3)),
+    "diag": lambda rng: DiagTorqueKernel(rng.uniform(0.5, 2, 3), rng.uniform(0.1, 2, 3)),
+    "full": lambda rng: FullTorqueKernel(rng.uniform(0.5, 2, 3), rng.uniform(0.1, 2, (3, 3))),
+}
 
 
 class TestSeArd:
@@ -33,6 +40,13 @@ class TestSeArd:
             SeArdKernel(np.array([0.0]), 1.0)
         with pytest.raises(InputError):
             SeArdKernel(np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_hyperparameters(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            SeArdKernel(np.array([bad]), 1.0)
+        with pytest.raises(InputError, match="finite"):
+            SeArdKernel(np.array([1.0]), bad)
 
     def test_boundedness_exact_on_random_pairs(self):
         rng = np.random.default_rng(0)
@@ -131,6 +145,16 @@ class TestGrid:
         with pytest.raises(InputError, match="shape"):
             make(np.ones(2), np.ones(shape))
 
+    @pytest.mark.parametrize("kind", KERNEL_MAKERS)
+    @pytest.mark.parametrize("field", ["lengthscales", "hypervariances"])
+    def test_non_finite_hyperparameters_rejected(self, kind, field):
+        kernel = KERNEL_MAKERS[kind](np.random.default_rng(0))
+        values = {"lengthscales": kernel.lengthscales.copy(),
+                  "hypervariances": kernel.hypervariances.copy()}
+        values[field].flat[-1] = np.inf
+        with pytest.raises(InputError, match="finite"):
+            type(kernel)(values["lengthscales"], values["hypervariances"])
+
 
 class TestMatrixKernelSymmetry:
     @pytest.mark.parametrize("make", [
@@ -172,6 +196,18 @@ class TestPerOutputScalarKernel:
         base = SeArdKernel(np.array([1.0]), 1.0)
         a, b = np.array([0.4]), np.array([-1.1])
         assert km(a, b) == pytest.approx(a[0] * b[0] * 1.7 * base(a, b), rel=1e-13)
+
+    @pytest.mark.parametrize("kind", KERNEL_MAKERS)
+    @pytest.mark.parametrize("same_inputs", [True, False])
+    def test_shared_correlation_is_bitwise_identical(self, kind, same_inputs):
+        rng = np.random.default_rng(8)
+        kernel = KERNEL_MAKERS[kind](rng)
+        X = rng.normal(0, 2, (9, 3))
+        X2 = X if same_inputs else rng.normal(0, 2, (5, 3))
+        corr = se_correlation(kernel.lengthscales, X, X2)
+        for m in range(3):
+            km = kernel.output_kernel(m)
+            assert np.array_equal(km.pairwise(X, X2, corr), km.pairwise(X, X2))
 
     def test_index_out_of_range(self):
         k = DiagTorqueKernel(np.ones(2), np.ones(2))

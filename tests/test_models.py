@@ -31,6 +31,10 @@ class TestDataset:
         with pytest.raises(InputError):
             Dataset(np.ones((2, 2)), np.ones((2, 3)))
 
+    def test_prior_mean_rejects_non_finite(self):
+        with pytest.raises(InputError, match="finite"):
+            PriorMean(np.array([1.0, np.inf]))
+
 
 class TestFitPriorMean:
     def test_exact_linear_relation(self):
@@ -89,6 +93,29 @@ class TestFit:
         kernel, data, prior = random_instance(rng, "diag")
         with pytest.raises(InputError):
             fit("full", kernel, prior, data, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_noise_variance_rejected(self, bad):
+        kernel, data, prior = random_instance(np.random.default_rng(4), "diag")
+        with pytest.raises(InputError, match="finite"):
+            fit("diag", kernel, prior, data, bad)
+
+    @pytest.mark.parametrize("kind", ["ard", "diag", "full"])
+    def test_shared_correlation_matches_per_output_path_bitwise(self, kind):
+        # reference: every output builds its own correlation, as pairwise does alone
+        rng = np.random.default_rng(9)
+        kernel, data, prior = random_instance(rng, kind, n=3, d=11)
+        model = fit(kind, kernel, prior, data, 0.4)
+        q = data.velocities
+        qs = rng.uniform(-2, 2, (7, 3))
+        resid = data.torques - q * prior.coefficients
+        expected = qs * prior.coefficients
+        for m in range(3):
+            km = kernel.output_kernel(m)
+            alpha = gp_core.factorize(km.pairwise(q, q), 0.4).solve(resid[:, m])
+            assert np.array_equal(model.residual_solves[m], alpha)
+            expected[:, m] += km.pairwise(q, qs).T @ alpha
+        assert np.array_equal(models.predict_torque_batch(model, qs), expected)
 
     def test_residual_solve_invariant(self):
         rng = np.random.default_rng(5)
