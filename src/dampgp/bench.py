@@ -31,11 +31,15 @@ _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class GroundTruthSystem:
-    """An analytic velocity-to-damping-matrix map over a box domain."""
+    """An analytic velocity-to-damping-matrix map over a box domain.
+
+    ``damping_fn`` is the field itself: it maps an (M, N) block of
+    velocities to the (M, N, N) damping matrices at those velocities.
+    """
 
     name: str
     kind: str  # "diagonal" or "full"
-    damping_fn: object  # qd (N,) -> (N, N)
+    damping_fn: object  # Q (M, N) -> (M, N, N)
     domain: np.ndarray  # (N, 2) lo/hi per dimension
     description: str
     default_lengthscales: np.ndarray
@@ -44,34 +48,49 @@ class GroundTruthSystem:
     def n_dim(self) -> int:
         return self.domain.shape[0]
 
+    def damping_batch(self, Q) -> np.ndarray:
+        """Damping matrices (M, N, N) at the rows of ``Q`` (M, N)."""
+        Q = np.asarray(Q, dtype=float)
+        if Q.ndim != 2 or Q.shape[1] != self.n_dim:
+            raise InputError(
+                f"system {self.name!r} takes (M, {self.n_dim}) velocities, "
+                f"got shape {Q.shape}"
+            )
+        d = np.asarray(self.damping_fn(Q), dtype=float)
+        expected = (Q.shape[0], self.n_dim, self.n_dim)
+        if d.shape != expected:
+            raise InputError(
+                f"system {self.name!r}: damping_fn returned shape {d.shape} "
+                f"for velocities of shape {Q.shape}; expected {expected}"
+            )
+        return d
+
     def damping(self, qd) -> np.ndarray:
-        return np.asarray(self.damping_fn(np.asarray(qd, dtype=float)), dtype=float)
+        return self.damping_batch(np.reshape(np.asarray(qd, dtype=float), (1, -1)))[0]
 
     def torque(self, qd) -> np.ndarray:
-        qd = np.asarray(qd, dtype=float)
-        return self.damping(qd) @ qd
+        return self.torque_batch(np.reshape(np.asarray(qd, dtype=float), (1, -1)))[0]
 
-    def torque_batch(self, Q: np.ndarray) -> np.ndarray:
+    def torque_batch(self, Q) -> np.ndarray:
+        """Torques D(qd) qd (M, N) at the rows of ``Q`` (M, N)."""
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        return np.vstack([self.torque(q) for q in Q])
+        return (self.damping_batch(Q) @ Q[:, :, None])[:, :, 0]
 
 
 def _psd_construction_sweep(system: GroundTruthSystem) -> None:
     """Reject systems whose damping field is not PSD across the domain.
 
-    The points are checked in blocks, one batched ``eigvalsh`` each, so the
-    sweep never holds more than one block of matrices.
+    The points are checked in blocks, one field call and one batched
+    ``eigvalsh`` each, so the sweep never holds more than one block of
+    matrices.
     """
     rng = np.random.default_rng(0)
     lo, hi = system.domain[:, 0], system.domain[:, 1]
     pts = rng.uniform(lo, hi, size=(PSD_SWEEP_POINTS, system.n_dim))
-    buf = np.empty((PSD_SWEEP_BLOCK, system.n_dim, system.n_dim))
     for start in range(0, PSD_SWEEP_POINTS, PSD_SWEEP_BLOCK):
         block = pts[start : start + PSD_SWEEP_BLOCK]
-        sym = buf[: len(block)]
-        for out, q in zip(sym, block):
-            d = system.damping(q)
-            np.add(d, d.T, out=out)
+        d = system.damping_batch(block)
+        sym = d + d.transpose(0, 2, 1)
         sym *= 0.5
         min_eig = np.linalg.eigvalsh(sym)[:, 0]
         bad = np.flatnonzero(min_eig < -1e-10 * np.abs(np.trace(sym, axis1=1, axis2=2)))
@@ -100,33 +119,34 @@ _DIAG3_A = np.array([1.0, 1.5, 2.0])
 _DIAG3_B = np.array([0.004, 0.05, 0.5])
 
 
-def _diag3_damping(qd: np.ndarray) -> np.ndarray:
-    return np.diag(
-        [
-            _DIAG3_A[0] + _DIAG3_B[0] * qd[0] ** 2,
-            _DIAG3_A[1] + _DIAG3_B[1] * abs(qd[1]),
-            _DIAG3_A[2] + _DIAG3_B[2] * math.tanh(qd[2]) ** 2,
-        ]
-    )
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` applied to every entry of the 1-D array ``x``, one Python call each.
+
+    The fields use ``math.tanh`` and Python's ``float ** 2``: ``np.tanh`` and
+    numpy's ``x ** 2`` round some inputs differently, and the fields must keep
+    the bits of the data they generate.
+    """
+    return np.array([fn(v) for v in x.tolist()], dtype=float)
 
 
-def _full3_factor(qd: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [1.2, 0.0, 0.0],
-            [0.3 + 0.1 * math.tanh(qd[0] / 10.0), 1.0, 0.0],
-            [
-                0.2,
-                0.15 + 0.1 * math.tanh(qd[1] / 10.0),
-                1.5 + 0.2 * math.tanh((qd[2] - 65.0) / 20.0),
-            ],
-        ]
-    )
+def _diag3_damping(Q: np.ndarray) -> np.ndarray:
+    d = np.zeros((len(Q), 3, 3))
+    d[:, 0, 0] = _DIAG3_A[0] + _DIAG3_B[0] * _each(lambda v: v**2, Q[:, 0])
+    d[:, 1, 1] = _DIAG3_A[1] + _DIAG3_B[1] * np.abs(Q[:, 1])
+    d[:, 2, 2] = _DIAG3_A[2] + _DIAG3_B[2] * _each(lambda v: math.tanh(v) ** 2, Q[:, 2])
+    return d
 
 
-def _full3_damping(qd: np.ndarray) -> np.ndarray:
-    L = _full3_factor(qd)
-    return L @ L.T + 0.1 * np.eye(3)
+def _full3_damping(Q: np.ndarray) -> np.ndarray:
+    """L(qd) L(qd)^T + 0.1 I with a smooth lower-triangular factor L(qd)."""
+    L = np.zeros((len(Q), 3, 3))
+    L[:, 0, 0] = 1.2
+    L[:, 1, 0] = 0.3 + 0.1 * _each(math.tanh, Q[:, 0] / 10.0)
+    L[:, 1, 1] = 1.0
+    L[:, 2, 0] = 0.2
+    L[:, 2, 1] = 0.15 + 0.1 * _each(math.tanh, Q[:, 1] / 10.0)
+    L[:, 2, 2] = 1.5 + 0.2 * _each(math.tanh, (Q[:, 2] - 65.0) / 20.0)
+    return L @ L.transpose(0, 2, 1) + 0.1 * np.eye(3)
 
 
 _BOX3 = [[-25.0, 25.0], [-25.0, 25.0], [40.0, 90.0]]
@@ -136,7 +156,7 @@ _BOX3 = [[-25.0, 25.0], [-25.0, 25.0], [40.0, 90.0]]
 _SYSTEM_SPECS = {
     "linear1": (
         "diagonal",
-        lambda qd: np.array([[2.0]]),
+        lambda Q: np.full((len(Q), 1, 1), 2.0),
         [[-25.0, 25.0]],
         "scalar constant damping d = 2 (analytic reference case)",
         [12.0],

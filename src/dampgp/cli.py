@@ -46,6 +46,17 @@ def _parse_floats(text: str) -> list[float]:
         raise InputError(f"bad float list {text!r}: {exc}") from exc
 
 
+def _parse_sizes(text: str) -> list[int]:
+    """Parse '10,20,40' into a non-empty list of integers >= 1."""
+    try:
+        sizes = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise InputError(f"bad size list {text!r}: {exc}") from exc
+    if not sizes or min(sizes) < 1:
+        raise InputError(f"sizes must be a non-empty list of integers >= 1, got {text!r}")
+    return sizes
+
+
 def _parse_domain(text: str) -> np.ndarray:
     """Parse 'lo:hi,lo:hi,...' into an (N, 2) box."""
     rows = []
@@ -408,8 +419,7 @@ def run(argv=None) -> int:
     if args.command == "evaluate":
         return cmd_evaluate(args.model, args.test, args.out, args.system, args.normalizer)
     if args.command == "efficiency":
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        return cmd_efficiency(_require_config(args), sizes, args.out_dir)
+        return cmd_efficiency(_require_config(args), _parse_sizes(args.sizes), args.out_dir)
     if args.command == "power":
         return cmd_power(args.model, _parse_domain(args.domain), args.samples,
                          args.seed, args.out_dir)

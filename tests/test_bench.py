@@ -47,7 +47,7 @@ class TestBuiltinSystems:
     def test_psd_sweep_rejects_bad_system(self):
         with pytest.raises(InputError, match="not PSD"):
             bench.make_system(
-                "bad", "diagonal", lambda qd: np.array([[-1.0]]), [[-1.0, 1.0]],
+                "bad", "diagonal", lambda Q: np.full((len(Q), 1, 1), -1.0), [[-1.0, 1.0]],
                 "indefinite", [1.0],
             )
 
@@ -57,9 +57,26 @@ class TestBuiltinSystems:
         first_bad = next(q for q in pts if q[0] < 0)
         with pytest.raises(InputError, match=re.escape(f"not PSD at {first_bad}")):
             bench.make_system(
-                "half", "diagonal", lambda qd: np.array([[qd[0]]]), [[-1.0, 1.0]],
+                "half", "diagonal", lambda Q: Q[:, :, None], [[-1.0, 1.0]],
                 "indefinite on half the domain", [1.0],
             )
+
+    @pytest.mark.parametrize("field", [
+        lambda Q: np.array([[2.0]]),  # one matrix, not one per row
+        lambda Q: np.ones((len(Q), 2, 2)),
+        lambda Q: np.ones((len(Q), 1)),
+    ], ids=["per-point", "wrong-dim", "no-matrix-axes"])
+    def test_make_system_names_wrong_field_shape(self, field):
+        with pytest.raises(InputError, match=re.escape(
+                f"for velocities of shape ({bench.PSD_SWEEP_BLOCK}, 1); "
+                f"expected ({bench.PSD_SWEEP_BLOCK}, 1, 1)")):
+            bench.make_system("odd", "diagonal", field, [[-1.0, 1.0]], "misshaped", [1.0])
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 1, 1)])
+    def test_wrong_velocity_width_rejected(self, shape):
+        system = bench.get_system("linear1")
+        with pytest.raises(InputError, match=re.escape("takes (M, 1) velocities")):
+            system.torque_batch(np.ones(shape))
 
     def test_get_system_sweeps_only_the_requested_system(self, monkeypatch):
         swept = []
@@ -68,6 +85,58 @@ class TestBuiltinSystems:
                             lambda system: swept.append(system.name) or sweep(system))
         assert bench.get_system("full3").name == "full3"
         assert swept == ["full3"]
+
+
+# The per-point fields as they were before the damping functions took a
+# block of velocities: the batched fields must reproduce them bit for bit.
+def _oracle_diag3(qd):
+    a, b = [1.0, 1.5, 2.0], [0.004, 0.05, 0.5]
+    return np.diag([
+        np.float64(a[0]) + np.float64(b[0]) * qd[0] ** 2,
+        np.float64(a[1]) + np.float64(b[1]) * abs(qd[1]),
+        np.float64(a[2]) + np.float64(b[2]) * math.tanh(qd[2]) ** 2,
+    ])
+
+
+def _oracle_full3(qd):
+    L = np.array([
+        [1.2, 0.0, 0.0],
+        [0.3 + 0.1 * math.tanh(qd[0] / 10.0), 1.0, 0.0],
+        [0.2, 0.15 + 0.1 * math.tanh(qd[1] / 10.0),
+         1.5 + 0.2 * math.tanh((qd[2] - 65.0) / 20.0)],
+    ])
+    return L @ L.T + 0.1 * np.eye(3)
+
+
+ORACLE_FIELDS = {
+    "linear1": lambda qd: np.array([[2.0]]),
+    "diag3": _oracle_diag3,
+    "full3": _oracle_full3,
+}
+
+
+def _oracle_points(system, count=20_000, seed=7):
+    """Seeded uniform points plus every corner of the box."""
+    lo, hi = system.domain[:, 0], system.domain[:, 1]
+    corners = np.array(np.meshgrid(*system.domain, indexing="ij")).reshape(system.n_dim, -1).T
+    inner = np.random.default_rng(seed).uniform(lo, hi, size=(count - len(corners), system.n_dim))
+    return np.vstack([corners, inner])
+
+
+@pytest.mark.parametrize("system_id", sorted(ORACLE_FIELDS))
+class TestBatchedFields:
+    def test_damping_batch_matches_per_point_oracle(self, system_id):
+        system = bench.get_system(system_id)
+        Q = _oracle_points(system)
+        expected = np.stack([ORACLE_FIELDS[system_id](q) for q in Q])
+        assert np.array_equal(system.damping_batch(Q), expected)
+
+    def test_torque_batch_matches_row_wise_torque(self, system_id):
+        system = bench.get_system(system_id)
+        Q = _oracle_points(system)
+        rows = np.stack([system.damping(q) @ q for q in Q])
+        assert np.array_equal(system.torque_batch(Q), rows)
+        assert np.array_equal(system.torque(Q[-1]), rows[-1])
 
 
 class TestSampleTrajectory:

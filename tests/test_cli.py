@@ -214,6 +214,22 @@ class TestEvaluate:
         assert run_cli("evaluate", model_path, other,
                        "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
 
+    def test_system_of_other_dimension_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "full3.cfg"
+        cfg.write_text(SMALL_CFG.replace("system = linear1", "system = full3")
+                       .replace("lengthscales = 12", "lengthscales = 12,12,12"))
+        data = tmp_path / "data"
+        run_cli("--config", cfg, "--out-dir", data, "generate")
+        model_path = tmp_path / "m.model"
+        assert run_cli(
+            "fit", data / "seed0_train.csv", "--kind", "diag",
+            "--val", data / "seed0_val.csv", "--lengthscales", "12,12,12",
+            "--noise-variance", "1.0", "--budget", "2", "--out", model_path,
+        ) == 0
+        assert run_cli("evaluate", model_path, data / "seed0_test.csv",
+                       "--out", tmp_path / "x.csv", "--system", "linear1") == cli.EXIT_INPUT
+        assert "takes (M, 1) velocities" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pattern, value", [
         (r"n_dim: (\S+)", "three"),
         (r"\[hypervariances\]\n(\S+)", "inf"),
@@ -255,6 +271,13 @@ class TestEfficiency:
         code = run_cli("--config", cfg_path, "--out-dir", tmp_path,
                        "efficiency", "--sizes", "20,10")
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("sizes", ["10,x", ",", "0,10"])
+    def test_malformed_sizes_exit_code(self, tmp_path, cfg_path, sizes, capsys):
+        code = run_cli("--config", cfg_path, "--out-dir", tmp_path,
+                       "efficiency", "--sizes", sizes)
+        assert code == cli.EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
 
     def test_constrained_run_leaves_ard_unconstrained(self, tmp_path):
         rows = {}
