@@ -383,6 +383,9 @@ class ExperimentConfig:
     budget: int = 40
 
     def __post_init__(self):
+        for key in ("train_sizes", "seeds", "kinds"):
+            if not getattr(self, key):
+                raise InputError(f"{key} must list at least one value")
         if self.val_size < 1 or self.test_size < 1:
             raise InputError("val_size and test_size must be >= 1")
         if any(s < 1 for s in self.train_sizes):

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InputError, NumericalError
 
@@ -25,30 +24,31 @@ ORACLE_SIZE_CAP = 2000
 
 @dataclass(frozen=True)
 class GramFactorization:
-    """Cholesky factorization of (gram + noise_variance*I + jitter*I).
+    """Cholesky factorization of (sym(gram) + noise_variance*I + jitter*I).
 
-    ``gram`` is the symmetric part of the matrix passed to ``factorize``;
     ``factor`` is exactly lower triangular; ``jitter_used`` is 0 unless the
     plain factorization failed and the jitter ladder had to be climbed.
     """
 
-    gram: np.ndarray
-    noise_variance: float
     jitter_used: float
     factor: np.ndarray
 
     @property
     def n_train(self) -> int:
-        return self.gram.shape[0]
+        return self.factor.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (gram + noise_variance*I + jitter*I) x = rhs."""
+        """Solve (sym(gram) + noise_variance*I + jitter*I) x = rhs with LAPACK
+        ``dpotrs``, the routine ``scipy.linalg.cho_solve`` wraps."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_train:
             raise InputError(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self.n_train}"
             )
-        return cho_solve((self.factor, True), rhs, check_finite=False)
+        x, info = dpotrs(self.factor, rhs, lower=1)
+        if info != 0:
+            raise NumericalError(f"dpotrs failed with info {info}")
+        return x
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,13 @@ class PosteriorResult:
 def _as_input_matrix(inputs) -> np.ndarray:
     """A (D, N) matrix as is, or a list of equal-dimension vectors stacked
     into one."""
-    if isinstance(inputs, np.ndarray) and inputs.ndim == 2:
-        if inputs.shape[0] == 0:
-            raise InputError("need at least one input point")
-        return inputs.astype(float, copy=False)
-    rows = [np.atleast_1d(np.asarray(x, dtype=float)) for x in inputs]
-    if not rows:
-        raise InputError("need at least one input point")
-    dim = rows[0].shape[0]
-    for i, r in enumerate(rows):
-        if r.ndim != 1 or r.shape[0] != dim:
-            raise InputError(
-                f"input {i} has dimension {r.shape}, expected ({dim},)"
-            )
-    return np.vstack(rows)
+    try:
+        X = np.asarray(inputs, dtype=float)
+    except ValueError as exc:
+        raise InputError(f"inputs must be vectors of one dimension: {exc}") from exc
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise InputError(f"need at least one input point of shape (N,), got shape {X.shape}")
+    return X
 
 
 def assemble_gram(kernel, inputs) -> np.ndarray:
@@ -89,35 +82,26 @@ def assemble_gram(kernel, inputs) -> np.ndarray:
 def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:
     """Factorize sym(gram) + noise_variance*I, escalating jitter on failure.
 
-    ``gram`` itself is left unchanged.
+    Each rung factors a fresh working array in place; ``gram`` is unchanged.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InputError(f"gram must be square, got shape {gram.shape}")
     if not (np.isfinite(noise_variance) and noise_variance >= 0):
         raise InputError(f"noise_variance must be finite and >= 0, got {noise_variance}")
-    sym = gram + gram.T
-    sym *= 0.5
-    if not np.all(np.isfinite(sym)):
-        raise InputError("gram contains non-finite entries")
-    attempted = []
-    for jitter in (0.0, *JITTER_LADDER):
-        attempted.append(jitter)
-        work = sym.copy()
+    rungs = (0.0, *JITTER_LADDER)
+    for jitter in rungs:
+        work = gram + gram.T
+        work *= 0.5
+        if jitter == 0.0 and not np.all(np.isfinite(work)):
+            raise InputError("gram contains non-finite entries")
         work.flat[:: len(work) + 1] += noise_variance + jitter
         # work is symmetric, so its transpose is the same matrix in the
         # column-major order LAPACK factors in place
         factor, info = dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:
-            return GramFactorization(
-                gram=sym,
-                noise_variance=float(noise_variance),
-                jitter_used=jitter,
-                factor=factor,
-            )
-    raise NumericalError(
-        f"factorization failed at every jitter level {attempted}"
-    )
+            return GramFactorization(jitter_used=jitter, factor=factor)
+    raise NumericalError(f"factorization failed at every jitter level {list(rungs)}")
 
 
 def posterior(

@@ -2,8 +2,8 @@
 
 All element kernels are squared-exponential with automatic relevance
 determination (ARD) lengthscales shared across the grid; only the
-hypervariances differ per element.  Every kernel reports its amplitude
-bound sigma_f^2, which is what the passivity constraint binds.
+hypervariances (sigma_f^2) differ per element; they are what the
+passivity constraint binds.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ class SeArdKernel:
     @property
     def dim(self) -> int:
         return self.lengthscales.size
-
-    @property
-    def bound(self) -> float:
-        """Amplitude bound: |k(x, x')| <= sigma_f^2 everywhere."""
-        return self.hypervariance
 
     def __call__(self, x, xp) -> float:
         x = np.asarray(x, dtype=float)

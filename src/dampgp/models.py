@@ -128,15 +128,27 @@ def _prior_torque_matrix(kind: str, prior_mean: PriorMean, q: np.ndarray) -> np.
     return q * prior_mean.coefficients
 
 
+def _correlation(corr, ell: np.ndarray, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """``se_correlation(ell, X, X2)``, or the caller's ``corr`` of that shape."""
+    if corr is None:
+        return se_correlation(ell, X, X2)
+    if np.shape(corr) != (len(X), len(X2)):
+        raise InputError(f"corr must have shape {(len(X), len(X2))}, got {np.shape(corr)}")
+    return corr
+
+
 def fit(
     kind: str,
     kernel,
     prior_mean: PriorMean | None,
     data: Dataset,
     noise_variance: float,
+    *,
+    corr=None,
 ) -> FittedModel:
     """Assemble and factorize the N per-output training systems and keep
-    their residual solves.  Their Gram matrices share one SE correlation."""
+    their residual solves.  Their Gram matrices share one SE correlation;
+    ``corr`` is that (D, D) matrix when the caller already has it."""
     kind = _check_kind(kind)
     if not (np.isfinite(noise_variance) and noise_variance > 0):
         raise InputError(f"noise_variance must be finite and > 0, got {noise_variance}")
@@ -158,7 +170,7 @@ def fit(
 
     q = data.velocities
     resid = data.torques - _prior_torque_matrix(kind, prior_mean, q)
-    corr = se_correlation(kernel.lengthscales, q, q)
+    corr = _correlation(corr, kernel.lengthscales, q, q)
     solves = []
     for m in range(data.n_dim):
         gram = kernel.output_kernel(m).pairwise(q, q, corr)
@@ -173,11 +185,12 @@ def fit(
     )
 
 
-def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray) -> np.ndarray:
+def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None) -> np.ndarray:
     """Posterior mean torques at each row of ``qd_stars`` (M, N) -> (M, N).
 
     The N cross-covariance matrices share one SE correlation and are built
     one output at a time: a large M never holds all N (D, M) matrices at once.
+    ``corr`` is that (D, M) correlation when the caller already has it.
     """
     qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
     if qs.shape[1] != model.n_dim:
@@ -186,7 +199,7 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray) -> np.ndarray
         )
     out = _prior_torque_matrix(model.kind, model.prior_mean, qs)
     q_train = model.train.velocities
-    corr = se_correlation(model.kernel.lengthscales, q_train, qs)
+    corr = _correlation(corr, model.kernel.lengthscales, q_train, qs)
     for m in range(model.n_dim):
         cross = model.kernel.output_kernel(m).pairwise(q_train, qs, corr)  # (D, M)
         out[:, m] += cross.T @ model.residual_solves[m]
@@ -262,7 +275,8 @@ def optimize_hypervariances(
     """Derivative-free search over log-hypervariances against validation MSE.
 
     Coordinate descent with a golden-section line search; fully deterministic
-    for fixed inputs and budget (one budget unit = one fit + validation pass).
+    for fixed inputs and budget (one budget unit = one fit + validation pass;
+    both reuse SE correlations that the search computes once).
     When ``constrained`` is set every candidate is projected onto the feasible
     set of the passivity bound before evaluation, so the returned kernel is
     always feasible; the ard baseline has no bound, so it cannot be
@@ -280,7 +294,6 @@ def optimize_hypervariances(
         raise InputError("train/validation dimension mismatch")
     if constrained and kind == "ard":
         raise InputError("the ard baseline has no passivity bound to constrain")
-    ell = np.asarray(lengthscales, dtype=float)
     n = data_train.n_dim
 
     if prior_mean is None:
@@ -289,6 +302,11 @@ def optimize_hypervariances(
         )
 
     init = _initial_hypervariances(kind, data_train, prior_mean)
+    # the starting kernel validates the lengthscales before they are used
+    ell = KERNEL_TYPES[kind](lengthscales, init).lengthscales
+    q_train = data_train.velocities
+    corr_train = se_correlation(ell, q_train, q_train)
+    corr_val = se_correlation(ell, q_train, data_val.velocities)
 
     tied = kind == "full" and tie_full
     if tied:
@@ -320,8 +338,9 @@ def optimize_hypervariances(
                 data_train, prior_mean, noise_variance, hyp
             )
             hyp = passivity.enforce_bound(bound, mode="scale_hypervariances").hypervariances
-        model = fit(kind, KERNEL_TYPES[kind](ell, hyp), prior_mean, data_train, noise_variance)
-        pred = predict_torque_batch(model, data_val.velocities)
+        model = fit(kind, KERNEL_TYPES[kind](ell, hyp), prior_mean, data_train,
+                    noise_variance, corr=corr_train)
+        pred = predict_torque_batch(model, data_val.velocities, corr=corr_val)
         mse = float(np.mean((pred - data_val.torques) ** 2))
         if mse < best["mse"]:
             best["mse"] = mse

@@ -216,7 +216,6 @@ def enforce_bound(bound: PassivityBound, mode: str = "scale_hypervariances") -> 
 class SweepResult:
     min_power: float
     violation_count: int
-    violating_points: np.ndarray  # (k, N)
     points: np.ndarray  # every evaluated point
     powers: np.ndarray  # dissipated power per point
     threshold: float
@@ -238,9 +237,11 @@ def passivity_sweep(
         raise InputError(f"domain must have shape ({model.n_dim}, 2)")
     if not np.all(np.isfinite(box)):
         raise InputError("domain bounds must be finite")
+    lo, hi = box[:, 0], box[:, 1]
+    if np.any(lo > hi):
+        raise InputError(f"domain lower bounds must not exceed upper bounds, got {box.tolist()}")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    lo, hi = box[:, 0], box[:, 1]
 
     rng = np.random.default_rng(seed)
     pts = [rng.uniform(lo, hi, size=(samples, model.n_dim))]
@@ -254,11 +255,9 @@ def passivity_sweep(
     powers = np.sum(points * torques, axis=1)
     scale = max(1.0, float(np.max(np.abs(powers))))
     threshold = -1e-9 * scale
-    mask = powers < threshold
     return SweepResult(
         min_power=float(np.min(powers)),
-        violation_count=int(np.count_nonzero(mask)),
-        violating_points=points[mask],
+        violation_count=int(np.count_nonzero(powers < threshold)),
         points=points,
         powers=powers,
         threshold=threshold,

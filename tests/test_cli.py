@@ -81,6 +81,18 @@ class TestGenerate:
         assert run_cli("--out-dir", tmp_path, "generate") == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("key, command", [
+    ("seeds", ["efficiency", "--sizes", "10"]),
+    ("kinds", ["efficiency", "--sizes", "10"]),
+    ("train_sizes", ["generate"]),
+])
+def test_empty_config_list_exit_code(tmp_path, key, command, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = ,", SMALL_CFG, flags=re.M))
+    assert run_cli("--config", cfg, "--out-dir", tmp_path / "out", *command) == cli.EXIT_INPUT
+    assert f"{key} must list at least one value" in capsys.readouterr().err
+
+
 class TestFit:
     def _generated(self, tmp_path, cfg_path):
         out = tmp_path / "data"
@@ -331,6 +343,12 @@ class TestPower:
         model_path = self._model(tmp_path)
         assert run_cli("--out-dir", tmp_path, "power", model_path,
                        "--domain=-5,5") == cli.EXIT_INPUT
+
+    def test_inverted_domain_exit_code(self, tmp_path, capsys):
+        model_path = self._model(tmp_path)
+        assert run_cli("--out-dir", tmp_path, "power", model_path,
+                       "--domain=5:-5") == cli.EXIT_INPUT
+        assert "lower bounds must not exceed upper bounds" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch):
         model_path = self._model(tmp_path)

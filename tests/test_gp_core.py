@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from dampgp import gp_core, models
 from dampgp.errors import InputError, NumericalError
@@ -57,6 +59,19 @@ class TestAssembleGram:
             assert np.linalg.eigvalsh(K)[0] >= -1e-10 * np.trace(K)
 
 
+def copy_path_factorize(gram, noise_variance):
+    """Reference: symmetrize once, then factor a fresh copy on every rung."""
+    sym = gram + gram.T
+    sym *= 0.5
+    for jitter in (0.0, *gp_core.JITTER_LADDER):
+        work = sym.copy()
+        work.flat[:: len(work) + 1] += noise_variance + jitter
+        factor, info = dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return jitter, factor
+    raise AssertionError("every rung failed")
+
+
 class TestFactorize:
     def test_scalar(self):
         fact = gp_core.factorize(np.array([[1.0]]), 1.0)
@@ -76,7 +91,7 @@ class TestFactorize:
         A = rng.normal(0, 1, (5, 5))
         gram = A @ A.T
         fact = gp_core.factorize(gram, 0.5)
-        target = fact.gram + (0.5 + fact.jitter_used) * np.eye(5)
+        target = 0.5 * (gram + gram.T) + (0.5 + fact.jitter_used) * np.eye(5)
         rebuilt = fact.factor @ fact.factor.T
         assert np.linalg.norm(rebuilt - target) <= 1e-8 * np.linalg.norm(target)
 
@@ -108,7 +123,6 @@ class TestFactorize:
         gram = A @ A.T + 1e-3 * rng.normal(0, 1, (5, 5))
         sym = 0.5 * (gram + gram.T)
         fact = gp_core.factorize(gram, 0.2)
-        assert np.array_equal(fact.gram, sym)
         assert np.array_equal(fact.factor, gp_core.factorize(sym, 0.2).factor)
 
     def test_jitter_ladder_rung_is_deterministic(self):
@@ -118,6 +132,32 @@ class TestFactorize:
         assert [f.jitter_used for f in facts] == [1e-8, 1e-8]
         assert np.array_equal(facts[0].factor, facts[1].factor)
         assert np.array_equal(np.triu(facts[0].factor, 1), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("case", ["2x2", "rank-deficient", "non-symmetric", "plain"])
+    def test_matches_copy_path_bitwise(self, case):
+        rng = np.random.default_rng(12)
+        B = rng.normal(0, 1, (30, 5))
+        gram = {
+            "2x2": np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]]),
+            "rank-deficient": B @ B.T - 1e-7 * np.eye(30),
+            "non-symmetric": B @ B.T - 1e-7 * np.eye(30) + 1e-12 * rng.normal(0, 1, (30, 30)),
+            "plain": B @ B.T + np.eye(30),
+        }[case]
+        before = gram.copy()
+        fact = gp_core.factorize(gram, 0.0)
+        jitter, factor = copy_path_factorize(gram, 0.0)
+        assert (fact.jitter_used > 0.0) == (case != "plain")
+        assert fact.jitter_used == jitter
+        assert np.array_equal(fact.factor, factor)
+        assert np.array_equal(gram, before)
+
+    @pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)])
+    def test_solve_matches_cho_solve_bitwise(self, rhs_shape):
+        rng = np.random.default_rng(11)
+        A = rng.normal(0, 1, (7, 7))
+        fact = gp_core.factorize(A @ A.T, 0.3)
+        rhs = rng.normal(0, 1, rhs_shape)
+        assert np.array_equal(fact.solve(rhs), cho_solve((fact.factor, True), rhs))
 
     def test_every_rung_failing_raises(self):
         with pytest.raises(NumericalError, match="every jitter level"):

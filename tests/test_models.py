@@ -117,6 +117,16 @@ class TestFit:
             expected[:, m] += km.pairwise(q, qs).T @ alpha
         assert np.array_equal(models.predict_torque_batch(model, qs), expected)
 
+    @pytest.mark.parametrize("shape", [(11, 10), (5, 11), (1, 11), (11,)])
+    def test_corr_of_wrong_shape_rejected(self, shape):
+        rng = np.random.default_rng(21)
+        kernel, data, prior = random_instance(rng, "full", n=2, d=11)
+        with pytest.raises(InputError, match="corr must have shape"):
+            fit("full", kernel, prior, data, 0.4, corr=np.ones(shape))
+        model = fit("full", kernel, prior, data, 0.4)
+        with pytest.raises(InputError, match="corr must have shape"):
+            models.predict_torque_batch(model, np.ones((5, 2)), corr=np.ones(shape))
+
     def test_residual_solve_invariant(self):
         rng = np.random.default_rng(5)
         kernel, data, prior = random_instance(rng, "diag")
@@ -339,3 +349,54 @@ class TestOptimizeHypervariances:
                 "diag", train, Dataset(np.zeros((1, 3)), np.zeros((1, 3))),
                 np.ones(2), 0.5, budget=5, prior_mean=prior,
             )
+
+    @pytest.mark.parametrize("kind, tie_full, constrained", [
+        ("ard", True, False),
+        ("diag", True, False),
+        ("diag", True, True),
+        ("full", True, False),
+        ("full", True, True),
+        ("full", False, False),
+        ("full", False, True),
+    ])
+    def test_shared_correlations_match_per_evaluation_search_bitwise(
+        self, monkeypatch, kind, tie_full, constrained
+    ):
+        system = bench.get_system("full3")
+        train = bench.generate_dataset(
+            system, bench.sample_trajectory(system, 30, seed=1, waveform="uniform"), 1.0, seed=2
+        )
+        val = bench.generate_dataset(
+            system, bench.sample_trajectory(system, 20, seed=3, waveform="uniform"), 1.0, seed=4
+        )
+        prior = PriorMean.zero(3) if kind == "ard" else fit_prior_mean(train)
+
+        def search():
+            res = models.optimize_hypervariances(
+                kind, train, val, system.default_lengthscales, 100.0,
+                constrained=constrained, budget=15, tie_full=tie_full, prior_mean=prior,
+            )
+            return res, fit(kind, res.kernel, prior, train, 100.0)
+
+        shared, shared_model = search()
+
+        # reference: drop the search's correlations, so every evaluation builds its own
+        passed = []
+
+        def per_evaluation(fn):
+            def without_corr(*args, corr=None):
+                passed.append(corr is not None)
+                return fn(*args)
+            return without_corr
+
+        monkeypatch.setattr(models, "fit", per_evaluation(models.fit))
+        monkeypatch.setattr(
+            models, "predict_torque_batch", per_evaluation(models.predict_torque_batch)
+        )
+        ref, ref_model = search()
+        assert passed == [True] * (2 * ref.n_evaluations)
+        assert ref.n_evaluations == shared.n_evaluations == 15
+        assert np.array_equal(shared.kernel.hypervariances, ref.kernel.hypervariances)
+        assert shared.val_mse == ref.val_mse
+        for a, b in zip(shared_model.residual_solves, ref_model.residual_solves, strict=True):
+            assert np.array_equal(a, b)
