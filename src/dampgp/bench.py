@@ -323,14 +323,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_rows(rows: np.ndarray, sep: str) -> str:
+    """Each row of a 2-D array as ``sep``-joined 17-significant-digit values
+    plus a newline; the same text as ``_fmt`` per value, in one format call."""
+    rows = np.asarray(rows, dtype=float)
+    line = sep.join(["%.17g"] * rows.shape[1]) + "\n"
+    return line * rows.shape[0] % tuple(rows.ravel().tolist())
+
+
 def write_dataset(path, data: Dataset) -> None:
     """Plain CSV: header qd_1..qd_N,tau_1..tau_N, 17-significant-digit rows."""
     n = data.n_dim
     header = ",".join([f"qd_{i+1}" for i in range(n)] + [f"tau_{i+1}" for i in range(n)])
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for q, y in zip(data.velocities, data.torques):
-            fh.write(",".join(_fmt(v) for v in (*q, *y)) + "\n")
+        fh.write(_fmt_rows(np.hstack([data.velocities, data.torques]), ","))
 
 
 def read_dataset(path) -> Dataset:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, charts, modelio, models, passivity
-from .bench import _fmt
+from .bench import _fmt, _fmt_rows
 from .errors import DampGpError, InfeasibilityError, InputError, NumericalError
 from .models import PriorMean, fit_prior_mean
 
@@ -320,12 +320,8 @@ def cmd_power(model_path: Path, domain: np.ndarray, samples: int, seed: int,
 
     csv_path = out_dir / "power.csv"
     header = ",".join([f"qd_{i+1}" for i in range(model.n_dim)] + ["power"])
-    lines = [header]
-    lines += [
-        ",".join(_fmt(v) for v in (*pt, pw))
-        for pt, pw in zip(sweep.points, sweep.powers)
-    ]
-    csv_path.write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([sweep.points, sweep.powers])
+    csv_path.write_text(header + "\n" + _fmt_rows(rows, ","))
 
     svg_path = out_dir / "power.svg"
     charts.histogram(

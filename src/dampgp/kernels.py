@@ -34,12 +34,16 @@ def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray) -> np.ndarray
     """
     S = X / ell
     S2 = X2 / ell
-    sq = (
-        np.sum(S * S, axis=1)[:, None]
-        + np.sum(S2 * S2, axis=1)[None, :]
-        - 2.0 * S @ S2.T
-    )
-    return np.exp(-0.5 * np.maximum(sq, 0.0))
+    # exp(-0.5 * max(|s|^2 + |s2|^2 - 2 s.s2, 0)) in two (D, M) arrays;
+    # the scalings by 2 and -0.5 are exact, so the bits match the
+    # out-of-place expression
+    cross = S @ S2.T
+    cross *= 2.0
+    sq = np.sum(S * S, axis=1)[:, None] + np.sum(S2 * S2, axis=1)[None, :]
+    sq -= cross
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -0.5
+    return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,9 @@ class _PerOutputKernel:
             raise InputError(f"inputs must have dimension {self.dim}")
         if corr is None:
             corr = se_correlation(self.lengthscales, X, X2)
-        return corr * ((X * self.row_variances) @ X2.T)
+        out = (X * self.row_variances) @ X2.T
+        out *= corr
+        return out
 
 
 @dataclass(frozen=True)

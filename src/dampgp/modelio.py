@@ -11,35 +11,32 @@ from __future__ import annotations
 import numpy as np
 
 from . import models
-from .bench import _fmt
+from .bench import _fmt, _fmt_rows
 from .errors import ParseError
 from .models import Dataset, FittedModel, PriorMean
 
 MAGIC = "dampgp-model 1"
 
 
-def _block(name: str, array: np.ndarray) -> list[str]:
-    rows = np.atleast_2d(np.asarray(array, dtype=float))
-    lines = [f"[{name}]"]
-    lines.extend(" ".join(_fmt(v) for v in row) for row in rows)
-    return lines
+def _block(name: str, array: np.ndarray) -> str:
+    return f"[{name}]\n" + _fmt_rows(np.atleast_2d(array), " ")
 
 
 def save_model(path, model: FittedModel, constrained: bool = False) -> None:
-    lines = [
+    header = [
         MAGIC,
         f"kind: {model.kind}",
         f"n_dim: {model.n_dim}",
         f"noise_variance: {_fmt(model.noise_variance)}",
         f"constrained: {'true' if constrained else 'false'}",
     ]
-    lines += _block("lengthscales", model.kernel.lengthscales)
-    lines += _block("prior_mean", model.prior_mean.coefficients)
-    lines += _block("hypervariances", model.kernel.hypervariances)
-    lines += _block("train_velocities", model.train.velocities)
-    lines += _block("train_torques", model.train.torques)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        fh.write(_block("lengthscales", model.kernel.lengthscales))
+        fh.write(_block("prior_mean", model.prior_mean.coefficients))
+        fh.write(_block("hypervariances", model.kernel.hypervariances))
+        fh.write(_block("train_velocities", model.train.velocities))
+        fh.write(_block("train_torques", model.train.torques))
 
 
 def _parse_blocks(lines: list[str], path) -> tuple[dict, dict]:
@@ -97,6 +94,10 @@ def load_model(path) -> tuple[FittedModel, bool]:
         noise_variance = float(meta["noise_variance"])
     except ValueError as exc:
         raise ParseError(f"{path}: bad header value: {exc}") from exc
+    if meta["constrained"] not in ("true", "false"):
+        raise ParseError(
+            f"{path}: constrained must be 'true' or 'false', got {meta['constrained']!r}"
+        )
     constrained = meta["constrained"] == "true"
 
     ell = np.array(blocks["lengthscales"][0])

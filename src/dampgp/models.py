@@ -30,6 +30,22 @@ from .kernels import (
 KERNEL_TYPES = {"ard": SeArdKernelBank, "diag": DiagTorqueKernel, "full": FullTorqueKernel}
 KINDS = tuple(KERNEL_TYPES)
 
+# Entries of one (D, block) cross-covariance in ``predict_torque_batch``
+# (2 MB of float64): large enough to amortize the per-block calls, small
+# enough that a block's few temporaries stay in cache.
+_BLOCK_ENTRIES = 1 << 18
+# Block widths are multiples of this (2^7 * 3), which the unroll widths of
+# BLAS matrix kernels divide: every test point then sits at the same tile
+# offset as in one unblocked call, so blocking leaves the result bits as
+# they are (on OpenBLAS 0.3.31, blocks of 1,310 points at D=200 changed 413
+# of 600,000 cross products).
+_BLOCK_ALIGN = 384
+
+
+def _block_columns(n_train: int) -> int:
+    """Test points per ``predict_torque_batch`` block for D = ``n_train``."""
+    return max(1, _BLOCK_ENTRIES // (n_train * _BLOCK_ALIGN)) * _BLOCK_ALIGN
+
 
 def _check_kind(kind: str) -> str:
     if kind not in KINDS:
@@ -188,9 +204,11 @@ def fit(
 def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None) -> np.ndarray:
     """Posterior mean torques at each row of ``qd_stars`` (M, N) -> (M, N).
 
-    The N cross-covariance matrices share one SE correlation and are built
-    one output at a time: a large M never holds all N (D, M) matrices at once.
-    ``corr`` is that (D, M) correlation when the caller already has it.
+    The test points are taken in blocks of ``_block_columns(D)``, about
+    ``_BLOCK_ENTRIES // D``; per block the N cross-covariance matrices share
+    one SE correlation and are built one output at a time, so temporaries
+    stay O(D * block) whatever M is.  ``corr`` is the full (D, M) correlation
+    when the caller already has it, and is then used as a single block.
     """
     qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
     if qs.shape[1] != model.n_dim:
@@ -199,10 +217,18 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
         )
     out = _prior_torque_matrix(model.kind, model.prior_mean, qs)
     q_train = model.train.velocities
-    corr = _correlation(corr, model.kernel.lengthscales, q_train, qs)
-    for m in range(model.n_dim):
-        cross = model.kernel.output_kernel(m).pairwise(q_train, qs, corr)  # (D, M)
-        out[:, m] += cross.T @ model.residual_solves[m]
+    output_kernels = [model.kernel.output_kernel(m) for m in range(model.n_dim)]
+    step = max(1, len(qs) if corr is not None else _block_columns(len(q_train)))
+    # the last block takes the remainder: a block narrower than a kernel's
+    # unroll width is rounded differently than in one unblocked call
+    start = 0
+    for stop in [*range(step, len(qs) - step + 1, step), len(qs)]:
+        block = qs[start:stop]
+        block_corr = _correlation(corr, model.kernel.lengthscales, q_train, block)
+        for m, kernel in enumerate(output_kernels):
+            cross = kernel.pairwise(q_train, block, block_corr)  # (D, block)
+            out[start:stop, m] += cross.T @ model.residual_solves[m]
+        start = stop
     return out
 
 

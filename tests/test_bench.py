@@ -267,6 +267,20 @@ class TestDatasetIo:
         assert np.array_equal(back.velocities, data.velocities)
         assert np.array_equal(back.torques, data.torques)
 
+    @pytest.mark.parametrize("sep", [",", " "])
+    def test_fmt_rows_matches_per_value_format(self, sep):
+        edge = [-0.0, 0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+                1e16, 1e-5, 0.1, 1.0, -3.0, 12345678.0, 2.0**53, 1.0 / 3.0]
+        rng = np.random.default_rng(12)
+        for rows in (
+            np.array(edge).reshape(7, 2),
+            np.array(edge).reshape(1, 14),
+            np.array(edge).reshape(14, 1),
+            rng.normal(0, 1e3, (9, 4)),
+        ):
+            expected = "".join(sep.join(bench._fmt(v) for v in row) + "\n" for row in rows)
+            assert bench._fmt_rows(rows, sep) == expected
+
     def test_header(self, tmp_path):
         path = tmp_path / "d.csv"
         bench.write_dataset(path, Dataset(np.ones((1, 2)), np.ones((1, 2))))

@@ -391,6 +391,18 @@ class TestModelIo:
         modelio.save_model(path, model, constrained=True)
         assert modelio.load_model(path)[1] is True
 
+    @pytest.mark.parametrize("value", ["yes", "True", "1", ""])
+    def test_constrained_flag_other_than_true_or_false_rejected(self, tmp_path, value):
+        model = self._model("full", np.random.default_rng(4))
+        path = tmp_path / "m.model"
+        modelio.save_model(path, model, constrained=True)
+        path.write_text(path.read_text().replace("constrained: true", f"constrained: {value}"))
+        with pytest.raises(ParseError, match="constrained must be 'true' or 'false'"):
+            modelio.load_model(path)
+        assert run_cli("--out-dir", tmp_path / "pow", "power", path,
+                       "--domain=-2:2,-2:2", "--samples", "10") == cli.EXIT_INPUT
+        assert not (tmp_path / "pow" / "power.svg").exists()
+
     def test_missing_magic(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("something else\n")

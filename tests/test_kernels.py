@@ -209,6 +209,28 @@ class TestPerOutputScalarKernel:
             km = kernel.output_kernel(m)
             assert np.array_equal(km.pairwise(X, X2, corr), km.pairwise(X, X2))
 
+    @pytest.mark.parametrize("m2", [1, 2, 17])
+    def test_in_place_products_match_out_of_place_expressions_bitwise(self, m2):
+        # reference: the expressions before the in-place rewrite
+        rng = np.random.default_rng(30 + m2)
+        ell = rng.uniform(0.3, 3.0, 3)
+        X = rng.normal(0, 3, (23, 3))
+        X2 = rng.normal(0, 3, (m2, 3))
+        for A, B in ((X, X2), (X, X), (X2, X)):
+            S, S2 = A / ell, B / ell
+            sq = (
+                np.sum(S * S, axis=1)[:, None]
+                + np.sum(S2 * S2, axis=1)[None, :]
+                - 2.0 * S @ S2.T
+            )
+            corr = np.exp(-0.5 * np.maximum(sq, 0.0))
+            assert np.array_equal(se_correlation(ell, A, B), corr)
+            kernel = FullTorqueKernel(ell, rng.uniform(0.1, 2, (3, 3)))
+            for m in range(3):
+                row = kernel.grid[m]
+                expected = corr * ((A * row) @ B.T)
+                assert np.array_equal(kernel.output_kernel(m).pairwise(A, B, corr), expected)
+
     def test_index_out_of_range(self):
         k = DiagTorqueKernel(np.ones(2), np.ones(2))
         with pytest.raises(InputError):

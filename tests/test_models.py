@@ -1,9 +1,22 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dampgp
 from dampgp import bench, gp_core, models, passivity
 from dampgp.errors import InputError, UnsupportedModelError
-from dampgp.kernels import DiagTorqueKernel, FullTorqueKernel, SeArdKernel, SeArdKernelBank
+from dampgp.kernels import (
+    DiagTorqueKernel,
+    FullTorqueKernel,
+    SeArdKernel,
+    SeArdKernelBank,
+    se_correlation,
+)
 from dampgp.models import Dataset, PriorMean, fit, fit_prior_mean, predict_damping, predict_torque
 
 
@@ -214,6 +227,93 @@ class TestPredictTorque:
         t1 = predict_torque(fit("full", kernel, prior, data, 0.5), qs)
         t2 = predict_torque(fit("full", kernel, prior, data_p, 0.5), qs)
         assert np.allclose(t1, t2, rtol=1e-9)
+
+
+def _one_block_prediction(model, qs):
+    """Reference: one correlation and one cross-covariance per output over
+    all M test points, as before blocking."""
+    q = model.train.velocities
+    corr = se_correlation(model.kernel.lengthscales, q, qs)
+    out = qs * model.prior_mean.coefficients
+    for m in range(model.n_dim):
+        cross = model.kernel.output_kernel(m).pairwise(q, qs, corr)
+        out[:, m] += cross.T @ model.residual_solves[m]
+    return out
+
+
+def blocked_prediction_mismatches() -> list:
+    """(D, kind, M, path) of every blocked or ``corr=`` prediction that is
+    not bitwise equal to ``_one_block_prediction``."""
+    rng = np.random.default_rng(40)
+    mismatches = []
+    for d, extra_sizes in ((50, ()), (200, (20_009,)), (700, ())):
+        b = models._block_columns(d)
+        for kind in models.KINDS:
+            kernel, data, prior = random_instance(rng, kind, n=3, d=d)
+            model = fit(kind, kernel, prior, data, 0.4)
+            for m in (1, b - 1, b, b + 1, 2 * b - 1, 2 * b + 1, *extra_sizes):
+                qs = rng.uniform(-2, 2, (m, 3))
+                expected = _one_block_prediction(model, qs)
+                corr = se_correlation(kernel.lengthscales, data.velocities, qs)
+                for path, got in (
+                    ("blocked", models.predict_torque_batch(model, qs)),
+                    ("corr", models.predict_torque_batch(model, qs, corr=corr)),
+                ):
+                    if not np.array_equal(got, expected):
+                        mismatches.append((d, kind, m, path))
+    return mismatches
+
+
+class TestBlockedPrediction:
+    def test_block_width_is_aligned_and_near_the_entry_budget(self):
+        for d in (1, 50, 200, 400, 683, 5000):
+            b = models._block_columns(d)
+            assert b % models._BLOCK_ALIGN == 0
+            assert d * b <= max(models._BLOCK_ENTRIES, d * models._BLOCK_ALIGN)
+
+    def test_blocked_equals_one_block_bitwise(self):
+        # One BLAS thread: a threaded OpenBLAS matrix-vector product splits
+        # its rows at points that depend on M, so even the unblocked result
+        # then changes bits with the thread count.
+        single = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(dampgp.__file__).resolve().parents[1])
+        env = os.environ | single | {
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        }
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import test_models; print(test_models.blocked_prediction_mismatches())"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_prediction_temporaries_stay_within_a_few_blocks(self):
+        # numpy reports its buffers to tracemalloc; unblocked, one (D, M)
+        # correlation alone is 80 MB here
+        rng = np.random.default_rng(41)
+        d, m = 200, 50_000
+        kernel, data, prior = random_instance(rng, "full", n=3, d=d)
+        model = fit("full", kernel, prior, data, 0.4)
+        qs = rng.uniform(-2, 2, (m, 3))
+        widest = 2 * models._block_columns(d) - 1  # the last block takes the remainder
+        tracemalloc.start()
+        try:
+            out = models.predict_torque_batch(model, qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * d * widest * 8 + 2 * out.nbytes
+
+    def test_empty_batch_still_checks_corr(self):
+        kernel, data, prior = random_instance(np.random.default_rng(42), "diag", n=2, d=6)
+        model = fit("diag", kernel, prior, data, 0.4)
+        assert models.predict_torque_batch(model, np.zeros((0, 2))).shape == (0, 2)
+        with pytest.raises(InputError, match="corr must have shape"):
+            models.predict_torque_batch(model, np.zeros((0, 2)), corr=np.ones((6, 1)))
 
 
 class TestPredictDamping:
