@@ -178,11 +178,6 @@ _SYSTEM_SPECS = {
 }
 
 
-def builtin_systems() -> dict[str, GroundTruthSystem]:
-    """The shipped ground-truth systems, keyed by id."""
-    return {system_id: get_system(system_id) for system_id in _SYSTEM_SPECS}
-
-
 def get_system(system_id: str) -> GroundTruthSystem:
     """Build one shipped system; only that system's PSD sweep runs."""
     if system_id not in _SYSTEM_SPECS:

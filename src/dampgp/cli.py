@@ -1,9 +1,9 @@
 """Command-line experiment harness.
 
 Subcommands: generate, fit, evaluate, efficiency, power.  Every command is
-deterministic given its config and seeds: reruns produce byte-identical CSV
-and SVG outputs.  Exit codes: 0 success, 2 input error, 3 numerical error,
-4 passivity infeasibility.
+deterministic given its config and seeds: reruns at the same BLAS thread
+count produce byte-identical CSV and SVG outputs.  Exit codes: 0 success,
+2 input error, 3 numerical error, 4 passivity infeasibility.
 """
 
 from __future__ import annotations
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dampgp",
         description="Structured GP damping identification experiment harness",
     )
-    parser.add_argument("--seed", type=int, default=0, help="global seed override")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--config", type=Path, help="experiment config file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -386,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--domain", type=str, required=True,
                        help="box as lo:hi,lo:hi,... per dimension")
     p_pow.add_argument("--samples", type=int, default=10_000)
+    p_pow.add_argument("--seed", type=int, default=0, help="seed of the sampled velocities")
 
     return parser
 

@@ -69,8 +69,7 @@ class SeArdKernel:
             raise InputError(
                 f"inputs must have dimension {self.dim}, got {x.shape} and {xp.shape}"
             )
-        z = (x - xp) / self.lengthscales
-        return float(self.hypervariance * np.exp(-0.5 * np.dot(z, z)))
+        return float(self.pairwise(x[None, :], xp[None, :])[0, 0])
 
     def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
         """Kernel matrix over all row pairs; ``corr`` is the shared

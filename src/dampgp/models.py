@@ -267,7 +267,6 @@ class OptimizationResult:
     kernel: object
     val_mse: float
     n_evaluations: int
-    projected: bool  # True when the passivity constraint was enforced
 
 
 def _initial_hypervariances(kind: str, data: Dataset, prior_mean: PriorMean) -> np.ndarray:
@@ -360,10 +359,8 @@ def optimize_hypervariances(
         evals += 1
         hyp = to_hyp(theta)
         if constrained:
-            bound = passivity.compute_bound(
-                data_train, prior_mean, noise_variance, hyp
-            )
-            hyp = passivity.enforce_bound(bound, mode="scale_hypervariances").hypervariances
+            bound = passivity.compute_bound(data_train, prior_mean, noise_variance, hyp)
+            hyp = passivity.enforce_bound(bound).hypervariances
         model = fit(kind, KERNEL_TYPES[kind](ell, hyp), prior_mean, data_train,
                     noise_variance, corr=corr_train)
         pred = predict_torque_batch(model, data_val.velocities, corr=corr_val)
@@ -416,5 +413,4 @@ def optimize_hypervariances(
         kernel=KERNEL_TYPES[kind](ell, best["hyp"]),
         val_mse=best["mse"],
         n_evaluations=evals,
-        projected=constrained,
     )

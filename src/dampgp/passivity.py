@@ -1,16 +1,13 @@
 """Passivity bounds for the structured damping estimators.
 
-The feasibility region ties the kernel amplitude bounds |sigma_f| to the
-scalar factor c = sigma_eps^2 / (sqrt(D) * max|velocity| * ||residual||):
-the full model needs the symmetric part (A + A^T)/2 of A = c*diag(m_d) -
-Sigma_f to be positive semidefinite (the power bound is qd^T A qd, which
-sees only that part), the diagonal model needs |sigma_f_n| <= c * m_d_n per
-dimension.  Models whose hypervariances satisfy the bound dissipate power
-at every velocity.
-
-Hypervariances are passed and returned in sigma_f^2 units (matching the
-kernel objects); the bound matrix Sigma_f holds |sigma_f|, their square
-roots.
+The kernels multiply each element correlation by its hypervariance
+sigma_f^2, so the bound is stated on that grid: with the scalar factor
+c = sigma_eps^2 / (sqrt(D) * max|velocity| * ||residual||), the full model
+needs the symmetric part (A + A^T)/2 of A = c*diag(m_d) - grid to be
+positive semidefinite (the power bound is qd^T A qd, which sees only that
+part), the diagonal model needs sigma_f_n^2 <= c * m_d_n per dimension.
+Models whose hypervariances satisfy the bound dissipate power at every
+velocity.
 """
 
 from __future__ import annotations
@@ -34,29 +31,23 @@ class PassivityBound:
     d_count: int
     inf_norm_velocities: float
     residual_norm: float
-    hypervariance_matrix: np.ndarray  # Sigma_f, entries |sigma_f_mn|; need not be symmetric
+    hypervariance_matrix: np.ndarray  # the N x N sigma_f^2 grid; need not be symmetric
     mean_coefficients: np.ndarray
     noise_variance: float
     diagonal: bool  # True when built from an N-vector of hypervariances
 
 
-def _sigma_f_matrix(hypervariances) -> tuple[np.ndarray, bool]:
+def _grid(hypervariances) -> tuple[np.ndarray, bool]:
     hyp = np.asarray(hypervariances, dtype=float)
     if not np.all(np.isfinite(hyp) & (hyp >= 0)):
         raise InputError("hypervariances must be finite and nonnegative")
     if hyp.ndim == 1:
-        return np.diag(np.sqrt(hyp)), True
+        return np.diag(hyp), True
     if hyp.ndim == 2 and hyp.shape[0] == hyp.shape[1]:
-        return np.sqrt(hyp), False
+        return hyp.copy(), False
     raise InputError(
         f"hypervariances must be an N-vector or N x N matrix, got shape {hyp.shape}"
     )
-
-
-def _bound_factor(noise_variance: float, d_count: int, inf_norm: float, resid_norm: float) -> float:
-    if inf_norm == 0.0 or resid_norm == 0.0:
-        return math.inf
-    return noise_variance / (math.sqrt(d_count) * inf_norm * resid_norm)
 
 
 def compute_bound(
@@ -70,17 +61,21 @@ def compute_bound(
     c is the +inf sentinel (vacuously feasible) when either the velocity
     sup-norm or the stacked residual vanishes.
     """
-    sigma_f, diagonal = _sigma_f_matrix(hypervariances)
+    grid, diagonal = _grid(hypervariances)
     q = data.velocities
     resid = data.torques - q * prior_mean.coefficients
     inf_norm = float(np.max(np.abs(q)))
     resid_norm = float(np.linalg.norm(resid.reshape(-1)))
+    if inf_norm == 0.0 or resid_norm == 0.0:
+        c = math.inf
+    else:
+        c = noise_variance / (math.sqrt(data.n_samples) * inf_norm * resid_norm)
     return PassivityBound(
-        c=_bound_factor(noise_variance, data.n_samples, inf_norm, resid_norm),
+        c=c,
         d_count=data.n_samples,
         inf_norm_velocities=inf_norm,
         residual_norm=resid_norm,
-        hypervariance_matrix=sigma_f,
+        hypervariance_matrix=grid,
         mean_coefficients=prior_mean.coefficients.copy(),
         noise_variance=float(noise_variance),
         diagonal=diagonal,
@@ -90,13 +85,13 @@ def compute_bound(
 @dataclass(frozen=True)
 class FullCheck:
     feasible: bool
-    margin: float  # min eigenvalue of the symmetric part of c*diag(m_d) - Sigma_f
+    margin: float  # min eigenvalue of the symmetric part of c*diag(m_d) - grid
 
 
 @dataclass(frozen=True)
 class DiagCheck:
     feasible: bool
-    per_dim_margins: np.ndarray  # c*m_d_n - |sigma_f_n|
+    per_dim_margins: np.ndarray  # c*m_d_n - sigma_f_n^2
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -104,7 +99,7 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 def check_bound_full(bound: PassivityBound) -> FullCheck:
-    """PSD test of sym(c*diag(m_d) - Sigma_f) (the full-model sufficient condition)."""
+    """PSD test of sym(c*diag(m_d) - grid) (the full-model sufficient condition)."""
     if math.isinf(bound.c):
         return FullCheck(feasible=True, margin=math.inf)
     residual = bound.c * np.diag(bound.mean_coefficients) - _sym(bound.hypervariance_matrix)
@@ -114,21 +109,21 @@ def check_bound_full(bound: PassivityBound) -> FullCheck:
 
 
 def check_bound_diag(bound: PassivityBound) -> DiagCheck:
-    """Per-dimension test |sigma_f_n| <= c * m_d_n (the diagonal condition)."""
+    """Per-dimension test sigma_f_n^2 <= c * m_d_n (the diagonal condition)."""
     if not bound.diagonal:
         raise InputError("check_bound_diag requires a bound built from an N-vector")
-    sigma_f = np.diag(bound.hypervariance_matrix)
+    hyp = np.diag(bound.hypervariance_matrix)
     if math.isinf(bound.c):
-        return DiagCheck(feasible=True, per_dim_margins=np.full(sigma_f.size, math.inf))
+        return DiagCheck(feasible=True, per_dim_margins=np.full(hyp.size, math.inf))
     limits = bound.c * bound.mean_coefficients
-    return DiagCheck(feasible=bool(np.all(sigma_f <= limits)), per_dim_margins=limits - sigma_f)
+    return DiagCheck(feasible=bool(np.all(hyp <= limits)), per_dim_margins=limits - hyp)
 
 
 def _critical_c(bound: PassivityBound) -> float:
-    """Smallest c at which the unscaled Sigma_f meets the bound: the largest
-    generalized eigenvalue of (sym Sigma_f, diag(m_d)) over the dimensions
-    with m_d_n > 0 (max_n |sigma_f_n| / m_d_n for a diagonal Sigma_f); +inf
-    when a zero m_d_n has a nonzero row of sym Sigma_f.
+    """Smallest c at which the unscaled grid meets the bound: the largest
+    generalized eigenvalue of (sym grid, diag(m_d)) over the dimensions
+    with m_d_n > 0 (max_n sigma_f_n^2 / m_d_n for a diagonal grid); +inf
+    when a zero m_d_n has a nonzero row of sym grid.
     """
     sym = _sym(bound.hypervariance_matrix)
     m = bound.mean_coefficients
@@ -141,74 +136,52 @@ def _critical_c(bound: PassivityBound) -> float:
 
 @dataclass(frozen=True)
 class EnforcementResult:
-    """Adjusted hyperparameters that satisfy the bound.
+    """Scaled hypervariances that satisfy the bound.
 
-    ``hypervariances`` are in sigma_f^2 units, in the same layout as the
-    input to ``compute_bound`` (vector or matrix); ``alpha`` is the scale
-    applied to |sigma_f| (1.0 in raise_noise mode); ``bound`` is what
-    ``compute_bound`` returns for the adjusted hyperparameters.
+    ``hypervariances`` are ``alpha`` times the input grid, in the same
+    layout as the input to ``compute_bound`` (vector or matrix); ``bound``
+    is what ``compute_bound`` returns for them.
     """
 
     hypervariances: np.ndarray
-    noise_variance: float
     alpha: float
     bound: PassivityBound
 
 
-def _result(bound: PassivityBound, alpha: float, noise_variance: float) -> EnforcementResult:
-    sigma_f = alpha * bound.hypervariance_matrix
-    hyp = np.diag(sigma_f) ** 2 if bound.diagonal else sigma_f ** 2
-    new_bound = replace(
-        bound,
-        c=_bound_factor(noise_variance, bound.d_count, bound.inf_norm_velocities, bound.residual_norm),
-        hypervariance_matrix=_sigma_f_matrix(hyp)[0],
-        noise_variance=float(noise_variance),
-    )
+def _result(bound: PassivityBound, alpha: float) -> EnforcementResult:
+    grid = alpha * bound.hypervariance_matrix
     return EnforcementResult(
-        hypervariances=hyp,
-        noise_variance=float(noise_variance),
+        hypervariances=np.diag(grid) if bound.diagonal else grid,
         alpha=float(alpha),
-        bound=new_bound,
+        bound=replace(bound, hypervariance_matrix=grid),
     )
 
 
-def enforce_bound(bound: PassivityBound, mode: str = "scale_hypervariances") -> EnforcementResult:
-    """Project onto the feasible set in closed form.
+def enforce_bound(bound: PassivityBound) -> EnforcementResult:
+    """Scale the grid onto the feasible set in closed form.
 
-    With c* the smallest c at which the unscaled Sigma_f is feasible,
-    scale_hypervariances returns alpha = min(1, c / c*) and raise_noise the
-    noise variance at which c = c* (c is proportional to it).  Squaring
-    alpha*Sigma_f and re-rooting it can round outside the bound, so the
-    result is stepped inward an ulp at a time until ``result.bound`` passes.
+    With c* the smallest c at which the unscaled grid is feasible, the
+    scale is alpha = min(1, c / c*).  alpha * grid can round outside the
+    bound, so alpha is stepped down an ulp at a time until
+    ``result.bound`` passes.
     """
-    if mode not in ("scale_hypervariances", "raise_noise"):
-        raise InputError(f"unknown enforcement mode {mode!r}")
     critical = _critical_c(bound)
     if math.isinf(critical):
         raise InfeasibilityError(
-            "no finite noise variance or positive hypervariance scale satisfies the bound "
+            "no positive hypervariance scale satisfies the bound "
             "(a prior mean coefficient is zero with nonzero hypervariance)"
         )
-    alpha, noise = 1.0, bound.noise_variance
-    if critical > bound.c:
-        if mode == "scale_hypervariances":
-            alpha = bound.c / critical
-        else:
-            unit_c = _bound_factor(1.0, bound.d_count, bound.inf_norm_velocities, bound.residual_norm)
-            noise = critical / unit_c
+    alpha = bound.c / critical if critical > bound.c else 1.0
     if alpha == 0.0:
         raise InfeasibilityError(
             "no positive hypervariance scale is feasible "
             "(prior mean too small for the data residual)"
         )
     check = check_bound_diag if bound.diagonal else check_bound_full
-    result = _result(bound, alpha, noise)
+    result = _result(bound, alpha)
     while not check(result.bound).feasible:
-        if mode == "scale_hypervariances":
-            alpha = np.nextafter(alpha, 0.0)
-        else:
-            noise = np.nextafter(noise, math.inf)
-        result = _result(bound, alpha, noise)
+        alpha = np.nextafter(alpha, 0.0)
+        result = _result(bound, alpha)
     return result
 
 

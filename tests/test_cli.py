@@ -295,7 +295,9 @@ class TestEfficiency:
         rows = {}
         for flag in ("false", "true"):
             cfg = tmp_path / f"{flag}.cfg"
+            # noise_std 2 makes the residual large enough that the bound binds
             cfg.write_text(SMALL_CFG.replace("kinds = diag", "kinds = ard,diag")
+                           .replace("noise_std = 0.5", "noise_std = 2.0")
                            + f"constrained = {flag}\n")
             out = tmp_path / flag
             assert run_cli("--config", cfg, "--out-dir", out,
@@ -338,6 +340,25 @@ class TestPower:
         assert lines[0] == "qd_1,power"
         assert len(lines) == 1 + 200 + 2 + 1  # samples + corners + origin
         ET.fromstring((out / "power.svg").read_text())
+
+    def test_seed_changes_sampled_points(self, tmp_path):
+        model_path = self._model(tmp_path)
+        points = {}
+        for seed in (None, "0", "3"):
+            out = tmp_path / f"pow{seed}"
+            extra = () if seed is None else ("--seed", seed)
+            assert run_cli("--out-dir", out, "power", model_path, "--domain=-5:5",
+                           "--samples", "50", *extra) == 0
+            points[seed] = (out / "power.csv").read_text()
+        assert points[None] == points["0"]  # the default seed is 0
+        assert points["3"] != points["0"]
+
+    def test_global_seed_rejected(self, tmp_path, cfg_path, capsys):
+        # only power samples anything, so --seed is a power option
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--seed", "3", "--config", cfg_path, "--out-dir", tmp_path, "generate")
+        assert exc.value.code == cli.EXIT_INPUT
+        assert "dampgp: error:" in capsys.readouterr().err
 
     def test_bad_domain_exit_code(self, tmp_path):
         model_path = self._model(tmp_path)

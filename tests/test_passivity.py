@@ -48,14 +48,16 @@ class TestComputeBound:
         bound = compute_bound(data, PriorMean.zero(2), 1.0, np.ones(2))
         assert math.isinf(bound.c)
 
-    def test_sigma_f_is_sqrt_of_hypervariances(self):
+    def test_grid_is_the_hypervariances(self):
+        # the bound holds the sigma_f^2 grid the kernel multiplies by
         data = Dataset(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
         bound = compute_bound(data, PriorMean.zero(2), 1.0, np.array([4.0, 9.0]))
-        assert np.allclose(np.diag(bound.hypervariance_matrix), [2.0, 3.0])
-        bound_m = compute_bound(
-            data, PriorMean.zero(2), 1.0, np.array([[4.0, 1.0], [1.0, 9.0]])
-        )
-        assert np.allclose(bound_m.hypervariance_matrix, [[2.0, 1.0], [1.0, 3.0]])
+        assert np.array_equal(bound.hypervariance_matrix, [[4.0, 0.0], [0.0, 9.0]])
+        hyp = np.array([[4.0, 1.0], [1.0, 9.0]])
+        bound_m = compute_bound(data, PriorMean.zero(2), 1.0, hyp)
+        assert np.array_equal(bound_m.hypervariance_matrix, hyp)
+        hyp[0, 0] = 5.0  # the bound keeps its own copy
+        assert bound_m.hypervariance_matrix[0, 0] == 4.0
 
     def test_bound_tightens_as_data_appends(self):
         # c never increases when more samples are appended to the dataset
@@ -86,13 +88,13 @@ class TestComputeBound:
 
 def bound_with_c(c, m_d, hyp):
     """Bound object with exactly the requested c (direct construction)."""
-    sigma_f, diagonal = passivity._sigma_f_matrix(hyp)
+    grid, diagonal = passivity._grid(hyp)
     return passivity.PassivityBound(
         c=c,
         d_count=1,
         inf_norm_velocities=1.0,
         residual_norm=1.0 if math.isfinite(c) else 0.0,
-        hypervariance_matrix=sigma_f,
+        hypervariance_matrix=grid,
         mean_coefficients=np.asarray(m_d, dtype=float),
         noise_variance=c if math.isfinite(c) else 1.0,
         diagonal=diagonal,
@@ -101,7 +103,7 @@ def bound_with_c(c, m_d, hyp):
 
 class TestCheckBound:
     def test_full_marginal_case(self):
-        # c*diag(m_d) - Sigma_f = 2*I - ones(2x2): eigs {0, 2} -> feasible, margin 0
+        # c*diag(m_d) - grid = 2*I - ones(2x2): eigs {0, 2} -> feasible, margin 0
         bound = bound_with_c(2.0, [1.0, 1.0], np.ones((2, 2)))
         check = check_bound_full(bound)
         assert check.feasible
@@ -123,7 +125,7 @@ class TestCheckBound:
         bound = bound_with_c(2.0, [1.0, 3.0], np.array([1.0, 4.0]))
         check = check_bound_diag(bound)
         assert check.feasible
-        assert np.allclose(check.per_dim_margins, [1.0, 4.0])
+        assert np.allclose(check.per_dim_margins, [1.0, 2.0])  # c*m_d - sigma_f^2
 
     def test_diag_check_rejects_matrix_bound(self):
         bound = bound_with_c(1.0, [1.0, 1.0], np.ones((2, 2)))
@@ -139,18 +141,19 @@ class TestEnforceBound:
         assert np.array_equal(res.hypervariances, [1.0, 1.0])
 
     def test_scale_alpha_half(self):
-        # |sigma_f| = 2 with c*m_d = 1 -> alpha = 1/2, variances scaled by 1/4
-        bound = bound_with_c(1.0, [1.0], np.array([4.0]))
+        # sigma_f^2 = 2 with c*m_d = 1 -> alpha = 1/2 scales it to 1
+        bound = bound_with_c(1.0, [1.0], np.array([2.0]))
         res = enforce_bound(bound)
         assert res.alpha == pytest.approx(0.5, rel=1e-9)
-        assert res.hypervariances[0] == pytest.approx(1.0, rel=1e-8)
+        assert res.hypervariances[0] == res.alpha * 2.0
         assert check_bound_diag(res.bound).feasible
 
     def test_scale_full_matrix(self):
-        bound = bound_with_c(1.0, [1.0, 1.0], 4.0 * np.ones((2, 2)))
+        bound = bound_with_c(1.0, [1.0, 1.0], 2.0 * np.ones((2, 2)))
         res = enforce_bound(bound)
         # largest alpha with alpha*2*ones PSD-dominated by I is 1/4 (eigs 2*2*alpha)
         assert res.alpha == pytest.approx(0.25, rel=1e-8)
+        assert np.array_equal(res.hypervariances, res.alpha * 2.0 * np.ones((2, 2)))
         assert check_bound_full(res.bound).feasible
 
     def test_scale_infeasible_zero_mean(self):
@@ -158,70 +161,34 @@ class TestEnforceBound:
         with pytest.raises(InfeasibilityError):
             enforce_bound(bound)
 
-    def test_raise_noise_closed_form(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            q = rng.uniform(-2, 2, (8, 2))
-            prior = PriorMean(rng.uniform(0.3, 1.5, 2))
-            y = q * prior.coefficients + rng.normal(0, 1, (8, 2))
-            hyp = rng.uniform(0.5, 4.0, 2)
-            nv = float(rng.uniform(0.01, 0.2))
-            bound = compute_bound(Dataset(q, y), prior, nv, hyp)
-            if check_bound_diag(bound).feasible:
-                continue
-            res = enforce_bound(bound, mode="raise_noise")
-            # smallest feasible noise: c needed is max |sigma_f_n| / m_d_n
-            needed_c = float(np.max(np.sqrt(hyp) / prior.coefficients))
-            expected = nv * needed_c / bound.c
-            assert res.noise_variance == pytest.approx(expected, rel=1e-9)
-            assert res.alpha == 1.0
-            assert check_bound_diag(res.bound).feasible
-
-    def test_raise_noise_infeasible_when_mean_zero(self):
-        bound = bound_with_c(1.0, [0.0, 1.0], np.array([1.0, 0.5]))
-        with pytest.raises(InfeasibilityError):
-            enforce_bound(bound, mode="raise_noise")
-
-    def test_unknown_mode(self):
-        bound = bound_with_c(1.0, [1.0], np.array([1.0]))
-        with pytest.raises(InputError):
-            enforce_bound(bound, mode="shrink")
+    def test_zero_noise_variance_infeasible(self):
+        # c = 0 leaves only the zero grid, and alpha must be positive
+        data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
+        bound = compute_bound(data, PriorMean(np.array([1.0])), 0.0, np.array([4.0]))
+        assert bound.c == 0.0
+        with pytest.raises(InfeasibilityError, match="prior mean too small"):
+            enforce_bound(bound)
 
 
-def bisection_oracle(bound, mode="scale_hypervariances"):
-    """Bisection projection onto the feasible set, the reference for the closed forms.
-
-    Returns alpha in scale_hypervariances mode and the noise variance in
-    raise_noise mode; both are bisected to 1e-10 relative on the public check.
-    """
+def bisection_oracle(bound):
+    """Bisection for the largest feasible scale of the grid, the reference
+    for the closed form, bisected to 1e-10 relative on the public check."""
     check = check_bound_diag if bound.diagonal else check_bound_full
 
-    def feasible(scale, c):
-        return check(replace(bound, hypervariance_matrix=scale * bound.hypervariance_matrix, c=c)).feasible
+    def feasible(scale):
+        return check(replace(bound, hypervariance_matrix=scale * bound.hypervariance_matrix)).feasible
 
-    if mode == "scale_hypervariances":
-        if feasible(1.0, bound.c):
-            return 1.0
-        lo, hi = 1e-15, 1.0  # lo feasible, hi infeasible
-        assert feasible(lo, bound.c)
-        while hi - lo > 1e-10 * hi:
-            mid = 0.5 * (lo + hi)
-            if feasible(mid, bound.c):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    per_unit = bound.c / bound.noise_variance
-    lo = hi = bound.noise_variance  # hi doubles until feasible; a feasible start is returned as is
-    while not feasible(1.0, per_unit * hi):
-        hi *= 2.0
+    if feasible(1.0):
+        return 1.0
+    lo, hi = 1e-15, 1.0  # lo feasible, hi infeasible
+    assert feasible(lo)
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
-        if feasible(1.0, per_unit * mid):
-            hi = mid
-        else:
+        if feasible(mid):
             lo = mid
-    return hi
+        else:
+            hi = mid
+    return lo
 
 
 def random_bound(rng, layout, n=None, d=None):
@@ -246,10 +213,10 @@ def random_bound(rng, layout, n=None, d=None):
 
 
 class TestSymmetricPartCondition:
-    """The full check is a PSD test of the symmetric part of c*diag(m_d) - Sigma_f."""
+    """The full check is a PSD test of the symmetric part of c*diag(m_d) - grid."""
 
     def test_asymmetric_grid_regression(self):
-        # Only the upper triangle of Sigma_f is large: a lower-triangle
+        # Only the upper triangle of the grid is large: a lower-triangle
         # eigen-solve sees a feasible matrix, the quadratic form does not.
         system = bench.get_system("full3")
         q = bench.sample_trajectory(system, 60, seed=0, waveform="uniform")
@@ -271,7 +238,7 @@ class TestSymmetricPartCondition:
         projected = res.bound.c * np.diag(res.bound.mean_coefficients) - res.bound.hypervariance_matrix
         v = np.linalg.eigh(0.5 * (projected + projected.T))[1][:, 0]
         assert v @ projected @ v >= -1e-12 * np.trace(projected)
-        rebuilt = compute_bound(data, prior, res.noise_variance, res.hypervariances)
+        rebuilt = compute_bound(data, prior, 100.0, res.hypervariances)
         assert check_bound_full(rebuilt).feasible
 
     def test_check_matches_symmetric_part_on_random_grids(self):
@@ -279,14 +246,14 @@ class TestSymmetricPartCondition:
         seen = {True: 0, False: 0}
         for _ in range(500):
             n = int(rng.integers(2, 5))
-            sigma_f = rng.uniform(0.0, 2.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+            grid = rng.uniform(0.0, 2.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.7)
             m_d = rng.uniform(0.2, 3.0, n)
-            sym = 0.5 * (sigma_f + sigma_f.T)
+            sym = 0.5 * (grid + grid.T)
             critical = np.linalg.eigvalsh(sym / np.sqrt(np.outer(m_d, m_d)))[-1]
             # c on either side of the critical value, away from the knife edge
             c = critical * rng.choice([rng.uniform(0.3, 0.999), rng.uniform(1.001, 3.0)])
-            bound = bound_with_c(c, m_d, sigma_f ** 2)
-            residual = c * np.diag(m_d) - sigma_f
+            bound = bound_with_c(c, m_d, grid)
+            residual = c * np.diag(m_d) - grid
             eigvals, eigvecs = np.linalg.eigh(0.5 * (residual + residual.T))
             tol = 1e-12 * abs(np.trace(residual))
             check = check_bound_full(bound)
@@ -302,51 +269,37 @@ class TestSymmetricPartCondition:
 
 class TestClosedFormProjection:
     @pytest.mark.parametrize("layout", ["diag", "sym"])
-    @pytest.mark.parametrize("mode", ["scale_hypervariances", "raise_noise"])
-    def test_agrees_with_bisection_oracle(self, layout, mode):
+    def test_agrees_with_bisection_oracle(self, layout):
         rng = np.random.default_rng(12)
         projected = 0
         for _ in range(60):
             _, _, bound = random_bound(rng, layout)
-            res = enforce_bound(bound, mode=mode)
-            want = bisection_oracle(bound, mode)
-            got = res.alpha if mode == "scale_hypervariances" else res.noise_variance
-            assert got == pytest.approx(want, rel=1e-9)
-            projected += want != (1.0 if mode == "scale_hypervariances" else bound.noise_variance)
+            want = bisection_oracle(bound)
+            assert enforce_bound(bound).alpha == pytest.approx(want, rel=1e-9)
+            projected += want != 1.0
         assert projected > 20
 
     @pytest.mark.parametrize("layout", ["diag", "sym", "full"])
-    @pytest.mark.parametrize("mode", ["scale_hypervariances", "raise_noise"])
-    def test_rebuilt_result_passes_check(self, layout, mode):
-        # The returned hypervariances are squared, so compute_bound re-roots
-        # them; the result must still pass the check to the last ulp.
+    def test_rebuilt_result_passes_check(self, layout):
+        # compute_bound on the returned hypervariances rebuilds the scaled
+        # grid exactly, so the result passes the check to the last ulp.
         rng = np.random.default_rng(13)
         check = check_bound_diag if layout == "diag" else check_bound_full
         for _ in range(1000):
             data, prior, bound = random_bound(rng, layout, d=int(rng.integers(2, 8)))
-            res = enforce_bound(bound, mode=mode)
-            rebuilt = compute_bound(data, prior, res.noise_variance, res.hypervariances)
+            res = enforce_bound(bound)
+            rebuilt = compute_bound(data, prior, bound.noise_variance, res.hypervariances)
             assert np.array_equal(rebuilt.hypervariance_matrix, res.bound.hypervariance_matrix)
             assert rebuilt.c == res.bound.c
             assert check(rebuilt).feasible
 
     def test_zero_mean_with_coupled_row_infeasible(self):
-        # m_d_2 = 0: row 2 of sym Sigma_f must vanish for any scale to work
+        # m_d_2 = 0: row 2 of sym grid must vanish for any scale to work
         hyp = np.array([[1.0, 0.0], [0.25, 0.0]])
         with pytest.raises(InfeasibilityError):
             enforce_bound(bound_with_c(1.0, [1.0, 0.0], hyp))
         res = enforce_bound(bound_with_c(1.0, [1.0, 0.0], np.array([[4.0, 0.0], [0.0, 0.0]])))
-        assert res.alpha == pytest.approx(0.5, rel=1e-12)
-
-    def test_raise_noise_from_zero_noise(self):
-        data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
-        bound = compute_bound(data, PriorMean(np.array([1.0])), 0.0, np.array([4.0]))
-        assert bound.c == 0.0
-        with pytest.raises(InfeasibilityError):
-            enforce_bound(bound)
-        res = enforce_bound(bound, mode="raise_noise")
-        assert res.noise_variance == pytest.approx(2.0, rel=1e-12)
-        assert check_bound_diag(res.bound).feasible
+        assert res.alpha == pytest.approx(0.25, rel=1e-12)  # sigma_f^2 = 4 scaled to c*m_d = 1
 
 
 class TestPassivityGuarantee:
@@ -397,6 +350,60 @@ class TestPassivityGuarantee:
         model = fit("diag", opt.kernel, prior, data, 1.0)
         sweep = passivity_sweep(model, system.domain, 2000, seed=0)
         assert sweep.violation_count > 0
+
+
+class TestCertificateSoundness:
+    """Projected models have a PSD damping estimate: the bound is on the
+    sigma_f^2 grid the kernel multiplies by, which matters once a grid
+    entry exceeds 1 (large noise variance, small residual)."""
+
+    @staticmethod
+    def min_eig(model, points):
+        return min(
+            np.linalg.eigvalsh(0.5 * (d + d.T))[0]
+            for d in (models.predict_damping(model, p) for p in points)
+        )
+
+    def test_one_point_regression(self):
+        # c = 10 and m_d = 1: sigma_f = 10 passed a check on |sigma_f|,
+        # but the grid 100 gives D_hat(1) = 1 + 100 * (-10 / 200) = -4
+        data = Dataset([[1.0]], [[-9.0]])
+        prior = PriorMean([1.0])
+        bound = compute_bound(data, prior, 100.0, np.array([100.0]))
+        assert bound.c == 10.0
+        assert not check_bound_diag(bound).feasible
+        res = enforce_bound(bound)
+        assert res.alpha == pytest.approx(0.1, rel=1e-12)
+        model = fit("diag", DiagTorqueKernel([1.0], res.hypervariances), prior, data, 100.0)
+        assert models.predict_damping(model, np.array([1.0]))[0, 0] >= 0.0
+        sweep = passivity_sweep(model, np.array([[-25.0, 25.0]]), 2000)
+        assert sweep.violation_count == 0
+
+    def test_projected_models_are_psd_with_an_anti_passive_sample(self):
+        rng = np.random.default_rng(0)
+        projected = 0
+        for trial in range(400):
+            kind = ("diag", "full")[trial % 2]
+            n = int(rng.integers(1, 4))
+            d = int(rng.integers(1, 7))
+            q = rng.uniform(-3.0, 3.0, (d, n))
+            y = q * rng.uniform(0.5, 3.0, n) + rng.normal(0.0, 0.3, (d, n))
+            q[0] *= 0.2
+            y[0] = -rng.uniform(5.0, 50.0) * q[0]  # dissipates negative power
+            data = Dataset(q, y)
+            prior = fit_prior_mean(data)
+            nv = float(10.0 ** rng.uniform(0.0, 3.0))
+            hyp = 10.0 ** rng.uniform(0.0, 4.0, (n,) if kind == "diag" else (n, n))
+            ell = rng.uniform(0.5, 3.0, n)
+            try:
+                res = enforce_bound(compute_bound(data, prior, nv, hyp))
+            except InfeasibilityError:
+                continue
+            projected += res.alpha < 1.0
+            model = fit(kind, models.KERNEL_TYPES[kind](ell, res.hypervariances), prior, data, nv)
+            points = np.vstack([q, rng.uniform(-3.0, 3.0, (50, n))])
+            assert self.min_eig(model, points) >= -1e-9, f"trial {trial} ({kind})"
+        assert projected > 150
 
 
 class TestDissipatedPower:
