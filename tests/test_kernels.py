@@ -63,6 +63,17 @@ class TestSeArd:
             a, b = rng.normal(0, 3, 3), rng.normal(0, 3, 3)
             assert k(a, b) == pytest.approx(k(b, a), rel=1e-15)
 
+    def test_call_is_the_pairwise_entry(self):
+        # one SE formula: a single evaluation is an entry of the batch matrix
+        rng = np.random.default_rng(2)
+        k = SeArdKernel(np.array([0.7, 1.6, 3.0]), 2.3)
+        X, X2 = rng.normal(0, 3, (8, 3)), rng.normal(0, 3, (5, 3))
+        gram = k.pairwise(X, X2)
+        assert np.array_equal(gram, 2.3 * se_correlation(k.lengthscales, X, X2))
+        for i, a in enumerate(X):
+            for j, b in enumerate(X2):
+                assert k(a, b) == gram[i, j]
+
 
 class TestFullTorqueKernel:
     def test_orthogonal_supports_give_zero(self):

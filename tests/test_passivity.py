@@ -127,6 +127,15 @@ class TestCheckBound:
         assert check.feasible
         assert np.allclose(check.per_dim_margins, [1.0, 2.0])  # c*m_d - sigma_f^2
 
+    def test_grid_below_one_checked_on_itself(self):
+        # sigma_f^2 = 0.4 <= c*m_d = 0.5 although sigma_f = 0.63 exceeds it
+        bound = bound_with_c(0.5, [1.0], np.array([0.4]))
+        check = check_bound_diag(bound)
+        assert check.feasible
+        assert check.per_dim_margins[0] == pytest.approx(0.1, rel=1e-12)
+        assert check_bound_full(bound_with_c(0.5, [1.0], np.array([[0.4]]))).feasible
+        assert enforce_bound(bound).alpha == 1.0
+
     def test_diag_check_rejects_matrix_bound(self):
         bound = bound_with_c(1.0, [1.0, 1.0], np.ones((2, 2)))
         with pytest.raises(InputError):
@@ -168,6 +177,41 @@ class TestEnforceBound:
         assert bound.c == 0.0
         with pytest.raises(InfeasibilityError, match="prior mean too small"):
             enforce_bound(bound)
+
+    def test_mode_keyword_rejected(self):
+        # scaling the grid is the only projection
+        bound = bound_with_c(1.0, [1.0], np.array([2.0]))
+        with pytest.raises(TypeError):
+            enforce_bound(bound, mode="raise_noise")
+
+    def test_result_keeps_c_and_noise_variance(self):
+        # only the grid is scaled; every other constituent of the bound stays
+        rng = np.random.default_rng(14)
+        for layout in ("diag", "sym", "full"):
+            _, _, bound = random_bound(rng, layout)
+            res = enforce_bound(bound)
+            assert res.bound.c == bound.c
+            assert res.bound.noise_variance == bound.noise_variance
+            assert res.bound.d_count == bound.d_count
+            assert np.array_equal(res.bound.mean_coefficients, bound.mean_coefficients)
+            assert res.bound.diagonal == bound.diagonal
+
+    def test_step_down_stays_within_ulps_of_closed_form(self):
+        # alpha * grid can round past c*m_d; the result still passes the
+        # check and alpha moves only a few ulps below c / c*
+        rng = np.random.default_rng(15)
+        stepped = 0
+        for _ in range(2000):
+            hyp = rng.uniform(0.1, 10.0, 1)
+            m_d = rng.uniform(0.1, 10.0, 1)
+            c = float(rng.uniform(0.01, 1.0) * hyp[0] / m_d[0])
+            bound = bound_with_c(c, m_d, hyp)
+            res = enforce_bound(bound)
+            closed = c / passivity._critical_c(bound)
+            assert check_bound_diag(res.bound).feasible
+            assert closed - 4 * np.spacing(closed) <= res.alpha <= closed
+            stepped += res.alpha < closed
+        assert stepped > 0
 
 
 def bisection_oracle(bound):
@@ -375,6 +419,19 @@ class TestCertificateSoundness:
         res = enforce_bound(bound)
         assert res.alpha == pytest.approx(0.1, rel=1e-12)
         model = fit("diag", DiagTorqueKernel([1.0], res.hypervariances), prior, data, 100.0)
+        assert models.predict_damping(model, np.array([1.0]))[0, 0] >= 0.0
+        sweep = passivity_sweep(model, np.array([[-25.0, 25.0]]), 2000)
+        assert sweep.violation_count == 0
+
+    def test_one_point_regression_full(self):
+        # the 1 x 1 grid of the full model has the same unit as the diagonal one
+        data = Dataset([[1.0]], [[-9.0]])
+        prior = PriorMean([1.0])
+        bound = compute_bound(data, prior, 100.0, np.array([[100.0]]))
+        assert not check_bound_full(bound).feasible
+        res = enforce_bound(bound)
+        assert res.alpha == pytest.approx(0.1, rel=1e-12)
+        model = fit("full", FullTorqueKernel([1.0], res.hypervariances), prior, data, 100.0)
         assert models.predict_damping(model, np.array([1.0]))[0, 0] >= 0.0
         sweep = passivity_sweep(model, np.array([[-25.0, 25.0]]), 2000)
         assert sweep.violation_count == 0
