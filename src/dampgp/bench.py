@@ -38,10 +38,8 @@ class GroundTruthSystem:
     """
 
     name: str
-    kind: str  # "diagonal" or "full"
     damping_fn: object  # Q (M, N) -> (M, N, N)
     domain: np.ndarray  # (N, 2) lo/hi per dimension
-    description: str
     default_lengthscales: np.ndarray
 
     @property
@@ -64,12 +62,6 @@ class GroundTruthSystem:
                 f"for velocities of shape {Q.shape}; expected {expected}"
             )
         return d
-
-    def damping(self, qd) -> np.ndarray:
-        return self.damping_batch(np.reshape(np.asarray(qd, dtype=float), (1, -1)))[0]
-
-    def torque(self, qd) -> np.ndarray:
-        return self.torque_batch(np.reshape(np.asarray(qd, dtype=float), (1, -1)))[0]
 
     def torque_batch(self, Q) -> np.ndarray:
         """Torques D(qd) qd (M, N) at the rows of ``Q`` (M, N)."""
@@ -102,13 +94,11 @@ def _psd_construction_sweep(system: GroundTruthSystem) -> None:
             )
 
 
-def make_system(name, kind, damping_fn, domain, description, default_lengthscales) -> GroundTruthSystem:
+def make_system(name, damping_fn, domain, default_lengthscales) -> GroundTruthSystem:
     system = GroundTruthSystem(
         name=name,
-        kind=kind,
         damping_fn=damping_fn,
         domain=np.asarray(domain, dtype=float),
-        description=description,
         default_lengthscales=np.asarray(default_lengthscales, dtype=float),
     )
     _psd_construction_sweep(system)
@@ -154,27 +144,12 @@ _BOX3 = [[-25.0, 25.0], [-25.0, 25.0], [40.0, 90.0]]
 
 # id -> make_system arguments after the id
 _SYSTEM_SPECS = {
-    "linear1": (
-        "diagonal",
-        lambda Q: np.full((len(Q), 1, 1), 2.0),
-        [[-25.0, 25.0]],
-        "scalar constant damping d = 2 (analytic reference case)",
-        [12.0],
-    ),
-    "diag3": (
-        "diagonal",
-        _diag3_damping,
-        _BOX3,
-        "diagonal damping: quadratic, absolute-value and tanh^2 laws",
-        [12.0, 12.0, 12.0],
-    ),
-    "full3": (
-        "full",
-        _full3_damping,
-        _BOX3,
-        "full damping L(qd) L(qd)^T + 0.1 I with smooth triangular factor",
-        [12.0, 12.0, 12.0],
-    ),
+    # scalar constant damping d = 2 (analytic reference case)
+    "linear1": (lambda Q: np.full((len(Q), 1, 1), 2.0), [[-25.0, 25.0]], [12.0]),
+    # diagonal damping: quadratic, absolute-value and tanh^2 laws
+    "diag3": (_diag3_damping, _BOX3, [12.0, 12.0, 12.0]),
+    # full damping L(qd) L(qd)^T + 0.1 I with smooth triangular factor
+    "full3": (_full3_damping, _BOX3, [12.0, 12.0, 12.0]),
 }
 
 
@@ -228,8 +203,8 @@ def generate_dataset(
     seed: int = 0,
 ) -> Dataset:
     """Noisy torque observations y_i = D(qd_i) qd_i + N(0, noise_std^2 I)."""
-    if noise_std < 0:
-        raise InputError("noise_std must be >= 0")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise InputError(f"noise_std must be finite and >= 0, got {noise_std}")
     Q = np.atleast_2d(np.asarray(velocities, dtype=float))
     Y = system.torque_batch(Q)
     if noise_std > 0:
@@ -295,7 +270,6 @@ def nmse(predictions: np.ndarray, truth: np.ndarray) -> NmseResult:
 
 @dataclass(frozen=True)
 class RelativeErrorResult:
-    errors: np.ndarray  # (D, N)
     mean: np.ndarray  # (N,)
     variance: np.ndarray  # (N,)
 
@@ -309,9 +283,7 @@ def relative_error(predictions, truth, normalizer: float) -> RelativeErrorResult
     if pred.shape != y.shape:
         raise InputError(f"shape mismatch: {pred.shape} vs {y.shape}")
     err = (pred - y) / normalizer
-    return RelativeErrorResult(
-        errors=err, mean=err.mean(axis=0), variance=err.var(axis=0)
-    )
+    return RelativeErrorResult(mean=err.mean(axis=0), variance=err.var(axis=0))
 
 
 def _fmt(x: float) -> str:
@@ -392,8 +364,8 @@ class ExperimentConfig:
             raise InputError("val_size and test_size must be >= 1")
         if any(s < 1 for s in self.train_sizes):
             raise InputError("train sizes must be >= 1")
-        if self.noise_std < 0:
-            raise InputError("noise_std must be >= 0")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
     def resolved_lengthscales(self) -> np.ndarray:
         if self.lengthscales is not None:
@@ -401,23 +373,31 @@ class ExperimentConfig:
         return get_system(self.system).default_lengthscales
 
 
-CONFIG_KEYS = {
-    "system": "ground-truth system id (linear1, diag3, full3)",
-    "train_sizes": "comma-separated training set sizes",
-    "val_size": "validation set size",
-    "test_size": "test set size",
-    "noise_std": "observation noise standard deviation",
-    "seeds": "comma-separated seeds",
-    "kinds": "comma-separated estimator kinds (ard, diag, full)",
-    "lengthscales": "comma-separated shared lengthscales (default: system choice)",
-    "noise_variance": "GP noise variance sigma_eps^2",
-    "constrained": "true/false: enforce the passivity bound (diag and full only; ard has none)",
-    "budget": "hypervariance optimization budget (objective evaluations)",
+def _tuple_of(cast):
+    """Parser of a comma-separated list into a tuple of ``cast`` values."""
+    return lambda value: tuple(cast(v.strip()) for v in value.split(",") if v.strip())
+
+
+def _parse_bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {value!r}")
+    return value == "true"
+
+
+# config key -> value parser; the keys are the ExperimentConfig fields
+_CONFIG_PARSERS = {
+    "system": str,
+    "train_sizes": _tuple_of(int),
+    "val_size": int,
+    "test_size": int,
+    "noise_std": float,
+    "seeds": _tuple_of(int),
+    "kinds": _tuple_of(str),
+    "lengthscales": _tuple_of(float),
+    "noise_variance": float,
+    "constrained": _parse_bool,
+    "budget": int,
 }
-
-
-def _parse_tuple(value: str, cast):
-    return tuple(cast(v.strip()) for v in value.split(",") if v.strip())
 
 
 def read_config(path) -> ExperimentConfig:
@@ -431,28 +411,13 @@ def read_config(path) -> ExperimentConfig:
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
+            if key not in _CONFIG_PARSERS:
                 raise InputError(
                     f"{path}:{lineno}: unknown config key {key!r}; "
-                    f"known keys: {sorted(CONFIG_KEYS)}"
+                    f"known keys: {sorted(_CONFIG_PARSERS)}"
                 )
             try:
-                if key in ("train_sizes", "seeds"):
-                    values[key] = _parse_tuple(value, int)
-                elif key == "kinds":
-                    values[key] = _parse_tuple(value, str)
-                elif key == "lengthscales":
-                    values[key] = _parse_tuple(value, float)
-                elif key in ("val_size", "test_size", "budget"):
-                    values[key] = int(value)
-                elif key in ("noise_std", "noise_variance"):
-                    values[key] = float(value)
-                elif key == "constrained":
-                    if value not in ("true", "false"):
-                        raise ValueError(f"expected true/false, got {value!r}")
-                    values[key] = value == "true"
-                else:
-                    values[key] = value
+                values[key] = _CONFIG_PARSERS[key](value)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**values)

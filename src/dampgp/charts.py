@@ -10,6 +10,8 @@ import numpy as np
 WIDTH, HEIGHT = 720, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 170, 40, 55
 
+MIN_BINS = 10
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -57,30 +59,29 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    log_y: bool = False,
 ) -> None:
-    """Write a multi-series line chart with a legend naming every series."""
+    """Write a multi-series line chart on a log10 y axis, with a legend
+    naming every series."""
+    series = {name: [(x, math.log10(max(y, 1e-300))) for x, y in pts]
+              for name, pts in series.items()}
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [p[1] for pts in series.values() for p in pts]
-    if log_y:
-        ys = [math.log10(max(y, 1e-300)) for y in ys]
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(ys), max(ys)
     if ylo == yhi:
         ylo, yhi = ylo - 1.0, yhi + 1.0
 
     parts = _svg_open(title)
-    _axes(parts, xlabel, ylabel + (" (log10)" if log_y else ""))
+    _axes(parts, xlabel, ylabel + " (log10)")
     px0, px1 = MARGIN_L, WIDTH - MARGIN_R
     py0, py1 = HEIGHT - MARGIN_B, MARGIN_T
     for idx, (name, pts) in enumerate(sorted(series.items())):
         color = PALETTE[idx % len(PALETTE)]
         coords = []
         for x, y in sorted(pts):
-            yv = math.log10(max(y, 1e-300)) if log_y else y
             coords.append(
                 f"{_scale(x, xlo, xhi, px0, px1):.2f},"
-                f"{_scale(yv, ylo, yhi, py0, py1):.2f}"
+                f"{_scale(y, ylo, yhi, py0, py1):.2f}"
             )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
@@ -103,16 +104,17 @@ def line_chart(
         fh.write("\n".join(parts) + "\n")
 
 
-def freedman_diaconis_bins(values: np.ndarray, min_bins: int = 10) -> int:
+def freedman_diaconis_bins(values: np.ndarray) -> int:
+    """Freedman-Diaconis bin count, at least MIN_BINS."""
     v = np.sort(np.asarray(values, dtype=float))
     n = v.size
     if n < 2 or v[0] == v[-1]:
-        return min_bins
+        return MIN_BINS
     iqr = float(np.percentile(v, 75) - np.percentile(v, 25))
     if iqr == 0.0:
-        return min_bins
+        return MIN_BINS
     width = 2.0 * iqr / n ** (1.0 / 3.0)
-    return max(min_bins, int(math.ceil((v[-1] - v[0]) / width)))
+    return max(MIN_BINS, int(math.ceil((v[-1] - v[0]) / width)))
 
 
 def histogram(path, values, title: str, xlabel: str, series_name: str = "count") -> None:

@@ -71,12 +71,20 @@ def _parse_domain(text: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _require_config(args) -> bench.ExperimentConfig:
+    if args.config is None:
+        raise InputError(f"{args.command} requires --config")
+    return bench.read_config(args.config)
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(cfg: bench.ExperimentConfig, out_dir: Path) -> int:
+def cmd_generate(args) -> int:
+    cfg = _require_config(args)
+    out_dir = args.out_dir
     system = bench.get_system(cfg.system)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_size = cfg.train_sizes[0]
@@ -111,21 +119,11 @@ def cmd_generate(cfg: bench.ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(
-    train_path: Path,
-    kind: str,
-    val_path: Path,
-    lengthscales: list[float] | None,
-    noise_variance: float,
-    constrained: bool,
-    budget: int,
-    free_hypervariances: bool,
-    out_path: Path,
-) -> int:
-    train = bench.read_dataset(train_path)
-    val = bench.read_dataset(val_path)
-    if lengthscales is None:
-        raise InputError("--lengthscales is required (e.g. 18,18,0.2)")
+def cmd_fit(args) -> int:
+    lengthscales = _parse_floats(args.lengthscales)
+    kind, noise_variance, constrained = args.kind, args.noise_variance, args.constrained
+    train = bench.read_dataset(args.train)
+    val = bench.read_dataset(args.val)
     if len(lengthscales) != train.n_dim:
         raise InputError(
             f"got {len(lengthscales)} lengthscales for {train.n_dim}-dimensional data"
@@ -138,26 +136,24 @@ def cmd_fit(
         lengthscales,
         noise_variance,
         constrained=constrained,
-        budget=budget,
-        tie_full=not free_hypervariances,
+        budget=args.budget,
+        tie_full=not args.free_hypervariances,
         prior_mean=prior,
     )
     model = models.fit(kind, result.kernel, prior, train, noise_variance)
-    modelio.save_model(out_path, model, constrained=constrained)
-    print(f"wrote {out_path} (kind={kind}, val_mse={result.val_mse:.6g}, "
+    modelio.save_model(args.out, model, constrained=constrained)
+    print(f"wrote {args.out} (kind={kind}, val_mse={result.val_mse:.6g}, "
           f"evaluations={result.n_evaluations})")
     if kind == "ard":
         print("passivity bound: n/a for the unstructured baseline")
         return 0
-    hyp = model.kernel.hypervariances
-    bound = passivity.compute_bound(train, prior, noise_variance, hyp)
+    bound = passivity.compute_bound(train, prior, noise_variance, model.kernel.hypervariances)
     if kind == "diag":
         chk = passivity.check_bound_diag(bound)
         margin = float(np.min(chk.per_dim_margins))
     else:
-        chk_full = passivity.check_bound_full(bound)
-        margin = chk_full.margin
-        chk = chk_full
+        chk = passivity.check_bound_full(bound)
+        margin = chk.margin
     print(f"passivity bound: c={bound.c:.6g} feasible={chk.feasible} margin={margin:.6g}")
     return 0
 
@@ -167,21 +163,20 @@ def cmd_fit(
 # ---------------------------------------------------------------------------
 
 
-def cmd_evaluate(model_path: Path, test_path: Path, out_path: Path,
-                 system_id: str | None, normalizer: float) -> int:
-    model, _ = modelio.load_model(model_path)
-    test = bench.read_dataset(test_path)
+def cmd_evaluate(args) -> int:
+    model, _ = modelio.load_model(args.model)
+    test = bench.read_dataset(args.test)
     if test.n_dim != model.n_dim:
         raise InputError(
             f"test data dimension {test.n_dim} != model dimension {model.n_dim}"
         )
-    if system_id is not None:
-        truth = bench.get_system(system_id).torque_batch(test.velocities)
+    if args.system is not None:
+        truth = bench.get_system(args.system).torque_batch(test.velocities)
     else:
         truth = test.torques
     pred = models.predict_torque_batch(model, test.velocities)
     score = bench.nmse(pred, truth)
-    rel = bench.relative_error(pred, truth, normalizer)
+    rel = bench.relative_error(pred, truth, args.normalizer)
     baseline = bench.nmse(np.tile(truth.mean(axis=0), (truth.shape[0], 1)), truth)
 
     lines = ["row,output,nmse,rel_err_mean,rel_err_var"]
@@ -194,8 +189,8 @@ def cmd_evaluate(model_path: Path, test_path: Path, out_path: Path,
     for n in range(model.n_dim):
         lines.append(f"mean_baseline,{n + 1},{_fmt(baseline.per_output[n])},,")
     lines.append(f"mean_baseline,aggregate,{_fmt(baseline.aggregate)},,")
-    out_path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {out_path} (aggregate NMSE {score.aggregate:.6g})")
+    args.out.write_text("\n".join(lines) + "\n")
+    print(f"wrote {args.out} (aggregate NMSE {score.aggregate:.6g})")
     return 0
 
 
@@ -264,7 +259,9 @@ def run_efficiency(cfg: bench.ExperimentConfig, sizes: list[int]) -> list[dict]:
     return records
 
 
-def cmd_efficiency(cfg: bench.ExperimentConfig, sizes: list[int], out_dir: Path) -> int:
+def cmd_efficiency(args) -> int:
+    cfg = _require_config(args)
+    sizes, out_dir = _parse_sizes(args.sizes), args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     records = run_efficiency(cfg, sizes)
     csv_path = out_dir / "efficiency.csv"
@@ -292,7 +289,6 @@ def cmd_efficiency(cfg: bench.ExperimentConfig, sizes: list[int], out_dir: Path)
         title=f"Median NMSE vs training size ({cfg.system})",
         xlabel="training set size",
         ylabel="median aggregate NMSE",
-        log_y=True,
     )
     _write_manifest(
         out_dir / "efficiency_manifest.json",
@@ -312,11 +308,11 @@ def cmd_efficiency(cfg: bench.ExperimentConfig, sizes: list[int], out_dir: Path)
 # ---------------------------------------------------------------------------
 
 
-def cmd_power(model_path: Path, domain: np.ndarray, samples: int, seed: int,
-              out_dir: Path) -> int:
-    model, constrained = modelio.load_model(model_path)
+def cmd_power(args) -> int:
+    domain, out_dir = _parse_domain(args.domain), args.out_dir
+    model, constrained = modelio.load_model(args.model)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sweep = passivity.passivity_sweep(model, domain, samples, seed=seed)
+    sweep = passivity.passivity_sweep(model, domain, args.samples, seed=args.seed)
 
     csv_path = out_dir / "power.csv"
     header = ",".join([f"qd_{i+1}" for i in range(model.n_dim)] + ["power"])
@@ -353,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="experiment config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("generate", help="write train/val/test dataset CSVs per seed")
+    p_gen = sub.add_parser("generate", help="write train/val/test dataset CSVs per seed")
+    p_gen.set_defaults(handler=cmd_generate)
 
     p_fit = sub.add_parser("fit", help="fit one estimator and report its passivity bound")
     p_fit.add_argument("train", type=Path)
@@ -367,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--free-hypervariances", action="store_true",
                        help="optimize all N^2 full-model hypervariances independently")
     p_fit.add_argument("--out", type=Path, required=True)
+    p_fit.set_defaults(handler=cmd_fit)
 
     p_eval = sub.add_parser("evaluate", help="metrics CSV for a fitted model")
     p_eval.add_argument("model", type=Path)
@@ -375,10 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--system", type=str, default=None,
                         help="recompute noise-free truth from this builtin system")
     p_eval.add_argument("--normalizer", type=float, default=1.0)
+    p_eval.set_defaults(handler=cmd_evaluate)
 
     p_eff = sub.add_parser("efficiency", help="data-efficiency curves over training sizes")
     p_eff.add_argument("--sizes", type=str, required=True,
                        help="ascending comma-separated training sizes")
+    p_eff.set_defaults(handler=cmd_efficiency)
 
     p_pow = sub.add_parser("power", help="dissipated-power sweep of a fitted model")
     p_pow.add_argument("model", type=Path)
@@ -386,40 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="box as lo:hi,lo:hi,... per dimension")
     p_pow.add_argument("--samples", type=int, default=10_000)
     p_pow.add_argument("--seed", type=int, default=0, help="seed of the sampled velocities")
+    p_pow.set_defaults(handler=cmd_power)
 
     return parser
 
 
-def _require_config(args) -> bench.ExperimentConfig:
-    if args.config is None:
-        raise InputError(f"{args.command} requires --config")
-    return bench.read_config(args.config)
-
-
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(_require_config(args), args.out_dir)
-    if args.command == "fit":
-        return cmd_fit(
-            args.train,
-            args.kind,
-            args.val,
-            _parse_floats(args.lengthscales),
-            args.noise_variance,
-            args.constrained,
-            args.budget,
-            args.free_hypervariances,
-            args.out,
-        )
-    if args.command == "evaluate":
-        return cmd_evaluate(args.model, args.test, args.out, args.system, args.normalizer)
-    if args.command == "efficiency":
-        return cmd_efficiency(_require_config(args), _parse_sizes(args.sizes), args.out_dir)
-    if args.command == "power":
-        return cmd_power(args.model, _parse_domain(args.domain), args.samples,
-                         args.seed, args.out_dir)
-    raise InputError(f"unknown command {args.command!r}")
+    return args.handler(args)
 
 
 def main(argv=None) -> int:

@@ -96,9 +96,6 @@ class _PerOutputKernel:
     def dim(self) -> int:
         return self.lengthscales.size
 
-    def __call__(self, x, xp) -> float:
-        return float(self.pairwise(np.atleast_2d(x), np.atleast_2d(xp))[0, 0])
-
     def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
         """Kernel matrix over all row pairs; ``corr`` is the shared
         ``se_correlation(lengthscales, X, X2)`` when the caller has it."""

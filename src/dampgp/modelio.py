@@ -83,8 +83,11 @@ def load_model(path) -> tuple[FittedModel, bool]:
         "train_torques",
     )
     for name in required_blocks:
-        if name not in blocks or not blocks[name]:
+        rows = blocks.get(name)
+        if not rows:
             raise ParseError(f"{path}: missing block [{name}]")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ParseError(f"{path}: block [{name}] has rows of unequal length")
 
     kind = meta["kind"]
     if kind not in models.KERNEL_TYPES:
@@ -100,9 +103,15 @@ def load_model(path) -> tuple[FittedModel, bool]:
         )
     constrained = meta["constrained"] == "true"
 
+    kernel_type = models.KERNEL_TYPES[kind]
+    vectors = ["lengthscales", "prior_mean"]
+    if kernel_type.hyp_ndim == 1:
+        vectors.append("hypervariances")
+    for name in vectors:
+        if len(blocks[name]) != 1:
+            raise ParseError(f"{path}: block [{name}] must be one row, found {len(blocks[name])}")
     ell = np.array(blocks["lengthscales"][0])
     prior = PriorMean(np.array(blocks["prior_mean"][0]))
-    kernel_type = models.KERNEL_TYPES[kind]
     hyp = np.array(blocks["hypervariances"])
     kernel = kernel_type(ell, hyp[0] if kernel_type.hyp_ndim == 1 else hyp)
 

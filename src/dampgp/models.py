@@ -137,13 +137,6 @@ class FittedModel:
         return self.train.n_dim
 
 
-def _prior_torque_matrix(kind: str, prior_mean: PriorMean, q: np.ndarray) -> np.ndarray:
-    """Prior torque means, one row per sample.  Zero for the baseline."""
-    if kind == "ard":
-        return np.zeros_like(q)
-    return q * prior_mean.coefficients
-
-
 def _correlation(corr, ell: np.ndarray, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """``se_correlation(ell, X, X2)``, or the caller's ``corr`` of that shape."""
     if corr is None:
@@ -185,7 +178,7 @@ def fit(
         raise InputError("the ard baseline is zero-mean; pass a zero prior mean")
 
     q = data.velocities
-    resid = data.torques - _prior_torque_matrix(kind, prior_mean, q)
+    resid = data.torques - prior_mean.torque(q)
     corr = _correlation(corr, kernel.lengthscales, q, q)
     solves = []
     for m in range(data.n_dim):
@@ -215,7 +208,7 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
         raise InputError(
             f"test velocities have dimension {qs.shape[1]}, expected {model.n_dim}"
         )
-    out = _prior_torque_matrix(model.kind, model.prior_mean, qs)
+    out = model.prior_mean.torque(qs)
     q_train = model.train.velocities
     output_kernels = [model.kernel.output_kernel(m) for m in range(model.n_dim)]
     step = max(1, len(qs) if corr is not None else _block_columns(len(q_train)))
@@ -272,7 +265,7 @@ class OptimizationResult:
 def _initial_hypervariances(kind: str, data: Dataset, prior_mean: PriorMean) -> np.ndarray:
     """Data-scale starting point: residual variance over velocity power."""
     q = data.velocities
-    resid = data.torques - _prior_torque_matrix(kind, prior_mean, q)
+    resid = data.torques - prior_mean.torque(q)
     rvar = np.maximum(np.var(resid, axis=0), 1e-12)
     if kind == "ard":
         return rvar

@@ -25,15 +25,11 @@ from .models import Dataset, FittedModel, PriorMean, predict_torque_batch
 
 @dataclass(frozen=True)
 class PassivityBound:
-    """The scalar bound factor c together with all of its constituents."""
+    """The scalar bound factor c, the grid it bounds and the prior mean."""
 
     c: float
-    d_count: int
-    inf_norm_velocities: float
-    residual_norm: float
     hypervariance_matrix: np.ndarray  # the N x N sigma_f^2 grid; need not be symmetric
     mean_coefficients: np.ndarray
-    noise_variance: float
     diagonal: bool  # True when built from an N-vector of hypervariances
 
 
@@ -56,14 +52,14 @@ def compute_bound(
     noise_variance: float,
     hypervariances,
 ) -> PassivityBound:
-    """Evaluate the bound factor and store everything entering it.
+    """Evaluate the bound factor for the grid of ``hypervariances``.
 
     c is the +inf sentinel (vacuously feasible) when either the velocity
     sup-norm or the stacked residual vanishes.
     """
     grid, diagonal = _grid(hypervariances)
     q = data.velocities
-    resid = data.torques - q * prior_mean.coefficients
+    resid = data.torques - prior_mean.torque(q)
     inf_norm = float(np.max(np.abs(q)))
     resid_norm = float(np.linalg.norm(resid.reshape(-1)))
     if inf_norm == 0.0 or resid_norm == 0.0:
@@ -72,12 +68,8 @@ def compute_bound(
         c = noise_variance / (math.sqrt(data.n_samples) * inf_norm * resid_norm)
     return PassivityBound(
         c=c,
-        d_count=data.n_samples,
-        inf_norm_velocities=inf_norm,
-        residual_norm=resid_norm,
         hypervariance_matrix=grid,
         mean_coefficients=prior_mean.coefficients.copy(),
-        noise_variance=float(noise_variance),
         diagonal=diagonal,
     )
 
@@ -191,7 +183,6 @@ class SweepResult:
     violation_count: int
     points: np.ndarray  # every evaluated point
     powers: np.ndarray  # dissipated power per point
-    threshold: float
 
 
 def passivity_sweep(
@@ -227,11 +218,9 @@ def passivity_sweep(
     torques = predict_torque_batch(model, points)
     powers = np.sum(points * torques, axis=1)
     scale = max(1.0, float(np.max(np.abs(powers))))
-    threshold = -1e-9 * scale
     return SweepResult(
         min_power=float(np.min(powers)),
-        violation_count=int(np.count_nonzero(powers < threshold)),
+        violation_count=int(np.count_nonzero(powers < -1e-9 * scale)),
         points=points,
         powers=powers,
-        threshold=threshold,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -22,14 +23,13 @@ class TestBuiltinSystems:
 
     def test_linear1_torque(self):
         system = bench.get_system("linear1")
-        assert system.torque(np.array([3.0]))[0] == pytest.approx(6.0, rel=1e-15)
+        assert system.torque_batch(np.array([[3.0]]))[0, 0] == pytest.approx(6.0, rel=1e-15)
 
     def test_damping_psd_on_random_sweep(self):
         rng = np.random.default_rng(0)
         for system in map(bench.get_system, SYSTEM_IDS):
             lo, hi = system.domain[:, 0], system.domain[:, 1]
-            for q in rng.uniform(lo, hi, size=(200, system.n_dim)):
-                d = system.damping(q)
+            for d in system.damping_batch(rng.uniform(lo, hi, size=(200, system.n_dim))):
                 assert np.linalg.eigvalsh(0.5 * (d + d.T))[0] >= -1e-10 * np.trace(d)
 
     def test_ground_truth_power_nonnegative(self):
@@ -42,27 +42,21 @@ class TestBuiltinSystems:
 
     def test_diag3_hand_value(self):
         system = bench.get_system("diag3")
-        d = system.damping(np.array([10.0, -4.0, 2.0]))
+        d = system.damping_batch(np.array([[10.0, -4.0, 2.0]]))[0]
         assert d[0, 0] == pytest.approx(1.0 + 0.004 * 100.0, rel=1e-15)
         assert d[1, 1] == pytest.approx(1.5 + 0.05 * 4.0, rel=1e-15)
         assert d[2, 2] == pytest.approx(2.0 + 0.5 * math.tanh(2.0) ** 2, rel=1e-14)
 
     def test_psd_sweep_rejects_bad_system(self):
         with pytest.raises(InputError, match="not PSD"):
-            bench.make_system(
-                "bad", "diagonal", lambda Q: np.full((len(Q), 1, 1), -1.0), [[-1.0, 1.0]],
-                "indefinite", [1.0],
-            )
+            bench.make_system("bad", lambda Q: np.full((len(Q), 1, 1), -1.0), [[-1.0, 1.0]], [1.0])
 
     def test_psd_sweep_names_the_first_failing_point(self):
         # reference: the sweep's points in order, checked one at a time
         pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(bench.PSD_SWEEP_POINTS, 1))
         first_bad = next(q for q in pts if q[0] < 0)
         with pytest.raises(InputError, match=re.escape(f"not PSD at {first_bad}")):
-            bench.make_system(
-                "half", "diagonal", lambda Q: Q[:, :, None], [[-1.0, 1.0]],
-                "indefinite on half the domain", [1.0],
-            )
+            bench.make_system("half", lambda Q: Q[:, :, None], [[-1.0, 1.0]], [1.0])
 
     @pytest.mark.parametrize("field", [
         lambda Q: np.array([[2.0]]),  # one matrix, not one per row
@@ -73,7 +67,7 @@ class TestBuiltinSystems:
         with pytest.raises(InputError, match=re.escape(
                 f"for velocities of shape ({bench.PSD_SWEEP_BLOCK}, 1); "
                 f"expected ({bench.PSD_SWEEP_BLOCK}, 1, 1)")):
-            bench.make_system("odd", "diagonal", field, [[-1.0, 1.0]], "misshaped", [1.0])
+            bench.make_system("odd", field, [[-1.0, 1.0]], [1.0])
 
     @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 1, 1)])
     def test_wrong_velocity_width_rejected(self, shape):
@@ -137,9 +131,9 @@ class TestBatchedFields:
     def test_torque_batch_matches_row_wise_torque(self, system_id):
         system = bench.get_system(system_id)
         Q = _oracle_points(system)
-        rows = np.stack([system.damping(q) @ q for q in Q])
+        rows = np.stack([system.damping_batch(q[None, :])[0] @ q for q in Q])
         assert np.array_equal(system.torque_batch(Q), rows)
-        assert np.array_equal(system.torque(Q[-1]), rows[-1])
+        assert np.array_equal(system.torque_batch(Q[-1:])[0], rows[-1])
 
 
 class TestSampleTrajectory:
@@ -202,6 +196,13 @@ class TestGenerateDataset:
         with pytest.raises(InputError):
             bench.generate_dataset(system, np.array([[1.0]]), -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, bad):
+        # nan compares false both ways, so it must not pass as noise-free
+        system = bench.get_system("linear1")
+        with pytest.raises(InputError, match="noise_std must be finite"):
+            bench.generate_dataset(system, np.array([[1.0]]), bad)
+
 
 class TestAdversarialDataset:
     def test_shape_and_determinism(self):
@@ -248,12 +249,12 @@ class TestNmse:
 
 class TestRelativeError:
     def test_hand_example(self):
+        # errors (pred - truth) / 2 = [[0.5, 1.0], [1.5, 1.0]]
         res = bench.relative_error(
-            np.array([[1.0, 3.0]]), np.array([[0.0, 1.0]]), 2.0
+            np.array([[1.0, 3.0], [3.0, 3.0]]), np.array([[0.0, 1.0], [0.0, 1.0]]), 2.0
         )
-        assert np.allclose(res.errors, [[0.5, 1.0]])
-        assert np.allclose(res.mean, [0.5, 1.0])
-        assert np.allclose(res.variance, [0.0, 0.0])
+        assert np.allclose(res.mean, [1.0, 1.0])
+        assert np.allclose(res.variance, [0.25, 0.0])
 
     def test_bad_normalizer(self):
         with pytest.raises(InputError):
@@ -367,6 +368,47 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("just a line\n")
         with pytest.raises(ParseError):
+            bench.read_config(path)
+
+    def test_parsers_cover_the_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
+        assert set(bench._CONFIG_PARSERS) == fields
+
+    def test_every_key_parses(self, tmp_path):
+        samples = {
+            "system": ("linear1", "linear1"),
+            "train_sizes": ("3, 4", (3, 4)),
+            "val_size": ("11", 11),
+            "test_size": ("12", 12),
+            "noise_std": ("0.25", 0.25),
+            "seeds": ("5", (5,)),
+            "kinds": ("ard,full", ("ard", "full")),
+            "lengthscales": ("2.5", (2.5,)),
+            "noise_variance": ("3", 3.0),
+            "constrained": ("false", False),
+            "budget": ("9", 9),
+        }
+        assert set(samples) == set(bench._CONFIG_PARSERS)
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{key} = {text}\n" for key, (text, _) in samples.items()))
+        cfg = bench.read_config(path)
+        for key, (_, value) in samples.items():
+            assert getattr(cfg, key) == value, key
+            assert type(getattr(cfg, key)) is type(value), key
+
+    @pytest.mark.parametrize("key,text", [("val_size", "1.5"), ("test_size", "x"),
+                                          ("constrained", "yes")])
+    def test_bad_value_rejected(self, tmp_path, key, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        with pytest.raises(ParseError, match=re.escape(f"bad value for {key!r}")):
+            bench.read_config(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_std_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"noise_std = {text}\n")
+        with pytest.raises(InputError, match="noise_std must be finite"):
             bench.read_config(path)
 
     def test_invalid_sizes_rejected(self):

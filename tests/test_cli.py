@@ -80,6 +80,16 @@ class TestGenerate:
     def test_missing_config_exit_code(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "generate") == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_std_exit_code(self, tmp_path, value, capsys):
+        # nan used to pass both sign checks and write noise-free data
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(SMALL_CFG.replace("noise_std = 0.5", f"noise_std = {value}"))
+        out = tmp_path / "data"
+        assert run_cli("--config", cfg, "--out-dir", out, "generate") == cli.EXIT_INPUT
+        assert "noise_std must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("key, command", [
     ("seeds", ["efficiency", "--sizes", "10"]),
@@ -430,6 +440,55 @@ class TestModelIo:
         with pytest.raises(ParseError, match="model file"):
             modelio.load_model(path)
 
+    @staticmethod
+    def _add_row(path, block, row):
+        """Append ``row`` to the end of ``[block]`` in a saved model file."""
+        lines = path.read_text().splitlines()
+        start = lines.index(f"[{block}]")
+        end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+                   len(lines))
+        path.write_text("\n".join(lines[:end] + [row] + lines[end:]) + "\n")
+
+    @pytest.mark.parametrize("kind, block", [
+        ("diag", "lengthscales"),
+        ("full", "lengthscales"),
+        ("diag", "prior_mean"),
+        ("diag", "hypervariances"),
+        ("ard", "hypervariances"),
+    ])
+    def test_extra_row_in_vector_block_rejected(self, tmp_path, kind, block):
+        model = self._model(kind, np.random.default_rng(5))
+        path = tmp_path / "m.model"
+        modelio.save_model(path, model)
+        self._add_row(path, block, "0.5 0.5")
+        with pytest.raises(ParseError, match=re.escape(f"[{block}] must be one row, found 2")):
+            modelio.load_model(path)
+
+    def test_ragged_block_rejected(self, tmp_path):
+        model = self._model("full", np.random.default_rng(6))
+        path = tmp_path / "m.model"
+        modelio.save_model(path, model)
+        text = path.read_text()
+        head, rows = text.split("[train_velocities]\n")
+        first, rest = rows.split("\n", 1)
+        path.write_text(f"{head}[train_velocities]\n{first} 0.5\n{rest}")
+        with pytest.raises(ParseError, match=re.escape("[train_velocities] has rows of unequal")):
+            modelio.load_model(path)
+
+    @pytest.mark.parametrize("block, row", [("train_velocities", "0.5 0.5 0.5"),
+                                            ("lengthscales", "1 1")])
+    def test_malformed_block_evaluate_exit_code(self, tmp_path, block, row, capsys):
+        model = self._model("diag", np.random.default_rng(7))
+        path = tmp_path / "m.model"
+        modelio.save_model(path, model)
+        self._add_row(path, block, row)
+        test = tmp_path / "test.csv"
+        bench.write_dataset(test, Dataset(np.ones((3, 2)), np.ones((3, 2))))
+        out = tmp_path / "metrics.csv"
+        assert run_cli("evaluate", path, test, "--out", out) == cli.EXIT_INPUT
+        assert f"[{block}]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_block(self, tmp_path):
         model = self._model("diag", np.random.default_rng(3))
         path = tmp_path / "m.model"
@@ -446,11 +505,12 @@ class TestCharts:
         charts.line_chart(
             path,
             {"alpha": [(1, 1.0), (2, 0.5)], "beta": [(1, 2.0), (2, 0.25)]},
-            title="t", xlabel="x", ylabel="y", log_y=True,
+            title="t", xlabel="x", ylabel="y",
         )
         svg = path.read_text()
         ET.fromstring(svg)
         assert "alpha" in svg and "beta" in svg
+        assert ">y (log10)</text>" in svg
         assert svg.count("<polyline") == 2
 
     def test_histogram_min_bins(self, tmp_path):

@@ -180,13 +180,18 @@ class TestMatrixKernelSymmetry:
             assert np.allclose(k(a, b), k(b, a).T, atol=1e-14)
 
 
+def entry(kernel, a, b) -> float:
+    """One kernel value: the single entry of ``pairwise`` on one row each."""
+    return float(kernel.pairwise(a[None, :], b[None, :])[0, 0])
+
+
 class TestPerOutputScalarKernel:
     def test_diag_unit_vector(self):
         k = DiagTorqueKernel(np.ones(3), np.array([2.0, 1.0, 1.0]))
         km = k.output_kernel(0)
         e1 = np.zeros(3)
         e1[0] = 1.0
-        assert km(e1, e1) == pytest.approx(2.0, rel=1e-14)
+        assert entry(km, e1, e1) == pytest.approx(2.0, rel=1e-14)
 
     def test_matches_matrix_entry_random_pairs(self):
         rng = np.random.default_rng(6)
@@ -199,14 +204,14 @@ class TestPerOutputScalarKernel:
                 K = kernel(a, b)
                 for m in range(3):
                     # only summation order differs between the two paths
-                    assert closures[m](a, b) == pytest.approx(K[m, m], rel=1e-13, abs=1e-300)
+                    assert entry(closures[m], a, b) == pytest.approx(K[m, m], rel=1e-13, abs=1e-300)
 
     def test_one_dimensional_reduction(self):
         k = FullTorqueKernel(np.array([1.0]), np.array([[1.7]]))
         km = k.output_kernel(0)
         base = SeArdKernel(np.array([1.0]), 1.0)
         a, b = np.array([0.4]), np.array([-1.1])
-        assert km(a, b) == pytest.approx(a[0] * b[0] * 1.7 * base(a, b), rel=1e-13)
+        assert entry(km, a, b) == pytest.approx(a[0] * b[0] * 1.7 * base(a, b), rel=1e-13)
 
     @pytest.mark.parametrize("kind", KERNEL_MAKERS)
     @pytest.mark.parametrize("same_inputs", [True, False])

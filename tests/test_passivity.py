@@ -23,8 +23,13 @@ class TestComputeBound:
         data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
         bound = compute_bound(data, PriorMean(np.array([1.0])), 1.0, np.array([1.0]))
         assert bound.c == pytest.approx(1.0, rel=1e-15)
-        assert bound.inf_norm_velocities == 1.0
-        assert bound.residual_norm == 1.0
+        assert np.array_equal(bound.mean_coefficients, [1.0])
+        assert bound.diagonal
+        # doubling the residual or the velocity scale halves c
+        data2 = Dataset(np.array([[1.0]]), np.array([[3.0]]))
+        assert compute_bound(data2, PriorMean(np.array([1.0])), 1.0, np.array([1.0])).c == 0.5
+        data3 = Dataset(np.array([[2.0]]), np.array([[3.0]]))
+        assert compute_bound(data3, PriorMean(np.array([1.0])), 1.0, np.array([1.0])).c == 0.5
 
     def test_c_scales_linearly_with_noise(self):
         rng = np.random.default_rng(0)
@@ -91,12 +96,8 @@ def bound_with_c(c, m_d, hyp):
     grid, diagonal = passivity._grid(hyp)
     return passivity.PassivityBound(
         c=c,
-        d_count=1,
-        inf_norm_velocities=1.0,
-        residual_norm=1.0 if math.isfinite(c) else 0.0,
         hypervariance_matrix=grid,
         mean_coefficients=np.asarray(m_d, dtype=float),
-        noise_variance=c if math.isfinite(c) else 1.0,
         diagonal=diagonal,
     )
 
@@ -184,15 +185,13 @@ class TestEnforceBound:
         with pytest.raises(TypeError):
             enforce_bound(bound, mode="raise_noise")
 
-    def test_result_keeps_c_and_noise_variance(self):
-        # only the grid is scaled; every other constituent of the bound stays
+    def test_result_keeps_c_and_prior_mean(self):
+        # only the grid is scaled; c, the prior mean and the layout stay
         rng = np.random.default_rng(14)
         for layout in ("diag", "sym", "full"):
-            _, _, bound = random_bound(rng, layout)
+            *_, bound = random_bound(rng, layout)
             res = enforce_bound(bound)
             assert res.bound.c == bound.c
-            assert res.bound.noise_variance == bound.noise_variance
-            assert res.bound.d_count == bound.d_count
             assert np.array_equal(res.bound.mean_coefficients, bound.mean_coefficients)
             assert res.bound.diagonal == bound.diagonal
 
@@ -236,7 +235,8 @@ def bisection_oracle(bound):
 
 
 def random_bound(rng, layout, n=None, d=None):
-    """compute_bound on a random dataset, with the data returned for rebuilding.
+    """compute_bound on a random dataset, with the data, prior and noise
+    variance returned for rebuilding.
 
     layout: "diag" (N-vector), "sym" (symmetric N x N grid) or "full"
     (independent, generally non-symmetric N x N grid).
@@ -253,7 +253,7 @@ def random_bound(rng, layout, n=None, d=None):
         if layout == "sym":
             hyp = 0.5 * (hyp + hyp.T)
     nv = float(10.0 ** rng.uniform(-2.0, 2.0))
-    return data, prior, compute_bound(data, prior, nv, hyp)
+    return data, prior, nv, compute_bound(data, prior, nv, hyp)
 
 
 class TestSymmetricPartCondition:
@@ -317,7 +317,7 @@ class TestClosedFormProjection:
         rng = np.random.default_rng(12)
         projected = 0
         for _ in range(60):
-            _, _, bound = random_bound(rng, layout)
+            *_, bound = random_bound(rng, layout)
             want = bisection_oracle(bound)
             assert enforce_bound(bound).alpha == pytest.approx(want, rel=1e-9)
             projected += want != 1.0
@@ -330,9 +330,9 @@ class TestClosedFormProjection:
         rng = np.random.default_rng(13)
         check = check_bound_diag if layout == "diag" else check_bound_full
         for _ in range(1000):
-            data, prior, bound = random_bound(rng, layout, d=int(rng.integers(2, 8)))
+            data, prior, nv, bound = random_bound(rng, layout, d=int(rng.integers(2, 8)))
             res = enforce_bound(bound)
-            rebuilt = compute_bound(data, prior, bound.noise_variance, res.hypervariances)
+            rebuilt = compute_bound(data, prior, nv, res.hypervariances)
             assert np.array_equal(rebuilt.hypervariance_matrix, res.bound.hypervariance_matrix)
             assert rebuilt.c == res.bound.c
             assert check(rebuilt).feasible
