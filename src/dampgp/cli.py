@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__, bench, charts, modelio, models, passivity
 from .bench import _fmt, _fmt_rows
 from .errors import DampGpError, InfeasibilityError, InputError, NumericalError
-from .models import PriorMean, fit_prior_mean
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -84,10 +83,13 @@ def _require_config(args) -> bench.ExperimentConfig:
 
 def cmd_generate(args) -> int:
     cfg = _require_config(args)
+    if len(cfg.train_sizes) != 1:
+        sizes = ",".join(map(str, cfg.train_sizes))
+        raise InputError(f"generate writes one training size, got train_sizes = {sizes}")
+    (train_size,) = cfg.train_sizes
     out_dir = args.out_dir
     system = bench.get_system(cfg.system)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_size = cfg.train_sizes[0]
     files = []
     for seed in cfg.seeds:
         splits = {
@@ -123,38 +125,28 @@ def cmd_fit(args) -> int:
     lengthscales = _parse_floats(args.lengthscales)
     kind, noise_variance, constrained = args.kind, args.noise_variance, args.constrained
     train = bench.read_dataset(args.train)
-    val = bench.read_dataset(args.val)
-    if len(lengthscales) != train.n_dim:
-        raise InputError(
-            f"got {len(lengthscales)} lengthscales for {train.n_dim}-dimensional data"
-        )
-    prior = PriorMean.zero(train.n_dim) if kind == "ard" else fit_prior_mean(train)
     result = models.optimize_hypervariances(
         kind,
         train,
-        val,
+        bench.read_dataset(args.val),
         lengthscales,
         noise_variance,
         constrained=constrained,
         budget=args.budget,
         tie_full=not args.free_hypervariances,
-        prior_mean=prior,
     )
-    model = models.fit(kind, result.kernel, prior, train, noise_variance)
+    model = result.model
     modelio.save_model(args.out, model, constrained=constrained)
     print(f"wrote {args.out} (kind={kind}, val_mse={result.val_mse:.6g}, "
           f"evaluations={result.n_evaluations})")
     if kind == "ard":
         print("passivity bound: n/a for the unstructured baseline")
         return 0
-    bound = passivity.compute_bound(train, prior, noise_variance, model.kernel.hypervariances)
-    if kind == "diag":
-        chk = passivity.check_bound_diag(bound)
-        margin = float(np.min(chk.per_dim_margins))
-    else:
-        chk = passivity.check_bound_full(bound)
-        margin = chk.margin
-    print(f"passivity bound: c={bound.c:.6g} feasible={chk.feasible} margin={margin:.6g}")
+    bound = passivity.compute_bound(
+        train, model.prior_mean, noise_variance, model.kernel.hypervariances
+    )
+    chk = passivity.check_bound(bound)
+    print(f"passivity bound: c={bound.c:.6g} feasible={chk.feasible} margin={chk.margin:.6g}")
     return 0
 
 
@@ -230,9 +222,6 @@ def run_efficiency(cfg: bench.ExperimentConfig, sizes: list[int]) -> list[dict]:
                 seed=_sub_seed(seed, 200 + size),
             )
             for kind in cfg.kinds:
-                prior = (
-                    PriorMean.zero(train.n_dim) if kind == "ard" else fit_prior_mean(train)
-                )
                 opt = models.optimize_hypervariances(
                     kind,
                     train,
@@ -241,10 +230,8 @@ def run_efficiency(cfg: bench.ExperimentConfig, sizes: list[int]) -> list[dict]:
                     cfg.noise_variance,
                     constrained=cfg.constrained and kind != "ard",
                     budget=cfg.budget,
-                    prior_mean=prior,
                 )
-                model = models.fit(kind, opt.kernel, prior, train, cfg.noise_variance)
-                pred = models.predict_torque_batch(model, test_vel)
+                pred = models.predict_torque_batch(opt.model, test_vel)
                 score = bench.nmse(pred, truth)
                 for n in range(train.n_dim):
                     records.append(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp_core
-from .errors import InputError, UnsupportedModelError
+from .errors import InputError, NumericalError, UnsupportedModelError
 from .kernels import (
     DiagTorqueKernel,
     FullTorqueKernel,
@@ -149,7 +149,7 @@ def _correlation(corr, ell: np.ndarray, X: np.ndarray, X2: np.ndarray) -> np.nda
 def fit(
     kind: str,
     kernel,
-    prior_mean: PriorMean | None,
+    prior_mean: PriorMean,
     data: Dataset,
     noise_variance: float,
     *,
@@ -170,8 +170,6 @@ def fit(
         raise InputError(
             f"kernel dimension {kernel.dim} does not match data dimension {data.n_dim}"
         )
-    if prior_mean is None:
-        prior_mean = PriorMean.zero(data.n_dim)
     if prior_mean.coefficients.size != data.n_dim:
         raise InputError("prior mean dimension mismatch")
     if kind == "ard" and np.any(prior_mean.coefficients != 0):
@@ -257,9 +255,15 @@ def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    kernel: object
+    """The search's best candidate, fitted on the training data, and its score."""
+
+    model: FittedModel
     val_mse: float
     n_evaluations: int
+
+    @property
+    def kernel(self):
+        return self.model.kernel
 
 
 def _initial_hypervariances(kind: str, data: Dataset, prior_mean: PriorMean) -> np.ndarray:
@@ -296,10 +300,11 @@ def optimize_hypervariances(
     for fixed inputs and budget (one budget unit = one fit + validation pass;
     both reuse SE correlations that the search computes once).
     When ``constrained`` is set every candidate is projected onto the feasible
-    set of the passivity bound before evaluation, so the returned kernel is
+    set of the passivity bound before evaluation, so the returned model is
     always feasible; the ard baseline has no bound, so it cannot be
     constrained.  For the full kind with ``tie_full`` the N^2 grid is tied
     to a row-scale times column-scale pattern to keep the search space small.
+    The prior mean defaults to zero for ard and ``fit_prior_mean`` otherwise.
     """
     from . import passivity  # local import to avoid a module cycle
 
@@ -313,6 +318,8 @@ def optimize_hypervariances(
     if constrained and kind == "ard":
         raise InputError("the ard baseline has no passivity bound to constrain")
     n = data_train.n_dim
+    if np.size(lengthscales) != n:
+        raise InputError(f"got {np.size(lengthscales)} lengthscales for {n}-dimensional data")
 
     if prior_mean is None:
         prior_mean = (
@@ -331,26 +338,22 @@ def optimize_hypervariances(
         # theta = (row log-scales, column log-scales); hyp = exp(r_m + c_n)
         row0 = 0.5 * np.log(np.maximum(init.mean(axis=1), 1e-300))
         col0 = 0.5 * np.log(np.maximum(init.mean(axis=0), 1e-300))
-        theta0 = np.concatenate([row0, col0])
+        theta = np.concatenate([row0, col0])
     else:
-        theta0 = np.log(np.maximum(init.reshape(-1), 1e-300))
-
-    def to_hyp(theta: np.ndarray) -> np.ndarray:
-        if tied:
-            return np.exp(theta[:n, None] + theta[n:][None, :])
-        if kind == "full":
-            return np.exp(theta).reshape(n, n)
-        return np.exp(theta)
+        theta = np.log(np.maximum(init.reshape(-1), 1e-300))
 
     evals = 0
-    best: dict = {"mse": np.inf, "hyp": None}
+    best: dict = {"mse": np.inf, "model": None}
 
-    def evaluate(theta: np.ndarray) -> float:
+    def evaluate(i: int, x: float) -> float:
+        """Validation MSE of ``theta`` with coordinate ``i`` set to ``x``."""
         nonlocal evals
         if evals >= budget:
             return np.inf
         evals += 1
-        hyp = to_hyp(theta)
+        t = theta.copy()
+        t[i] = x
+        hyp = np.exp(t[:n, None] + t[n:][None, :]) if tied else np.exp(t).reshape(init.shape)
         if constrained:
             bound = passivity.compute_bound(data_train, prior_mean, noise_variance, hyp)
             hyp = passivity.enforce_bound(bound).hypervariances
@@ -360,11 +363,10 @@ def optimize_hypervariances(
         mse = float(np.mean((pred - data_val.torques) ** 2))
         if mse < best["mse"]:
             best["mse"] = mse
-            best["hyp"] = hyp
+            best["model"] = model
         return mse
 
-    theta = theta0.copy()
-    f_theta = evaluate(theta)
+    f_theta = evaluate(0, theta[0])
     span = 2.0  # half-width of the log-space search bracket
     while evals < budget:
         improved_any = False
@@ -374,26 +376,19 @@ def optimize_hypervariances(
             lo, hi = theta[i] - span, theta[i] + span
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
-            t1, t2 = theta.copy(), theta.copy()
-            t1[i], t2[i] = x1, x2
-            f1, f2 = evaluate(t1), evaluate(t2)
+            f1, f2 = evaluate(i, x1), evaluate(i, x2)
             for _ in range(4):
                 if evals >= budget:
                     break
                 if f1 <= f2:
                     hi, x2, f2 = x2, x1, f1
                     x1 = hi - _GOLDEN * (hi - lo)
-                    t1 = theta.copy()
-                    t1[i] = x1
-                    f1 = evaluate(t1)
+                    f1 = evaluate(i, x1)
                 else:
                     lo, x1, f1 = x1, x2, f2
                     x2 = lo + _GOLDEN * (hi - lo)
-                    t2 = theta.copy()
-                    t2[i] = x2
-                    f2 = evaluate(t2)
-            candidates = [(f1, x1), (f2, x2)]
-            f_best_i, x_best_i = min(candidates, key=lambda t: t[0])
+                    f2 = evaluate(i, x2)
+            f_best_i, x_best_i = min((f1, x1), (f2, x2), key=lambda t: t[0])
             if f_best_i < f_theta:
                 theta[i] = x_best_i
                 f_theta = f_best_i
@@ -402,8 +397,6 @@ def optimize_hypervariances(
         if not improved_any and span < 1e-3:
             break
 
-    return OptimizationResult(
-        kernel=KERNEL_TYPES[kind](ell, best["hyp"]),
-        val_mse=best["mse"],
-        n_evaluations=evals,
-    )
+    if best["model"] is None:
+        raise NumericalError("no candidate has a finite validation MSE")
+    return OptimizationResult(model=best["model"], val_mse=best["mse"], n_evaluations=evals)

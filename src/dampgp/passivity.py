@@ -75,40 +75,41 @@ def compute_bound(
 
 
 @dataclass(frozen=True)
-class FullCheck:
+class BoundCheck:
     feasible: bool
-    margin: float  # min eigenvalue of the symmetric part of c*diag(m_d) - grid
-
-
-@dataclass(frozen=True)
-class DiagCheck:
-    feasible: bool
-    per_dim_margins: np.ndarray  # c*m_d_n - sigma_f_n^2
+    # min eigenvalue of the symmetric part of c*diag(m_d) - grid (full),
+    # or min_n c*m_d_n - sigma_f_n^2 (diagonal)
+    margin: float
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def check_bound_full(bound: PassivityBound) -> FullCheck:
+def check_bound_full(bound: PassivityBound) -> BoundCheck:
     """PSD test of sym(c*diag(m_d) - grid) (the full-model sufficient condition)."""
     if math.isinf(bound.c):
-        return FullCheck(feasible=True, margin=math.inf)
+        return BoundCheck(feasible=True, margin=math.inf)
     residual = bound.c * np.diag(bound.mean_coefficients) - _sym(bound.hypervariance_matrix)
     min_eig = float(np.linalg.eigvalsh(residual)[0])
     tol = 1e-12 * abs(float(np.trace(residual)))
-    return FullCheck(feasible=min_eig >= -tol, margin=min_eig)
+    return BoundCheck(feasible=min_eig >= -tol, margin=min_eig)
 
 
-def check_bound_diag(bound: PassivityBound) -> DiagCheck:
+def check_bound_diag(bound: PassivityBound) -> BoundCheck:
     """Per-dimension test sigma_f_n^2 <= c * m_d_n (the diagonal condition)."""
     if not bound.diagonal:
         raise InputError("check_bound_diag requires a bound built from an N-vector")
-    hyp = np.diag(bound.hypervariance_matrix)
     if math.isinf(bound.c):
-        return DiagCheck(feasible=True, per_dim_margins=np.full(hyp.size, math.inf))
+        return BoundCheck(feasible=True, margin=math.inf)
+    hyp = np.diag(bound.hypervariance_matrix)
     limits = bound.c * bound.mean_coefficients
-    return DiagCheck(feasible=bool(np.all(hyp <= limits)), per_dim_margins=limits - hyp)
+    return BoundCheck(feasible=bool(np.all(hyp <= limits)), margin=float(np.min(limits - hyp)))
+
+
+def check_bound(bound: PassivityBound) -> BoundCheck:
+    """The diagonal condition for a bound built from an N-vector, else the full one."""
+    return check_bound_diag(bound) if bound.diagonal else check_bound_full(bound)
 
 
 def _critical_c(bound: PassivityBound) -> float:
@@ -169,9 +170,8 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
             "no positive hypervariance scale is feasible "
             "(prior mean too small for the data residual)"
         )
-    check = check_bound_diag if bound.diagonal else check_bound_full
     result = _result(bound, alpha)
-    while not check(result.bound).feasible:
+    while not check_bound(result.bound).feasible:
         alpha = np.nextafter(alpha, 0.0)
         result = _result(bound, alpha)
     return result

@@ -77,6 +77,14 @@ class TestGenerate:
         code = run_cli("--config", bad, "--out-dir", tmp_path, "generate")
         assert code == cli.EXIT_INPUT
 
+    def test_several_train_sizes_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "sizes.cfg"
+        cfg.write_text(SMALL_CFG.replace("train_sizes = 20", "train_sizes = 10,30"))
+        out = tmp_path / "data"
+        assert run_cli("--config", cfg, "--out-dir", out, "generate") == cli.EXIT_INPUT
+        assert "train_sizes = 10,30" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "generate") == cli.EXIT_INPUT
 
@@ -172,13 +180,23 @@ class TestFit:
         run_cli(*args, "--out", p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_wrong_lengthscale_count(self, tmp_path, cfg_path):
-        train, val, _ = self._generated(tmp_path, cfg_path)
-        code = run_cli(
-            "fit", train, "--kind", "diag", "--val", val,
-            "--lengthscales", "12,12", "--budget", "3", "--out", tmp_path / "m.model",
-        )
-        assert code == cli.EXIT_INPUT
+    @pytest.mark.parametrize("command", ["fit", "efficiency"])
+    def test_wrong_lengthscale_count(self, tmp_path, command, capsys):
+        # both commands reach the count check inside the hypervariance search
+        cfg = tmp_path / "full3.cfg"
+        cfg.write_text("system = full3\ntrain_sizes = 12\nval_size = 8\ntest_size = 4\n"
+                       "seeds = 0\nkinds = diag\nlengthscales = 1,2\nbudget = 3\n")
+        if command == "fit":
+            out = tmp_path / "data"
+            assert run_cli("--config", cfg, "--out-dir", out, "generate") == 0
+            argv = ["fit", out / "seed0_train.csv", "--kind", "diag",
+                    "--val", out / "seed0_val.csv", "--lengthscales", "1,2",
+                    "--budget", "3", "--out", tmp_path / "m.model"]
+        else:
+            argv = ["--config", cfg, "--out-dir", tmp_path / "eff", "efficiency", "--sizes", "10"]
+        capsys.readouterr()
+        assert run_cli(*argv) == cli.EXIT_INPUT
+        assert "got 2 lengthscales for 3-dimensional data" in capsys.readouterr().err
 
     def test_missing_train_file(self, tmp_path):
         code = run_cli(

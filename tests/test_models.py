@@ -9,7 +9,7 @@ import pytest
 
 import dampgp
 from dampgp import bench, gp_core, models, passivity
-from dampgp.errors import InputError, UnsupportedModelError
+from dampgp.errors import InputError, NumericalError, UnsupportedModelError
 from dampgp.kernels import (
     DiagTorqueKernel,
     FullTorqueKernel,
@@ -450,6 +450,12 @@ class TestOptimizeHypervariances:
                 np.ones(2), 0.5, budget=5, prior_mean=prior,
             )
 
+    def test_no_finite_validation_mse_raises_numerical_error(self):
+        q = np.random.default_rng(21).uniform(-1.0, 1.0, (10, 2))
+        val = Dataset(q, np.full((10, 2), 1e200))  # every squared error overflows
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="finite"):
+            models.optimize_hypervariances("diag", Dataset(q, q), val, np.ones(2), 1.0, budget=3)
+
     @pytest.mark.parametrize("kind, tie_full, constrained", [
         ("ard", True, False),
         ("diag", True, False),
@@ -499,4 +505,7 @@ class TestOptimizeHypervariances:
         assert np.array_equal(shared.kernel.hypervariances, ref.kernel.hypervariances)
         assert shared.val_mse == ref.val_mse
         for a, b in zip(shared_model.residual_solves, ref_model.residual_solves, strict=True):
+            assert np.array_equal(a, b)
+        # the returned model is the search's own fit, bit for bit its refit
+        for a, b in zip(shared.model.residual_solves, shared_model.residual_solves, strict=True):
             assert np.array_equal(a, b)

@@ -9,6 +9,7 @@ from dampgp.errors import InfeasibilityError, InputError
 from dampgp.kernels import DiagTorqueKernel, FullTorqueKernel
 from dampgp.models import Dataset, PriorMean, fit, fit_prior_mean
 from dampgp.passivity import (
+    check_bound,
     check_bound_diag,
     check_bound_full,
     compute_bound,
@@ -126,15 +127,15 @@ class TestCheckBound:
         bound = bound_with_c(2.0, [1.0, 3.0], np.array([1.0, 4.0]))
         check = check_bound_diag(bound)
         assert check.feasible
-        assert np.allclose(check.per_dim_margins, [1.0, 2.0])  # c*m_d - sigma_f^2
+        assert check.margin == pytest.approx(1.0)  # min_n c*m_d_n - sigma_f_n^2
 
     def test_grid_below_one_checked_on_itself(self):
         # sigma_f^2 = 0.4 <= c*m_d = 0.5 although sigma_f = 0.63 exceeds it
         bound = bound_with_c(0.5, [1.0], np.array([0.4]))
-        check = check_bound_diag(bound)
+        check = check_bound(bound)
         assert check.feasible
-        assert check.per_dim_margins[0] == pytest.approx(0.1, rel=1e-12)
-        assert check_bound_full(bound_with_c(0.5, [1.0], np.array([[0.4]]))).feasible
+        assert check.margin == pytest.approx(0.1, rel=1e-12)
+        assert check_bound(bound_with_c(0.5, [1.0], np.array([[0.4]]))).feasible
         assert enforce_bound(bound).alpha == 1.0
 
     def test_diag_check_rejects_matrix_bound(self):
