@@ -73,8 +73,11 @@ def _psd_construction_sweep(system: GroundTruthSystem) -> None:
     """Reject systems whose damping field is not PSD across the domain.
 
     The points are checked in blocks, one field call and one batched
-    ``eigvalsh`` each, so the sweep never holds more than one block of
-    matrices.
+    Cholesky each, so the sweep never holds more than one block of
+    matrices.  A block whose symmetric parts all factor passes: then
+    lambda_min >= -O(eps * ||A||), far above the -1e-10 * trace threshold.
+    Only a block that Cholesky rejects (an indefinite or singular matrix)
+    is checked against that threshold with a batched ``eigvalsh``.
     """
     rng = np.random.default_rng(0)
     lo, hi = system.domain[:, 0], system.domain[:, 1]
@@ -84,6 +87,11 @@ def _psd_construction_sweep(system: GroundTruthSystem) -> None:
         d = system.damping_batch(block)
         sym = d + d.transpose(0, 2, 1)
         sym *= 0.5
+        try:
+            np.linalg.cholesky(sym)
+            continue
+        except np.linalg.LinAlgError:
+            pass
         min_eig = np.linalg.eigvalsh(sym)[:, 0]
         bad = np.flatnonzero(min_eig < -1e-10 * np.abs(np.trace(sym, axis1=1, axis2=2)))
         if bad.size:
@@ -366,6 +374,10 @@ class ExperimentConfig:
             raise InputError("train sizes must be >= 1")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.noise_variance) and self.noise_variance > 0):
+            raise InputError(
+                f"noise_variance must be finite and > 0, got {self.noise_variance}"
+            )
 
     def resolved_lengthscales(self) -> np.ndarray:
         if self.lengthscales is not None:

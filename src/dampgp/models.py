@@ -297,13 +297,17 @@ def optimize_hypervariances(
     """Derivative-free search over log-hypervariances against validation MSE.
 
     Coordinate descent with a golden-section line search; fully deterministic
-    for fixed inputs and budget (one budget unit = one fit + validation pass;
-    both reuse SE correlations that the search computes once).
-    When ``constrained`` is set every candidate is projected onto the feasible
-    set of the passivity bound before evaluation, so the returned model is
-    always feasible; the ard baseline has no bound, so it cannot be
-    constrained.  For the full kind with ``tie_full`` the N^2 grid is tied
-    to a row-scale times column-scale pattern to keep the search space small.
+    for fixed inputs and budget.  One budget unit is one candidate: its
+    projection (when constrained), one fit and one validation prediction;
+    the fit and prediction reuse SE correlations that the search computes
+    once.  When ``constrained`` is set every candidate is projected onto the
+    feasible set of the passivity bound before evaluation, so the returned
+    model is always feasible; the bound factor c depends only on the data,
+    prior and noise variance, so the search computes it once and bounds
+    each candidate's grid with it.  The ard baseline has no bound, so it
+    cannot be constrained.  For the full kind with ``tie_full`` the N^2 grid
+    is tied to a row-scale times column-scale pattern to keep the search
+    space small.
     The prior mean defaults to zero for ard and ``fit_prior_mean`` otherwise.
     """
     from . import passivity  # local import to avoid a module cycle
@@ -332,6 +336,8 @@ def optimize_hypervariances(
     q_train = data_train.velocities
     corr_train = se_correlation(ell, q_train, q_train)
     corr_val = se_correlation(ell, q_train, data_val.velocities)
+    if constrained:
+        search_bound = passivity.compute_bound(data_train, prior_mean, noise_variance, init)
 
     tied = kind == "full" and tie_full
     if tied:
@@ -355,8 +361,7 @@ def optimize_hypervariances(
         t[i] = x
         hyp = np.exp(t[:n, None] + t[n:][None, :]) if tied else np.exp(t).reshape(init.shape)
         if constrained:
-            bound = passivity.compute_bound(data_train, prior_mean, noise_variance, hyp)
-            hyp = passivity.enforce_bound(bound).hypervariances
+            hyp = passivity.enforce_bound(search_bound.with_grid(hyp)).hypervariances
         model = fit(kind, KERNEL_TYPES[kind](ell, hyp), prior_mean, data_train,
                     noise_variance, corr=corr_train)
         pred = predict_torque_batch(model, data_val.velocities, corr=corr_val)

@@ -8,6 +8,11 @@ positive semidefinite (the power bound is qd^T A qd, which sees only that
 part), the diagonal model needs sigma_f_n^2 <= c * m_d_n per dimension.
 Models whose hypervariances satisfy the bound dissipate power at every
 velocity.
+
+The projection's critical c is one generalized symmetric eigenproblem,
+solved by a direct LAPACK ``dsygvd`` call (eigenvalues only, the routine
+``scipy.linalg.eigh`` runs for it); the grid and prior mean are checked
+finite first, since LAPACK would not reject a NaN or inf.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg.lapack import dsygvd
 
-from .errors import InfeasibilityError, InputError
+from .errors import InfeasibilityError, InputError, NumericalError
 from .models import Dataset, FittedModel, PriorMean, predict_torque_batch
 
 
@@ -31,6 +36,13 @@ class PassivityBound:
     hypervariance_matrix: np.ndarray  # the N x N sigma_f^2 grid; need not be symmetric
     mean_coefficients: np.ndarray
     diagonal: bool  # True when built from an N-vector of hypervariances
+
+    def with_grid(self, hypervariances) -> "PassivityBound":
+        """This bound's c and prior mean on the grid of ``hypervariances``:
+        what ``compute_bound`` returns for them on the same data, prior and
+        noise variance, with the same validation of the grid."""
+        grid, diagonal = _grid(hypervariances)
+        return replace(self, hypervariance_matrix=grid, diagonal=diagonal)
 
 
 def _grid(hypervariances) -> tuple[np.ndarray, bool]:
@@ -55,8 +67,13 @@ def compute_bound(
     """Evaluate the bound factor for the grid of ``hypervariances``.
 
     c is the +inf sentinel (vacuously feasible) when either the velocity
-    sup-norm or the stacked residual vanishes.
+    sup-norm or the stacked residual vanishes.  c depends on the data, the
+    prior and the noise variance only; ``PassivityBound.with_grid`` reuses
+    it for another grid.  A zero noise variance gives c = 0, which no
+    nonzero grid meets.
     """
+    if not (math.isfinite(noise_variance) and noise_variance >= 0):
+        raise InputError(f"noise_variance must be finite and >= 0, got {noise_variance}")
     grid, diagonal = _grid(hypervariances)
     q = data.velocities
     resid = data.torques - prior_mean.torque(q)
@@ -116,14 +133,26 @@ def _critical_c(bound: PassivityBound) -> float:
     """Smallest c at which the unscaled grid meets the bound: the largest
     generalized eigenvalue of (sym grid, diag(m_d)) over the dimensions
     with m_d_n > 0 (max_n sigma_f_n^2 / m_d_n for a diagonal grid); +inf
-    when a zero m_d_n has a nonzero row of sym grid.
+    when a zero m_d_n has a nonzero row of sym grid, 0 when no m_d_n is
+    positive and the grid is zero.
     """
     sym = _sym(bound.hypervariance_matrix)
     m = bound.mean_coefficients
+    if not (np.all(np.isfinite(sym)) and np.all(np.isfinite(m))):
+        raise InputError(
+            "the symmetric part of the bound's grid and the prior mean coefficients "
+            "must be finite"
+        )
     active = m > 0
-    if np.any(sym[~active] != 0):
-        return math.inf
-    eigvals = eigh(sym[np.ix_(active, active)], np.diag(m[active]), eigvals_only=True)
+    if not np.all(active):
+        if np.any(sym[~active] != 0):
+            return math.inf
+        sym, m = sym[np.ix_(active, active)], m[active]
+    if m.size == 0:
+        return 0.0  # dsygvd rejects n = 0
+    eigvals, _, info = dsygvd(sym, np.diag(m), uplo="L", jobz="N")
+    if info != 0:
+        raise NumericalError(f"dsygvd failed on the bound's eigenproblem (info={info})")
     return float(np.max(eigvals, initial=0.0))
 
 
@@ -156,8 +185,11 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
     With c* the smallest c at which the unscaled grid is feasible, the
     scale is alpha = min(1, c / c*).  alpha * grid can round outside the
     bound, so alpha is stepped down an ulp at a time until
-    ``result.bound`` passes.
+    ``result.bound`` passes.  A NaN or negative c is rejected: no alpha
+    would pass, and the step-down would not end.
     """
+    if not bound.c >= 0:
+        raise InputError(f"the bound factor c must be >= 0, got {bound.c}")
     critical = _critical_c(bound)
     if math.isinf(critical):
         raise InfeasibilityError(

@@ -58,6 +58,25 @@ class TestBuiltinSystems:
         with pytest.raises(InputError, match=re.escape(f"not PSD at {first_bad}")):
             bench.make_system("half", lambda Q: Q[:, :, None], [[-1.0, 1.0]], [1.0])
 
+    def test_psd_sweep_checks_only_blocks_cholesky_rejects(self, monkeypatch):
+        # a positive definite field passes on Cholesky alone; a PSD but
+        # singular one fails Cholesky at its zero pivot and passes eigvalsh
+        checked = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: checked.append(len(a)) or eigvalsh(a))
+        domain, ell = [[-1.0, 1.0], [-1.0, 1.0]], [1.0, 1.0]
+        bench.make_system("definite", lambda Q: np.tile(np.eye(2), (len(Q), 1, 1)), domain, ell)
+        assert checked == []
+
+        def singular(Q):
+            d = np.zeros((len(Q), 2, 2))
+            d[:, 0, 0] = 1.0 + Q[:, 0] ** 2
+            return d
+
+        assert bench.make_system("singular", singular, domain, ell).name == "singular"
+        blocks = bench.PSD_SWEEP_POINTS // bench.PSD_SWEEP_BLOCK
+        assert checked == [bench.PSD_SWEEP_BLOCK] * blocks
+
     @pytest.mark.parametrize("field", [
         lambda Q: np.array([[2.0]]),  # one matrix, not one per row
         lambda Q: np.ones((len(Q), 2, 2)),

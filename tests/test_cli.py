@@ -99,6 +99,16 @@ class TestGenerate:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-100", "0", "nan", "inf"])
+def test_bad_noise_variance_config_exit_code(tmp_path, value, capsys):
+    cfg = tmp_path / "nv.cfg"
+    cfg.write_text(SMALL_CFG.replace("noise_variance = 1.0", f"noise_variance = {value}")
+                   + "constrained = true\n")
+    assert run_cli("--config", cfg, "--out-dir", tmp_path / "out",
+                   "efficiency", "--sizes", "10") == cli.EXIT_INPUT
+    assert "noise_variance must be finite and > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, command", [
     ("seeds", ["efficiency", "--sizes", "10"]),
     ("kinds", ["efficiency", "--sizes", "10"]),
@@ -205,6 +215,22 @@ class TestFit:
             "--out", tmp_path / "m.model",
         )
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    @pytest.mark.parametrize("value", ["-100", "nan"])
+    def test_bad_noise_variance_constrained_exit_code(
+        self, tmp_path, cfg_path, kind, value, capsys
+    ):
+        # such a noise variance gives a negative or NaN bound factor c, for
+        # which the projection's ulp step-down never ended
+        train, val, _ = self._generated(tmp_path, cfg_path)
+        code = run_cli(
+            "fit", train, "--kind", kind, "--val", val, "--lengthscales", "12",
+            f"--noise-variance={value}", "--constrained", "--budget", "3",
+            "--out", tmp_path / "m.model",
+        )
+        assert code == cli.EXIT_INPUT
+        assert "noise_variance must be finite and >= 0" in capsys.readouterr().err
 
     def test_constrained_infeasible_exit_code(self, tmp_path):
         # zero prior mean slope (anti-symmetric data) with nonzero residual

@@ -509,3 +509,56 @@ class TestOptimizeHypervariances:
         # the returned model is the search's own fit, bit for bit its refit
         for a, b in zip(shared.model.residual_solves, shared_model.residual_solves, strict=True):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind, tie_full", [("diag", True), ("full", True), ("full", False)])
+    def test_constrained_search_computes_the_bound_once(self, monkeypatch, kind, tie_full):
+        # c depends only on the data, prior and noise variance: the search
+        # computes it once, and every projected bound is bit for bit the one
+        # compute_bound builds for the candidate
+        system = bench.get_system("full3")
+        train = bench.generate_dataset(
+            system, bench.sample_trajectory(system, 30, seed=5, waveform="uniform"), 1.0, seed=6
+        )
+        val = bench.generate_dataset(
+            system, bench.sample_trajectory(system, 20, seed=7, waveform="uniform"), 1.0, seed=8
+        )
+        prior = fit_prior_mean(train)
+        compute_bound, enforce_bound = passivity.compute_bound, passivity.enforce_bound
+        computed, projected = [], []
+
+        def counting_compute_bound(*args):
+            computed.append(args)
+            return compute_bound(*args)
+
+        def checking_enforce_bound(bound):
+            grid = bound.hypervariance_matrix
+            candidate = np.diag(grid) if bound.diagonal else grid
+            ref = compute_bound(train, prior, 100.0, candidate)
+            assert bound.c == ref.c
+            assert np.array_equal(grid, ref.hypervariance_matrix)
+            assert np.array_equal(bound.mean_coefficients, ref.mean_coefficients)
+            assert bound.diagonal == ref.diagonal == (kind == "diag")
+            projected.append(bound)
+            return enforce_bound(bound)
+
+        monkeypatch.setattr(passivity, "compute_bound", counting_compute_bound)
+        monkeypatch.setattr(passivity, "enforce_bound", checking_enforce_bound)
+        res = models.optimize_hypervariances(
+            kind, train, val, system.default_lengthscales, 100.0,
+            constrained=True, budget=15, tie_full=tie_full, prior_mean=prior,
+        )
+        assert len(computed) == 1
+        assert len(projected) == res.n_evaluations == 15
+
+    @pytest.mark.parametrize("kind, constrained", [
+        ("diag", False), ("diag", True), ("full", False), ("full", True),
+    ])
+    def test_overflowing_candidate_raises_input_error(self, kind, constrained):
+        # residual variance over velocity power starts the search at
+        # 1.21e308, where exp(theta) and the symmetric part of the grid overflow
+        train = Dataset([[1e-4], [1e-4]], [[1.1e150], [-1.1e150]])
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="finite"):
+            models.optimize_hypervariances(
+                kind, train, train, [1.0], 1e300, constrained=constrained, budget=10,
+                prior_mean=PriorMean([1.0]),
+            )

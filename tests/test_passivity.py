@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dampgp import bench, models, passivity
-from dampgp.errors import InfeasibilityError, InputError
+from dampgp.errors import InfeasibilityError, InputError, NumericalError
 from dampgp.kernels import DiagTorqueKernel, FullTorqueKernel
 from dampgp.models import Dataset, PriorMean, fit, fit_prior_mean
 from dampgp.passivity import (
@@ -90,6 +91,30 @@ class TestComputeBound:
             compute_bound(data, PriorMean.zero(1), 1.0, np.array([bad]))
         with pytest.raises(InputError):
             compute_bound(data, PriorMean.zero(1), 1.0, np.array([[1.0, 1.0], [bad, 1.0]]))
+
+
+    @pytest.mark.parametrize("nv", [-100.0, -math.inf, math.inf, math.nan])
+    def test_bad_noise_variance_rejected(self, nv):
+        # a negative or NaN c has no feasible scale; zero stays the
+        # documented infeasible case
+        data = Dataset(np.ones((1, 1)), 2.0 * np.ones((1, 1)))
+        with pytest.raises(InputError, match="noise_variance"):
+            compute_bound(data, PriorMean(np.array([1.0])), nv, np.array([1.0]))
+
+    def test_with_grid_is_compute_bound_on_the_new_grid(self):
+        rng = np.random.default_rng(16)
+        for layout in ("diag", "sym", "full"):
+            data, prior, nv, bound = random_bound(rng, layout)
+            hyp = rng.uniform(0.01, 5.0, (data.n_dim,) if layout == "diag" else (data.n_dim,) * 2)
+            moved, ref = bound.with_grid(hyp), compute_bound(data, prior, nv, hyp)
+            assert moved.c == ref.c
+            assert np.array_equal(moved.hypervariance_matrix, ref.hypervariance_matrix)
+            assert np.array_equal(moved.mean_coefficients, ref.mean_coefficients)
+            assert moved.diagonal == ref.diagonal
+        with pytest.raises(InputError):
+            bound.with_grid(np.full(data.n_dim, math.inf))
+        with pytest.raises(InputError):
+            bound.with_grid(-np.ones((data.n_dim, data.n_dim)))
 
 
 def bound_with_c(c, m_d, hyp):
@@ -179,6 +204,12 @@ class TestEnforceBound:
         assert bound.c == 0.0
         with pytest.raises(InfeasibilityError, match="prior mean too small"):
             enforce_bound(bound)
+
+    @pytest.mark.parametrize("c", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_c_rejected(self, c):
+        # no scale passes such a bound, so the ulp step-down would not end
+        with pytest.raises(InputError, match="bound factor c"):
+            enforce_bound(bound_with_c(c, [1.0], np.array([2.0])))
 
     def test_mode_keyword_rejected(self):
         # scaling the grid is the only projection
@@ -345,6 +376,68 @@ class TestClosedFormProjection:
             enforce_bound(bound_with_c(1.0, [1.0, 0.0], hyp))
         res = enforce_bound(bound_with_c(1.0, [1.0, 0.0], np.array([[4.0, 0.0], [0.0, 0.0]])))
         assert res.alpha == pytest.approx(0.25, rel=1e-12)  # sigma_f^2 = 4 scaled to c*m_d = 1
+
+
+def eigh_reference_alpha(bound):
+    """enforce_bound's alpha with the critical c from ``scipy.linalg.eigh``."""
+    sym = 0.5 * (bound.hypervariance_matrix + bound.hypervariance_matrix.T)
+    m = bound.mean_coefficients
+    active = m > 0
+    eigvals = scipy.linalg.eigh(sym[np.ix_(active, active)], np.diag(m[active]),
+                                eigvals_only=True)
+    critical = float(np.max(eigvals, initial=0.0))
+    alpha = bound.c / critical if critical > bound.c else 1.0
+    grid = bound.hypervariance_matrix
+    while not check_bound(replace(bound, hypervariance_matrix=alpha * grid)).feasible:
+        alpha = np.nextafter(alpha, 0.0)
+    return alpha
+
+
+class TestDirectLapackProjection:
+    """The critical c comes from one direct ``dsygvd`` call, the routine
+    ``scipy.linalg.eigh(a, b, eigvals_only=True)`` runs by default."""
+
+    @pytest.mark.parametrize("layout", ["diag", "sym", "full"])
+    def test_alpha_bitwise_equal_to_eigh(self, layout):
+        rng = np.random.default_rng(17)
+        zeroed = 0
+        for _ in range(300):
+            *_, bound = random_bound(rng, layout)
+            n = bound.mean_coefficients.size
+            if n > 1 and rng.uniform() < 0.3:
+                # m_d = 0 on some dimensions whose grid rows and columns vanish
+                off = rng.uniform(size=n) < 0.5
+                off[rng.integers(n)] = False
+                grid = bound.hypervariance_matrix.copy()
+                grid[off], grid[:, off] = 0.0, 0.0
+                bound = replace(bound, hypervariance_matrix=grid,
+                                mean_coefficients=np.where(off, 0.0, bound.mean_coefficients))
+                zeroed += bool(np.any(off))
+            assert enforce_bound(bound).alpha == eigh_reference_alpha(bound)
+        assert zeroed > 20
+
+    @pytest.mark.parametrize("hyp", [np.zeros(2), np.zeros((2, 2))])
+    def test_all_zero_prior_with_zero_grid(self, hyp):
+        # the eigenproblem on the active dimensions is 0 x 0: c* = 0
+        bound = bound_with_c(1.0, [0.0, 0.0], hyp)
+        assert passivity._critical_c(bound) == 0.0
+        assert enforce_bound(bound).alpha == 1.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_non_finite_grid_rejected(self, bad, diagonal):
+        # LAPACK itself does not check its input for NaN or inf
+        grid = np.eye(2) if diagonal else np.ones((2, 2))
+        grid[1, 1 if diagonal else 0] = bad
+        bound = passivity.PassivityBound(
+            c=1.0, hypervariance_matrix=grid, mean_coefficients=np.ones(2), diagonal=diagonal)
+        with pytest.raises(InputError, match="finite"):
+            enforce_bound(bound)
+
+    def test_lapack_failure_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(passivity, "dsygvd", lambda a, b, **kw: (np.zeros(len(a)), None, 3))
+        with pytest.raises(NumericalError, match="info=3"):
+            enforce_bound(bound_with_c(1.0, [1.0, 1.0], np.ones((2, 2))))
 
 
 class TestPassivityGuarantee:
