@@ -77,7 +77,8 @@ def _psd_construction_sweep(system: GroundTruthSystem) -> None:
     matrices.  A block whose symmetric parts all factor passes: then
     lambda_min >= -O(eps * ||A||), far above the -1e-10 * trace threshold.
     Only a block that Cholesky rejects (an indefinite or singular matrix)
-    is checked against that threshold with a batched ``eigvalsh``.
+    is checked against that threshold with a batched ``eigvalsh``.  A
+    non-finite matrix is rejected first: neither test would catch a NaN.
     """
     rng = np.random.default_rng(0)
     lo, hi = system.domain[:, 0], system.domain[:, 1]
@@ -85,6 +86,11 @@ def _psd_construction_sweep(system: GroundTruthSystem) -> None:
     for start in range(0, PSD_SWEEP_POINTS, PSD_SWEEP_BLOCK):
         block = pts[start : start + PSD_SWEEP_BLOCK]
         d = system.damping_batch(block)
+        nonfinite = np.flatnonzero(~np.isfinite(d).all(axis=(1, 2)))
+        if nonfinite.size:
+            raise InputError(
+                f"system {system.name!r}: damping matrix not finite at {block[nonfinite[0]]}"
+            )
         sym = d + d.transpose(0, 2, 1)
         sym *= 0.5
         try:

@@ -6,6 +6,12 @@ D x D systems; fitting factorizes each and keeps only its residual solve.
 ``gp_core.joint_multi_output_oracle`` provides the dense reference path the
 tests compare against.
 
+The structured kinds predict through their damping matrix estimate,
+tau_hat(qd) = D_hat(qd) @ qd with D_hat = diag(m_d) + grid o G(qd) and
+G[m, n](qd) = sum_i corr_i(qd) * q_train[i, n] * alpha_m,i, so G at B
+velocities is W.T @ corr, an (N^2, D) @ (D, B) product of a weight matrix W
+with their SE correlation.
+
 Estimator kinds:
     "ard"  -- independent zero-mean SE-ARD GP per torque output (baseline)
     "diag" -- diagonal damping matrix model
@@ -30,7 +36,7 @@ from .kernels import (
 KERNEL_TYPES = {"ard": SeArdKernelBank, "diag": DiagTorqueKernel, "full": FullTorqueKernel}
 KINDS = tuple(KERNEL_TYPES)
 
-# Entries of one (D, block) cross-covariance in ``predict_torque_batch``
+# Entries of one (D, block) correlation in ``predict_torque_batch``
 # (2 MB of float64): large enough to amortize the per-block calls, small
 # enough that a block's few temporaries stay in cache.
 _BLOCK_ENTRIES = 1 << 18
@@ -45,6 +51,13 @@ _BLOCK_ALIGN = 384
 def _block_columns(n_train: int) -> int:
     """Test points per ``predict_torque_batch`` block for D = ``n_train``."""
     return max(1, _BLOCK_ENTRIES // (n_train * _BLOCK_ALIGN)) * _BLOCK_ALIGN
+
+
+def _block_stops(count: int, step: int) -> list:
+    """Ends of the blocks of ``step`` that cover ``count`` columns.  The last
+    block takes the remainder: a block narrower than a kernel's unroll width
+    is rounded differently than in one unblocked call."""
+    return [*range(step, count - step + 1, step), count]
 
 
 def _check_kind(kind: str) -> str:
@@ -192,14 +205,47 @@ def fit(
     )
 
 
+def _damping_weights(model: FittedModel) -> np.ndarray:
+    """W (D, N^2) with W[i, m*N + n] = alpha_m,i * q_train[i, n], so that
+    G[m, n](qd) = sum_i corr_i(qd) * W[i, m*N + n]."""
+    alphas = np.vstack(model.residual_solves).T  # (D, N)
+    q_train = model.train.velocities
+    return (alphas[:, :, None] * q_train[:, None, :]).reshape(len(q_train), -1)
+
+
+def _data_damping(model: FittedModel, weights: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """grid o G at the B velocities of the (D, B) correlation ``corr``: the
+    data part of D_hat, shape (N, N, B), from (N^2, D) @ (D, 384) products,
+    the last one taking the remainder.
+
+    Every block of ``predict_torque_batch`` starts at a multiple of 384, so
+    each velocity meets the same product shapes however the call is blocked;
+    one product per block changed bits with the block width (OpenBLAS
+    0.3.31, N = 2, D = 400: blocks of 384 against one of 769).
+    """
+    n = model.n_dim
+    G = np.empty((n * n, corr.shape[1]))
+    start = 0
+    for stop in _block_stops(corr.shape[1], _BLOCK_ALIGN):
+        np.matmul(weights.T, corr[:, start:stop], out=G[:, start:stop])
+        start = stop
+    G = G.reshape(n, n, -1)
+    G *= model.kernel.grid[:, :, None]
+    return G
+
+
 def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None) -> np.ndarray:
     """Posterior mean torques at each row of ``qd_stars`` (M, N) -> (M, N).
 
+    The structured kinds predict through the damping matrix: one weight
+    matrix W per call, then G per block from ``_data_damping``.  ``ard``
+    has no damping matrix and builds one cross-covariance per output.
+
     The test points are taken in blocks of ``_block_columns(D)``, about
-    ``_BLOCK_ENTRIES // D``; per block the N cross-covariance matrices share
-    one SE correlation and are built one output at a time, so temporaries
-    stay O(D * block) whatever M is.  ``corr`` is the full (D, M) correlation
-    when the caller already has it, and is then used as a single block.
+    ``_BLOCK_ENTRIES // D``; each block computes one SE correlation, so
+    temporaries stay O(D * block) whatever M is.  ``corr`` is the full
+    (D, M) correlation when the caller already has it, and is then used as
+    a single block.
     """
     qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
     if qs.shape[1] != model.n_dim:
@@ -208,17 +254,22 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
         )
     out = model.prior_mean.torque(qs)
     q_train = model.train.velocities
-    output_kernels = [model.kernel.output_kernel(m) for m in range(model.n_dim)]
+    if model.kind == "ard":
+        output_kernels = [model.kernel.output_kernel(m) for m in range(model.n_dim)]
+    else:
+        weights = _damping_weights(model)
     step = max(1, len(qs) if corr is not None else _block_columns(len(q_train)))
-    # the last block takes the remainder: a block narrower than a kernel's
-    # unroll width is rounded differently than in one unblocked call
     start = 0
-    for stop in [*range(step, len(qs) - step + 1, step), len(qs)]:
+    for stop in _block_stops(len(qs), step):
         block = qs[start:stop]
         block_corr = _correlation(corr, model.kernel.lengthscales, q_train, block)
-        for m, kernel in enumerate(output_kernels):
-            cross = kernel.pairwise(q_train, block, block_corr)  # (D, block)
-            out[start:stop, m] += cross.T @ model.residual_solves[m]
+        if model.kind == "ard":
+            for m, kernel in enumerate(output_kernels):
+                cross = kernel.pairwise(q_train, block, block_corr)  # (D, block)
+                out[start:stop, m] += cross.T @ model.residual_solves[m]
+        else:
+            damping = _data_damping(model, weights, block_corr)
+            out[start:stop] += np.einsum("mnb,bn->bm", damping, block)
         start = stop
     return out
 
@@ -232,11 +283,13 @@ def predict_torque(model: FittedModel, qd_star) -> np.ndarray:
 
 
 def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
-    """Posterior damping matrix estimate with D_hat(qd) @ qd == predicted torque.
+    """Posterior damping matrix estimate D_hat(qd) = diag(m_d) + grid o G(qd),
+    with D_hat(qd) @ qd the predicted torque.
 
-    Column n collects the prior coefficient plus the data correction weighted
-    by the n-th training velocity component; the kernel's grid zeroes the
-    elements a diagonal model does not have.
+    G[m, n] = sum_i corr_i(qd) * q_train[i, n] * alpha_m,i: the data
+    correction of output m weighted by the n-th training velocity
+    component; the kernel's grid zeroes the elements a diagonal model does
+    not have.  This is the one-point case of ``predict_torque_batch``.
     """
     if model.kind == "ard":
         raise UnsupportedModelError(
@@ -245,12 +298,9 @@ def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
     qs = np.asarray(qd_star, dtype=float)
     if qs.shape != (model.n_dim,):
         raise InputError(f"qd_star must have shape ({model.n_dim},)")
-    q_train = model.train.velocities
-    corr = se_correlation(model.kernel.lengthscales, q_train, qs[None, :])[:, 0]
-    alphas = np.vstack(model.residual_solves)  # (N, D)
-    # G[m, n] = sum_i corr_i * q_train[i, n] * alpha[m, i]
-    G = alphas @ (corr[:, None] * q_train)
-    return np.diag(model.prior_mean.coefficients) + model.kernel.grid * G
+    corr = se_correlation(model.kernel.lengthscales, model.train.velocities, qs[None, :])
+    damping = _data_damping(model, _damping_weights(model), corr)[:, :, 0]
+    return np.diag(model.prior_mean.coefficients) + damping
 
 
 @dataclass(frozen=True)

@@ -186,10 +186,16 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
     scale is alpha = min(1, c / c*).  alpha * grid can round outside the
     bound, so alpha is stepped down an ulp at a time until
     ``result.bound`` passes.  A NaN or negative c is rejected: no alpha
-    would pass, and the step-down would not end.
+    would pass, and the step-down would not end.  c = 0, which a zero
+    noise variance gives, admits only the zero grid.
     """
     if not bound.c >= 0:
         raise InputError(f"the bound factor c must be >= 0, got {bound.c}")
+    if bound.c == 0 and np.any(bound.hypervariance_matrix != 0):
+        raise InfeasibilityError(
+            "no positive hypervariance scale is feasible: the bound factor c is 0 "
+            "because the noise variance is 0"
+        )
     critical = _critical_c(bound)
     if math.isinf(critical):
         raise InfeasibilityError(

@@ -58,6 +58,21 @@ class TestBuiltinSystems:
         with pytest.raises(InputError, match=re.escape(f"not PSD at {first_bad}")):
             bench.make_system("half", lambda Q: Q[:, :, None], [[-1.0, 1.0]], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_psd_sweep_rejects_a_non_finite_damping_matrix(self, bad):
+        # a NaN eigenvalue fails no comparison, and a batched Cholesky
+        # returns NaN factors without raising
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(bench.PSD_SWEEP_POINTS, 1))
+        point = pts[1234]
+
+        def field(Q):
+            d = np.ones((len(Q), 1, 1))
+            d[Q[:, 0] == point[0]] = bad
+            return d
+
+        with pytest.raises(InputError, match=re.escape(f"not finite at {point}")):
+            bench.make_system("nan", field, [[-1.0, 1.0]], [1.0])
+
     def test_psd_sweep_checks_only_blocks_cholesky_rejects(self, monkeypatch):
         # a positive definite field passes on Cholesky alone; a PSD but
         # singular one fails Cholesky at its zero pivot and passes eigvalsh

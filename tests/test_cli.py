@@ -232,6 +232,20 @@ class TestFit:
         assert code == cli.EXIT_INPUT
         assert "noise_variance must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_zero_noise_variance_constrained_exit_code(self, tmp_path, cfg_path, kind, capsys):
+        # c = 0 admits no positive grid whatever the prior mean
+        train, val, _ = self._generated(tmp_path, cfg_path)
+        code = run_cli(
+            "fit", train, "--kind", kind, "--val", val, "--lengthscales", "12",
+            "--noise-variance=0", "--constrained", "--budget", "3",
+            "--out", tmp_path / "m.model",
+        )
+        assert code == cli.EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "the bound factor c is 0 because the noise variance is 0" in err
+        assert "prior mean too small" not in err
+
     def test_constrained_infeasible_exit_code(self, tmp_path):
         # zero prior mean slope (anti-symmetric data) with nonzero residual
         # makes the diagonal constraint unsatisfiable at any positive scale

@@ -128,6 +128,9 @@ class TestFit:
             alpha = gp_core.factorize(km.pairwise(q, q), 0.4).solve(resid[:, m])
             assert np.array_equal(model.residual_solves[m], alpha)
             expected[:, m] += km.pairwise(q, qs).T @ alpha
+        if kind != "ard":
+            # the structured kinds predict through the documented D_hat formula
+            expected = _damping_formula_prediction(model, qs, se_correlation(kernel.lengthscales, q, qs))
         assert np.array_equal(models.predict_torque_batch(model, qs), expected)
 
     @pytest.mark.parametrize("shape", [(11, 10), (5, 11), (1, 11), (11,)])
@@ -171,16 +174,21 @@ class TestPredictTorque:
 
     @pytest.mark.parametrize("kind", ["diag", "full"])
     def test_oracle_equivalence(self, kind):
+        # the damping-matrix path against the dense oracle and against the
+        # per-output cross-covariance formula
         rng = np.random.default_rng(8)
-        for _ in range(10):
-            kernel, data, prior = random_instance(rng, kind)
+        for _ in range(20):
+            kernel, data, prior = random_instance(rng, kind, d=int(rng.integers(1, 51)))
             nv = float(rng.uniform(0.2, 1.0))
             model = fit(kind, kernel, prior, data, nv)
             tests = rng.uniform(-2, 2, (3, data.n_dim))
             oracle = gp_core.joint_multi_output_oracle(kernel, data, prior.torque, tests, nv)
+            corr = se_correlation(kernel.lengthscales, data.velocities, tests)
+            per_output = _per_output_prediction(model, tests, corr)
             fast = models.predict_torque_batch(model, tests)
-            for ref, got in zip(oracle, fast):
+            for ref, formula, got in zip(oracle, per_output, fast):
                 assert np.linalg.norm(got - ref) <= 1e-8 * max(np.linalg.norm(ref), 1e-12)
+                assert np.linalg.norm(got - formula) <= 1e-12 * max(np.linalg.norm(formula), 1e-12)
 
     def test_diag_estimate_matches_literal_stacked_formula(self):
         # independent direct implementation: explicit DN x DN noisy Gram built
@@ -229,11 +237,10 @@ class TestPredictTorque:
         assert np.allclose(t1, t2, rtol=1e-9)
 
 
-def _one_block_prediction(model, qs):
-    """Reference: one correlation and one cross-covariance per output over
-    all M test points, as before blocking."""
+def _per_output_prediction(model, qs, corr):
+    """Prior torque plus, per output, the cross-covariance over all M test
+    points times that output's residual solve."""
     q = model.train.velocities
-    corr = se_correlation(model.kernel.lengthscales, q, qs)
     out = qs * model.prior_mean.coefficients
     for m in range(model.n_dim):
         cross = model.kernel.output_kernel(m).pairwise(q, qs, corr)
@@ -241,26 +248,53 @@ def _one_block_prediction(model, qs):
     return out
 
 
+def _damping_formula_prediction(model, qs, corr):
+    """The documented structured prediction over all M test points:
+    tau = diag(m_d) qd + (grid o G) qd with G[m, n, b] =
+    sum_i corr[i, b] * q_train[i, n] * alpha_m,i, from products over
+    384-column chunks, the last taking the remainder (one product over all
+    M rounds differently for some N and D)."""
+    q = model.train.velocities
+    d, n = q.shape
+    alphas = np.vstack(model.residual_solves).T
+    weights = (alphas[:, :, None] * q[:, None, :]).reshape(d, n * n)
+    align = models._BLOCK_ALIGN
+    ends = [*range(align, len(qs) - align + 1, align), len(qs)]
+    G = np.hstack([weights.T @ corr[:, s:t] for s, t in zip([0, *ends], ends)]).reshape(n, n, -1)
+    return qs * model.prior_mean.coefficients + np.einsum("mnb,bn->bm", model.kernel.grid[:, :, None] * G, qs)
+
+
+def _one_block_prediction(model, qs):
+    """Reference: one correlation over all M test points, as before
+    blocking; the damping formula for the structured kinds, the per-output
+    cross-covariances for ard."""
+    corr = se_correlation(model.kernel.lengthscales, model.train.velocities, qs)
+    if model.kind == "ard":
+        return _per_output_prediction(model, qs, corr)
+    return _damping_formula_prediction(model, qs, corr)
+
+
 def blocked_prediction_mismatches() -> list:
-    """(D, kind, M, path) of every blocked or ``corr=`` prediction that is
-    not bitwise equal to ``_one_block_prediction``."""
+    """(N, D, kind, M, path) of every blocked or ``corr=`` prediction that
+    is not bitwise equal to ``_one_block_prediction``."""
     rng = np.random.default_rng(40)
     mismatches = []
-    for d, extra_sizes in ((50, ()), (200, (20_009,)), (700, ())):
-        b = models._block_columns(d)
-        for kind in models.KINDS:
-            kernel, data, prior = random_instance(rng, kind, n=3, d=d)
-            model = fit(kind, kernel, prior, data, 0.4)
-            for m in (1, b - 1, b, b + 1, 2 * b - 1, 2 * b + 1, *extra_sizes):
-                qs = rng.uniform(-2, 2, (m, 3))
-                expected = _one_block_prediction(model, qs)
-                corr = se_correlation(kernel.lengthscales, data.velocities, qs)
-                for path, got in (
-                    ("blocked", models.predict_torque_batch(model, qs)),
-                    ("corr", models.predict_torque_batch(model, qs, corr=corr)),
-                ):
-                    if not np.array_equal(got, expected):
-                        mismatches.append((d, kind, m, path))
+    for n in (2, 3):
+        for d, extra_sizes in ((50, ()), (200, (20_009,)), (400, ()), (700, ())):
+            b = models._block_columns(d)
+            for kind in models.KINDS:
+                kernel, data, prior = random_instance(rng, kind, n=n, d=d)
+                model = fit(kind, kernel, prior, data, 0.4)
+                for m in (1, b - 1, b, b + 1, 2 * b - 1, 2 * b + 1, *extra_sizes):
+                    qs = rng.uniform(-2, 2, (m, n))
+                    expected = _one_block_prediction(model, qs)
+                    corr = se_correlation(kernel.lengthscales, data.velocities, qs)
+                    for path, got in (
+                        ("blocked", models.predict_torque_batch(model, qs)),
+                        ("corr", models.predict_torque_batch(model, qs, corr=corr)),
+                    ):
+                        if not np.array_equal(got, expected):
+                            mismatches.append((n, d, kind, m, path))
     return mismatches
 
 
@@ -341,7 +375,7 @@ class TestPredictDamping:
             model = fit(kind, kernel, prior, data, 0.5)
             qs = rng.uniform(-2, 2, data.n_dim)
             tau = predict_torque(model, qs)
-            assert np.linalg.norm(predict_damping(model, qs) @ qs - tau) <= 1e-10 * max(
+            assert np.linalg.norm(predict_damping(model, qs) @ qs - tau) <= 1e-12 * max(
                 np.linalg.norm(tau), 1e-12
             )
 

@@ -202,8 +202,13 @@ class TestEnforceBound:
         data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
         bound = compute_bound(data, PriorMean(np.array([1.0])), 0.0, np.array([4.0]))
         assert bound.c == 0.0
-        with pytest.raises(InfeasibilityError, match="prior mean too small"):
+        with pytest.raises(InfeasibilityError, match="c is 0 because the noise variance is 0"):
             enforce_bound(bound)
+
+    def test_zero_c_keeps_a_zero_grid(self):
+        res = enforce_bound(bound_with_c(0.0, [1.0, 2.0], np.zeros(2)))
+        assert res.alpha == 1.0
+        assert check_bound_diag(res.bound).feasible
 
     @pytest.mark.parametrize("c", [math.nan, -1.0, -math.inf])
     def test_nan_or_negative_c_rejected(self, c):
