@@ -36,28 +36,21 @@ from .kernels import (
 KERNEL_TYPES = {"ard": SeArdKernelBank, "diag": DiagTorqueKernel, "full": FullTorqueKernel}
 KINDS = tuple(KERNEL_TYPES)
 
-# Entries of one (D, block) correlation in ``predict_torque_batch``
-# (2 MB of float64): large enough to amortize the per-block calls, small
-# enough that a block's few temporaries stay in cache.
-_BLOCK_ENTRIES = 1 << 18
-# Block widths are multiples of this (2^7 * 3), which the unroll widths of
-# BLAS matrix kernels divide: every test point then sits at the same tile
-# offset as in one unblocked call, so blocking leaves the result bits as
-# they are (on OpenBLAS 0.3.31, blocks of 1,310 points at D=200 changed 413
-# of 600,000 cross products).
-_BLOCK_ALIGN = 384
+# Test points per piece of ``predict_torque_batch``.  384 = 2^7 * 3 is a
+# multiple of the unroll widths of BLAS matrix kernels, so every test point
+# sits at the same tile offset whatever M is and the result bits do not
+# depend on M (on OpenBLAS 0.3.31, pieces of 1,310 points at D=200 changed
+# 413 of 600,000 cross products; one product over 769 points at N=2,
+# D=400 changed bits against pieces of 384).
+_PIECE = 384
 
 
-def _block_columns(n_train: int) -> int:
-    """Test points per ``predict_torque_batch`` block for D = ``n_train``."""
-    return max(1, _BLOCK_ENTRIES // (n_train * _BLOCK_ALIGN)) * _BLOCK_ALIGN
-
-
-def _block_stops(count: int, step: int) -> list:
-    """Ends of the blocks of ``step`` that cover ``count`` columns.  The last
-    block takes the remainder: a block narrower than a kernel's unroll width
-    is rounded differently than in one unblocked call."""
-    return [*range(step, count - step + 1, step), count]
+def _pieces(count: int) -> list:
+    """(start, stop) of the ``_PIECE`` pieces that cover ``count`` columns.
+    The last piece takes the remainder: a piece narrower than a kernel's
+    unroll width is rounded differently than inside a wider one."""
+    stops = [*range(_PIECE, count - _PIECE + 1, _PIECE), count]
+    return list(zip([0, *stops], stops))
 
 
 def _check_kind(kind: str) -> str:
@@ -112,6 +105,13 @@ class PriorMean:
 
     def torque(self, qd: np.ndarray) -> np.ndarray:
         return self.coefficients * np.asarray(qd, dtype=float)
+
+    def check_dim(self, n: int) -> None:
+        """Raise ``InputError`` unless there is one coefficient per dimension."""
+        if self.coefficients.size != n:
+            raise InputError(
+                f"prior mean has {self.coefficients.size} coefficients for {n}-dimensional data"
+            )
 
     @classmethod
     def zero(cls, n: int) -> "PriorMean":
@@ -183,8 +183,7 @@ def fit(
         raise InputError(
             f"kernel dimension {kernel.dim} does not match data dimension {data.n_dim}"
         )
-    if prior_mean.coefficients.size != data.n_dim:
-        raise InputError("prior mean dimension mismatch")
+    prior_mean.check_dim(data.n_dim)
     if kind == "ard" and np.any(prior_mean.coefficients != 0):
         raise InputError("the ard baseline is zero-mean; pass a zero prior mean")
 
@@ -215,21 +214,9 @@ def _damping_weights(model: FittedModel) -> np.ndarray:
 
 def _data_damping(model: FittedModel, weights: np.ndarray, corr: np.ndarray) -> np.ndarray:
     """grid o G at the B velocities of the (D, B) correlation ``corr``: the
-    data part of D_hat, shape (N, N, B), from (N^2, D) @ (D, 384) products,
-    the last one taking the remainder.
-
-    Every block of ``predict_torque_batch`` starts at a multiple of 384, so
-    each velocity meets the same product shapes however the call is blocked;
-    one product per block changed bits with the block width (OpenBLAS
-    0.3.31, N = 2, D = 400: blocks of 384 against one of 769).
-    """
+    data part of D_hat, shape (N, N, B), from one (N^2, D) @ (D, B) product."""
     n = model.n_dim
-    G = np.empty((n * n, corr.shape[1]))
-    start = 0
-    for stop in _block_stops(corr.shape[1], _BLOCK_ALIGN):
-        np.matmul(weights.T, corr[:, start:stop], out=G[:, start:stop])
-        start = stop
-    G = G.reshape(n, n, -1)
+    G = (weights.T @ corr).reshape(n, n, -1)
     G *= model.kernel.grid[:, :, None]
     return G
 
@@ -237,40 +224,36 @@ def _data_damping(model: FittedModel, weights: np.ndarray, corr: np.ndarray) -> 
 def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None) -> np.ndarray:
     """Posterior mean torques at each row of ``qd_stars`` (M, N) -> (M, N).
 
-    The structured kinds predict through the damping matrix: one weight
-    matrix W per call, then G per block from ``_data_damping``.  ``ard``
-    has no damping matrix and builds one cross-covariance per output.
-
-    The test points are taken in blocks of ``_block_columns(D)``, about
-    ``_BLOCK_ENTRIES // D``; each block computes one SE correlation, so
-    temporaries stay O(D * block) whatever M is.  ``corr`` is the full
-    (D, M) correlation when the caller already has it, and is then used as
-    a single block.
+    The test points are taken in pieces of ``_PIECE``, so temporaries stay
+    O(D * _PIECE) whatever M is.  Each piece uses its own SE correlation, or
+    its columns of ``corr`` when the caller passes the full (D, M) one.  The
+    structured kinds predict through the damping matrix, G from one weight
+    matrix W per call; ``ard`` builds one cross-covariance per output.
     """
     qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
-    if qs.shape[1] != model.n_dim:
+    if qs.ndim != 2 or qs.shape[1] != model.n_dim:
         raise InputError(
-            f"test velocities have dimension {qs.shape[1]}, expected {model.n_dim}"
+            f"test velocities must have shape (M, {model.n_dim}), got {qs.shape}"
         )
     out = model.prior_mean.torque(qs)
     q_train = model.train.velocities
+    ell = model.kernel.lengthscales
+    if corr is not None:
+        corr = _correlation(corr, ell, q_train, qs)
     if model.kind == "ard":
         output_kernels = [model.kernel.output_kernel(m) for m in range(model.n_dim)]
     else:
         weights = _damping_weights(model)
-    step = max(1, len(qs) if corr is not None else _block_columns(len(q_train)))
-    start = 0
-    for stop in _block_stops(len(qs), step):
-        block = qs[start:stop]
-        block_corr = _correlation(corr, model.kernel.lengthscales, q_train, block)
+    for start, stop in _pieces(len(qs)):
+        piece = qs[start:stop]
+        piece_corr = se_correlation(ell, q_train, piece) if corr is None else corr[:, start:stop]
         if model.kind == "ard":
             for m, kernel in enumerate(output_kernels):
-                cross = kernel.pairwise(q_train, block, block_corr)  # (D, block)
+                cross = kernel.pairwise(q_train, piece, piece_corr)  # (D, piece)
                 out[start:stop, m] += cross.T @ model.residual_solves[m]
         else:
-            damping = _data_damping(model, weights, block_corr)
-            out[start:stop] += np.einsum("mnb,bn->bm", damping, block)
-        start = stop
+            damping = _data_damping(model, weights, piece_corr)
+            out[start:stop] += np.einsum("mnb,bn->bm", damping, piece)
     return out
 
 
@@ -379,6 +362,7 @@ def optimize_hypervariances(
         prior_mean = (
             PriorMean.zero(n) if kind == "ard" else fit_prior_mean(data_train)
         )
+    prior_mean.check_dim(n)
 
     init = _initial_hypervariances(kind, data_train, prior_mean)
     # the starting kernel validates the lengthscales before they are used

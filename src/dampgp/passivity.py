@@ -41,21 +41,24 @@ class PassivityBound:
         """This bound's c and prior mean on the grid of ``hypervariances``:
         what ``compute_bound`` returns for them on the same data, prior and
         noise variance, with the same validation of the grid."""
-        grid, diagonal = _grid(hypervariances)
+        grid, diagonal = _grid(hypervariances, self.mean_coefficients.size)
         return replace(self, hypervariance_matrix=grid, diagonal=diagonal)
 
 
-def _grid(hypervariances) -> tuple[np.ndarray, bool]:
+def _grid(hypervariances, n: int) -> tuple[np.ndarray, bool]:
+    """The N x N grid of ``hypervariances`` for N = ``n`` dimensions, and
+    whether it came from an N-vector."""
     hyp = np.asarray(hypervariances, dtype=float)
     if not np.all(np.isfinite(hyp) & (hyp >= 0)):
         raise InputError("hypervariances must be finite and nonnegative")
+    if hyp.shape not in ((n,), (n, n)):
+        raise InputError(
+            f"hypervariances must be a {n}-vector or {n} x {n} matrix for "
+            f"{n}-dimensional data, got shape {hyp.shape}"
+        )
     if hyp.ndim == 1:
         return np.diag(hyp), True
-    if hyp.ndim == 2 and hyp.shape[0] == hyp.shape[1]:
-        return hyp.copy(), False
-    raise InputError(
-        f"hypervariances must be an N-vector or N x N matrix, got shape {hyp.shape}"
-    )
+    return hyp.copy(), False
 
 
 def compute_bound(
@@ -74,7 +77,8 @@ def compute_bound(
     """
     if not (math.isfinite(noise_variance) and noise_variance >= 0):
         raise InputError(f"noise_variance must be finite and >= 0, got {noise_variance}")
-    grid, diagonal = _grid(hypervariances)
+    prior_mean.check_dim(data.n_dim)
+    grid, diagonal = _grid(hypervariances, data.n_dim)
     q = data.velocities
     resid = data.torques - prior_mean.torque(q)
     inf_norm = float(np.max(np.abs(q)))

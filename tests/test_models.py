@@ -252,21 +252,21 @@ def _damping_formula_prediction(model, qs, corr):
     """The documented structured prediction over all M test points:
     tau = diag(m_d) qd + (grid o G) qd with G[m, n, b] =
     sum_i corr[i, b] * q_train[i, n] * alpha_m,i, from products over
-    384-column chunks, the last taking the remainder (one product over all
-    M rounds differently for some N and D)."""
+    ``_PIECE``-column pieces, the last taking the remainder (one product
+    over all M rounds differently for some N and D)."""
     q = model.train.velocities
     d, n = q.shape
     alphas = np.vstack(model.residual_solves).T
     weights = (alphas[:, :, None] * q[:, None, :]).reshape(d, n * n)
-    align = models._BLOCK_ALIGN
-    ends = [*range(align, len(qs) - align + 1, align), len(qs)]
+    piece = models._PIECE
+    ends = [*range(piece, len(qs) - piece + 1, piece), len(qs)]
     G = np.hstack([weights.T @ corr[:, s:t] for s, t in zip([0, *ends], ends)]).reshape(n, n, -1)
     return qs * model.prior_mean.coefficients + np.einsum("mnb,bn->bm", model.kernel.grid[:, :, None] * G, qs)
 
 
 def _one_block_prediction(model, qs):
     """Reference: one correlation over all M test points, as before
-    blocking; the damping formula for the structured kinds, the per-output
+    taking pieces; the damping formula for the structured kinds, the per-output
     cross-covariances for ard."""
     corr = se_correlation(model.kernel.lengthscales, model.train.velocities, qs)
     if model.kind == "ard":
@@ -278,14 +278,14 @@ def blocked_prediction_mismatches() -> list:
     """(N, D, kind, M, path) of every blocked or ``corr=`` prediction that
     is not bitwise equal to ``_one_block_prediction``."""
     rng = np.random.default_rng(40)
+    p = models._PIECE
     mismatches = []
-    for n in (2, 3):
+    for n in (1, 2, 3):
         for d, extra_sizes in ((50, ()), (200, (20_009,)), (400, ()), (700, ())):
-            b = models._block_columns(d)
             for kind in models.KINDS:
                 kernel, data, prior = random_instance(rng, kind, n=n, d=d)
                 model = fit(kind, kernel, prior, data, 0.4)
-                for m in (1, b - 1, b, b + 1, 2 * b - 1, 2 * b + 1, *extra_sizes):
+                for m in (1, p - 1, p, p + 1, 2 * p - 1, 2 * p, 2 * p + 1, *extra_sizes):
                     qs = rng.uniform(-2, 2, (m, n))
                     expected = _one_block_prediction(model, qs)
                     corr = se_correlation(kernel.lengthscales, data.velocities, qs)
@@ -299,12 +299,6 @@ def blocked_prediction_mismatches() -> list:
 
 
 class TestBlockedPrediction:
-    def test_block_width_is_aligned_and_near_the_entry_budget(self):
-        for d in (1, 50, 200, 400, 683, 5000):
-            b = models._block_columns(d)
-            assert b % models._BLOCK_ALIGN == 0
-            assert d * b <= max(models._BLOCK_ENTRIES, d * models._BLOCK_ALIGN)
-
     def test_blocked_equals_one_block_bitwise(self):
         # One BLAS thread: a threaded OpenBLAS matrix-vector product splits
         # its rows at points that depend on M, so even the unblocked result
@@ -333,7 +327,7 @@ class TestBlockedPrediction:
         kernel, data, prior = random_instance(rng, "full", n=3, d=d)
         model = fit("full", kernel, prior, data, 0.4)
         qs = rng.uniform(-2, 2, (m, 3))
-        widest = 2 * models._block_columns(d) - 1  # the last block takes the remainder
+        widest = 2 * models._PIECE - 1  # the last piece takes the remainder
         tracemalloc.start()
         try:
             out = models.predict_torque_batch(model, qs)
@@ -341,6 +335,14 @@ class TestBlockedPrediction:
         finally:
             tracemalloc.stop()
         assert peak < 4 * d * widest * 8 + 2 * out.nbytes
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (1, 1, 2)])
+    def test_test_velocities_of_more_than_two_dimensions_rejected(self, shape):
+        # used to pass the column check and fail in a numpy broadcast
+        kernel, data, prior = random_instance(np.random.default_rng(43), "full", n=2, d=6)
+        model = fit("full", kernel, prior, data, 0.4)
+        with pytest.raises(InputError, match=r"must have shape \(M, 2\)"):
+            models.predict_torque_batch(model, np.zeros(shape))
 
     def test_empty_batch_still_checks_corr(self):
         kernel, data, prior = random_instance(np.random.default_rng(42), "diag", n=2, d=6)
@@ -474,6 +476,14 @@ class TestOptimizeHypervariances:
         with pytest.raises(InputError, match="no passivity bound"):
             models.optimize_hypervariances(
                 "ard", data, data, np.ones(2), 0.5, constrained=True, budget=2)
+
+    def test_prior_of_another_dimension_rejected(self):
+        # used to fail with a numpy broadcast error before any check ran
+        rng = np.random.default_rng(44)
+        _, data, _ = random_instance(rng, "diag", n=3, d=8)
+        with pytest.raises(InputError, match="2 coefficients for 3-dimensional data"):
+            models.optimize_hypervariances(
+                "diag", data, data, np.ones(3), 0.5, budget=2, prior_mean=PriorMean(np.ones(2)))
 
     def test_empty_validation_rejected(self):
         rng = np.random.default_rng(20)

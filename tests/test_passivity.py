@@ -92,6 +92,25 @@ class TestComputeBound:
         with pytest.raises(InputError):
             compute_bound(data, PriorMean.zero(1), 1.0, np.array([[1.0, 1.0], [bad, 1.0]]))
 
+    @pytest.mark.parametrize("hyp", [np.ones(2), np.ones((2, 2)), np.ones((3, 3, 3))])
+    def test_grid_of_another_dimension_rejected(self, hyp):
+        # a 2-vector grid on 3-D data used to pass here and fail in dsygvd
+        rng = np.random.default_rng(17)
+        q = rng.uniform(-2, 2, (6, 3))
+        data = Dataset(q, 2.0 * q)
+        with pytest.raises(InputError, match="3-vector or 3 x 3 matrix") as err:
+            compute_bound(data, PriorMean(np.ones(3)), 1.0, hyp)
+        assert f"got shape {hyp.shape}" in str(err.value)
+        bound = compute_bound(data, PriorMean(np.ones(3)), 1.0, np.ones(3))
+        with pytest.raises(InputError, match="3-vector"):
+            bound.with_grid(hyp)
+
+    def test_prior_of_another_dimension_rejected(self):
+        # used to fail with a numpy broadcast error
+        q = np.random.default_rng(18).uniform(-2, 2, (6, 3))
+        with pytest.raises(InputError, match="2 coefficients for 3-dimensional data"):
+            compute_bound(Dataset(q, 2.0 * q), PriorMean(np.ones(2)), 1.0, np.ones(3))
+
 
     @pytest.mark.parametrize("nv", [-100.0, -math.inf, math.inf, math.nan])
     def test_bad_noise_variance_rejected(self, nv):
@@ -119,7 +138,7 @@ class TestComputeBound:
 
 def bound_with_c(c, m_d, hyp):
     """Bound object with exactly the requested c (direct construction)."""
-    grid, diagonal = passivity._grid(hyp)
+    grid, diagonal = passivity._grid(hyp, len(m_d))
     return passivity.PassivityBound(
         c=c,
         hypervariance_matrix=grid,
