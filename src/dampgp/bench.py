@@ -167,13 +167,17 @@ _SYSTEM_SPECS = {
 }
 
 
-def get_system(system_id: str) -> GroundTruthSystem:
-    """Build one shipped system; only that system's PSD sweep runs."""
+def _system_spec(system_id: str) -> tuple:
     if system_id not in _SYSTEM_SPECS:
         raise InputError(
             f"unknown system id {system_id!r}; available: {sorted(_SYSTEM_SPECS)}"
         )
-    return make_system(system_id, *_SYSTEM_SPECS[system_id])
+    return _SYSTEM_SPECS[system_id]
+
+
+def get_system(system_id: str) -> GroundTruthSystem:
+    """Build one shipped system; only that system's PSD sweep runs."""
+    return make_system(system_id, *_system_spec(system_id))
 
 
 def sample_trajectory(
@@ -388,7 +392,7 @@ class ExperimentConfig:
     def resolved_lengthscales(self) -> np.ndarray:
         if self.lengthscales is not None:
             return np.asarray(self.lengthscales, dtype=float)
-        return get_system(self.system).default_lengthscales
+        return np.asarray(_system_spec(self.system)[2], dtype=float)  # no PSD sweep
 
 
 def _tuple_of(cast):

@@ -2,8 +2,8 @@
 
 Subcommands: generate, fit, evaluate, efficiency, power.  Every command is
 deterministic given its config and seeds: reruns at the same BLAS thread
-count produce byte-identical CSV and SVG outputs.  Exit codes: 0 success,
-2 input error, 3 numerical error, 4 passivity infeasibility.
+count into the same directory write byte-identical files, manifests too.
+Exit codes: 0 success, 2 input error, 3 numerical error, 4 passivity infeasibility.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import json
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +31,19 @@ def _sub_seed(seed: int, tag: int) -> int:
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["tool_version"] = __version__
-    payload["created_unix"] = time.time()
+    payload = payload | {"tool_version": __version__}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _bound_check(model: models.FittedModel):
+    """The passivity bound of ``model`` on its training data and its check,
+    or None for the ard baseline, which has no bound."""
+    if model.kind == "ard":
+        return None
+    bound = passivity.compute_bound(
+        model.train, model.prior_mean, model.noise_variance, model.kernel.hypervariances
+    )
+    return bound, passivity.check_bound(bound)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -123,29 +131,24 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     lengthscales = _parse_floats(args.lengthscales)
-    kind, noise_variance, constrained = args.kind, args.noise_variance, args.constrained
-    train = bench.read_dataset(args.train)
     result = models.optimize_hypervariances(
-        kind,
-        train,
+        args.kind,
+        bench.read_dataset(args.train),
         bench.read_dataset(args.val),
         lengthscales,
-        noise_variance,
-        constrained=constrained,
+        args.noise_variance,
+        constrained=args.constrained,
         budget=args.budget,
         tie_full=not args.free_hypervariances,
     )
-    model = result.model
-    modelio.save_model(args.out, model, constrained=constrained)
-    print(f"wrote {args.out} (kind={kind}, val_mse={result.val_mse:.6g}, "
+    modelio.save_model(args.out, result.model)
+    print(f"wrote {args.out} (kind={args.kind}, val_mse={result.val_mse:.6g}, "
           f"evaluations={result.n_evaluations})")
-    if kind == "ard":
+    checked = _bound_check(result.model)
+    if checked is None:
         print("passivity bound: n/a for the unstructured baseline")
         return 0
-    bound = passivity.compute_bound(
-        train, model.prior_mean, noise_variance, model.kernel.hypervariances
-    )
-    chk = passivity.check_bound(bound)
+    bound, chk = checked
     print(f"passivity bound: c={bound.c:.6g} feasible={chk.feasible} margin={chk.margin:.6g}")
     return 0
 
@@ -156,7 +159,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model, _ = modelio.load_model(args.model)
+    model = modelio.load_model(args.model)
     test = bench.read_dataset(args.test)
     if test.n_dim != model.n_dim:
         raise InputError(
@@ -297,7 +300,9 @@ def cmd_efficiency(args) -> int:
 
 def cmd_power(args) -> int:
     domain, out_dir = _parse_domain(args.domain), args.out_dir
-    model, constrained = modelio.load_model(args.model)
+    model = modelio.load_model(args.model)
+    checked = _bound_check(model)
+    label = "constrained" if checked is not None and checked[1].feasible else "unconstrained"
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep = passivity.passivity_sweep(model, domain, args.samples, seed=args.seed)
 
@@ -310,7 +315,7 @@ def cmd_power(args) -> int:
     charts.histogram(
         svg_path,
         sweep.powers,
-        title=f"Dissipated power distribution ({'constrained' if constrained else 'unconstrained'})",
+        title=f"Dissipated power distribution ({label})",
         xlabel="dissipated power",
         series_name="samples",
     )

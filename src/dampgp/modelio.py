@@ -22,13 +22,11 @@ def _block(name: str, array: np.ndarray) -> str:
     return f"[{name}]\n" + _fmt_rows(np.atleast_2d(array), " ")
 
 
-def save_model(path, model: FittedModel, constrained: bool = False) -> None:
+def save_model(path, model: FittedModel) -> None:
     header = [
         MAGIC,
         f"kind: {model.kind}",
-        f"n_dim: {model.n_dim}",
         f"noise_variance: {_fmt(model.noise_variance)}",
-        f"constrained: {'true' if constrained else 'false'}",
     ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header) + "\n")
@@ -63,16 +61,17 @@ def _parse_blocks(lines: list[str], path) -> tuple[dict, dict]:
     return meta, blocks
 
 
-def load_model(path) -> tuple[FittedModel, bool]:
-    """Read a model file and refit; returns (model, constrained flag)."""
+def load_model(path) -> FittedModel:
+    """Read a model file and refit.  Header keys other than ``kind`` and
+    ``noise_variance``, such as the ``n_dim`` and ``constrained`` lines of
+    older files, are ignored."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != MAGIC:
         raise ParseError(f"{path}: not a dampgp model file (missing {MAGIC!r} header)")
     meta, blocks = _parse_blocks(lines, path)
 
-    required_meta = ("kind", "n_dim", "noise_variance", "constrained")
-    for key in required_meta:
+    for key in ("kind", "noise_variance"):
         if key not in meta:
             raise ParseError(f"{path}: missing header key {key!r}")
     required_blocks = (
@@ -93,15 +92,9 @@ def load_model(path) -> tuple[FittedModel, bool]:
     if kind not in models.KERNEL_TYPES:
         raise ParseError(f"{path}: unknown model kind {kind!r}")
     try:
-        n = int(meta["n_dim"])
         noise_variance = float(meta["noise_variance"])
     except ValueError as exc:
         raise ParseError(f"{path}: bad header value: {exc}") from exc
-    if meta["constrained"] not in ("true", "false"):
-        raise ParseError(
-            f"{path}: constrained must be 'true' or 'false', got {meta['constrained']!r}"
-        )
-    constrained = meta["constrained"] == "true"
 
     kernel_type = models.KERNEL_TYPES[kind]
     vectors = ["lengthscales", "prior_mean"]
@@ -116,7 +109,4 @@ def load_model(path) -> tuple[FittedModel, bool]:
     kernel = kernel_type(ell, hyp[0] if kernel_type.hyp_ndim == 1 else hyp)
 
     data = Dataset(np.array(blocks["train_velocities"]), np.array(blocks["train_torques"]))
-    if data.n_dim != n:
-        raise ParseError(f"{path}: training block dimension {data.n_dim} != n_dim {n}")
-    model = models.fit(kind, kernel, prior, data, noise_variance)
-    return model, constrained
+    return models.fit(kind, kernel, prior, data, noise_variance)

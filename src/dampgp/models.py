@@ -235,6 +235,8 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
         raise InputError(
             f"test velocities must have shape (M, {model.n_dim}), got {qs.shape}"
         )
+    if not np.all(np.isfinite(qs)):
+        raise InputError("test velocities must be finite")
     out = model.prior_mean.torque(qs)
     q_train = model.train.velocities
     ell = model.kernel.lengthscales
@@ -281,6 +283,8 @@ def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
     qs = np.asarray(qd_star, dtype=float)
     if qs.shape != (model.n_dim,):
         raise InputError(f"qd_star must have shape ({model.n_dim},)")
+    if not np.all(np.isfinite(qs)):
+        raise InputError("test velocities must be finite")
     corr = se_correlation(model.kernel.lengthscales, model.train.velocities, qs[None, :])
     damping = _data_damping(model, _damping_weights(model), corr)[:, :, 0]
     return np.diag(model.prior_mean.coefficients) + damping
@@ -348,8 +352,6 @@ def optimize_hypervariances(
     kind = _check_kind(kind)
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
-    if data_val.n_samples < 1:
-        raise InputError("validation set is empty")
     if data_val.n_dim != data_train.n_dim:
         raise InputError("train/validation dimension mismatch")
     if constrained and kind == "ard":

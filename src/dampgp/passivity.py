@@ -248,6 +248,8 @@ def passivity_sweep(
         raise InputError(f"domain lower bounds must not exceed upper bounds, got {box.tolist()}")
     if samples < 1:
         raise InputError("samples must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     pts = [rng.uniform(lo, hi, size=(samples, model.n_dim))]

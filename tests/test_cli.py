@@ -54,6 +54,10 @@ class TestGenerate:
         run_cli("--config", cfg_path, "--out-dir", out2, "generate")
         for f in sorted(out1.glob("*.csv")):
             assert f.read_bytes() == (out2 / f.name).read_bytes()
+        # the manifest names its output directory but records no clock
+        manifest = (out1 / "generate_manifest.json").read_bytes()
+        run_cli("--config", cfg_path, "--out-dir", out1, "generate")
+        assert (out1 / "generate_manifest.json").read_bytes() == manifest
 
     def test_validation_is_drawn_apart_from_training(self, tmp_path, cfg_path):
         out = tmp_path / "data"
@@ -176,7 +180,7 @@ class TestFit:
             "full", bench.read_dataset(train), bench.read_dataset(val),
             [12.0, 12.0, 12.0], 100.0, budget=12, tie_full=False,
         ).kernel.hypervariances
-        saved = modelio.load_model(model_path)[0].kernel.hypervariances
+        saved = modelio.load_model(model_path).kernel.hypervariances
         assert np.array_equal(saved, expected)
         # the untied search moves single elements, which the tied grid cannot
         assert not np.allclose(saved * saved.T, np.outer(np.diag(saved), np.diag(saved)))
@@ -311,9 +315,9 @@ class TestEvaluate:
         assert "takes (M, 1) velocities" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pattern, value", [
-        (r"n_dim: (\S+)", "three"),
+        (r"noise_variance: (\S+)", "three"),
         (r"\[hypervariances\]\n(\S+)", "inf"),
-    ], ids=["n_dim", "hypervariance"])
+    ], ids=["noise_variance", "hypervariance"])
     def test_malformed_model_values_exit_code(self, tmp_path, cfg_path, pattern, value,
                                               capsys):
         model_path, test_path = self._fitted(tmp_path, cfg_path)
@@ -375,6 +379,19 @@ class TestEfficiency:
         assert rows["true"]["ard"] == rows["false"]["ard"]
         assert rows["true"]["diag"] != rows["false"]["diag"]  # projected
 
+    def test_system_is_built_once(self, tmp_path, cfg_path, monkeypatch):
+        # the default lengthscales are read without building the system again
+        sweeps = []
+        sweep = bench._psd_construction_sweep
+        monkeypatch.setattr(bench, "_psd_construction_sweep",
+                            lambda system: sweeps.append(system.name) or sweep(system))
+        cfg_path.write_text(SMALL_CFG.replace("lengthscales = 12\n", ""))
+        assert run_cli("--config", cfg_path, "--out-dir", tmp_path / "eff",
+                       "efficiency", "--sizes", "10") == 0
+        assert sweeps == ["linear1"]
+        manifest = json.loads((tmp_path / "eff" / "efficiency_manifest.json").read_text())
+        assert manifest["config"]["lengthscales"] == [12.0]
+
     def test_run_efficiency_deterministic(self):
         cfg = bench.ExperimentConfig(
             system="linear1", val_size=10, test_size=10, seeds=(0,),
@@ -394,7 +411,7 @@ class TestPower:
         model = fit("diag", DiagTorqueKernel(np.array([12.0]), np.array([1e-4])),
                     prior, data, 1.0)
         path = tmp_path / "m.model"
-        modelio.save_model(path, model, constrained=True)
+        modelio.save_model(path, model)
         return path
 
     def test_passive_verdict(self, tmp_path, capsys):
@@ -408,6 +425,35 @@ class TestPower:
         assert lines[0] == "qd_1,power"
         assert len(lines) == 1 + 200 + 2 + 1  # samples + corners + origin
         ET.fromstring((out / "power.svg").read_text())
+
+    def test_label_is_the_bound_check(self, tmp_path, cfg_path):
+        # the title follows the saved hypervariances, whatever fit was asked for
+        data = tmp_path / "data"
+        run_cli("--config", cfg_path, "--out-dir", data, "generate")
+        model_path = tmp_path / "c.model"
+        assert run_cli(
+            "fit", data / "seed0_train.csv", "--kind", "diag", "--val", data / "seed0_val.csv",
+            "--lengthscales", "12", "--noise-variance", "1.0", "--budget", "5",
+            "--constrained", "--out", model_path,
+        ) == 0
+        titles = []
+        for scale in (1.0, 1e4):
+            text = model_path.read_text()
+            span = re.search(r"\[hypervariances\]\n(\S+)", text).span(1)
+            hyp = float(text[span[0]:span[1]]) * scale
+            model_path.write_text(f"{text[:span[0]]}{hyp!r}{text[span[1]:]}")
+            out = tmp_path / f"pow{scale}"
+            assert run_cli("--out-dir", out, "power", model_path,
+                           "--domain=-25:25", "--samples", "20") == 0
+            titles.append(re.search(r"Dissipated power distribution \((\w+)\)",
+                                    (out / "power.svg").read_text()).group(1))
+        assert titles == ["constrained", "unconstrained"]
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        model_path = self._model(tmp_path)
+        assert run_cli("--out-dir", tmp_path / "pow", "power", model_path, "--domain=-5:5",
+                       "--seed", "-1") == cli.EXIT_INPUT
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_seed_changes_sampled_points(self, tmp_path):
         model_path = self._model(tmp_path)
@@ -460,37 +506,42 @@ class TestModelIo:
         kernel = models.KERNEL_TYPES[kind](np.ones(n), hyp)
         return fit(kind, kernel, prior, data, 0.7)
 
+    @pytest.mark.parametrize("header", ["current", "older"])
     @pytest.mark.parametrize("kind", ["ard", "diag", "full"])
-    def test_round_trip_predictions_identical(self, tmp_path, kind):
+    def test_round_trip_predictions_identical(self, tmp_path, kind, header):
         rng = np.random.default_rng(1)
         model = self._model(kind, rng)
         path = tmp_path / "m.model"
-        modelio.save_model(path, model, constrained=False)
-        back, constrained = modelio.load_model(path)
-        assert constrained is False
+        modelio.save_model(path, model)
+        lines = path.read_text().splitlines(keepends=True)
+        assert [line.split(":")[0].strip() for line in lines[:4]] == [
+            modelio.MAGIC, "kind", "noise_variance", "[lengthscales]"]
+        if header != "current":
+            # older files carry n_dim and constrained lines; they load to the same model
+            lines[2:2] = ["n_dim: 2\n"]
+            lines[4:4] = ["constrained: true\n"]
+            path.write_text("".join(lines))
+        back = modelio.load_model(path)
+        assert isinstance(back, models.FittedModel)
         qs = rng.uniform(-2, 2, (5, 2))
         assert np.array_equal(
             models.predict_torque_batch(model, qs),
             models.predict_torque_batch(back, qs),
         )
 
-    def test_constrained_flag_round_trip(self, tmp_path):
-        model = self._model("diag", np.random.default_rng(2))
+    @pytest.mark.parametrize("kind", ["ard", "diag", "full"])
+    def test_training_blocks_of_another_dimension_exit_code(self, tmp_path, kind, capsys):
+        model = self._model(kind, np.random.default_rng(8))
         path = tmp_path / "m.model"
-        modelio.save_model(path, model, constrained=True)
-        assert modelio.load_model(path)[1] is True
-
-    @pytest.mark.parametrize("value", ["yes", "True", "1", ""])
-    def test_constrained_flag_other_than_true_or_false_rejected(self, tmp_path, value):
-        model = self._model("full", np.random.default_rng(4))
-        path = tmp_path / "m.model"
-        modelio.save_model(path, model, constrained=True)
-        path.write_text(path.read_text().replace("constrained: true", f"constrained: {value}"))
-        with pytest.raises(ParseError, match="constrained must be 'true' or 'false'"):
-            modelio.load_model(path)
-        assert run_cli("--out-dir", tmp_path / "pow", "power", path,
-                       "--domain=-2:2,-2:2", "--samples", "10") == cli.EXIT_INPUT
-        assert not (tmp_path / "pow" / "power.svg").exists()
+        modelio.save_model(path, model)
+        head, train = path.read_text().split("[train_velocities]\n")
+        train = "\n".join(f"{row} 0.5" if row and not row.startswith("[") else row
+                          for row in train.split("\n"))
+        path.write_text(f"{head}[train_velocities]\n{train}")
+        test = tmp_path / "test.csv"
+        bench.write_dataset(test, Dataset(np.ones((3, 3)), np.ones((3, 3))))
+        assert run_cli("evaluate", path, test, "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
+        assert "kernel dimension 2 does not match data dimension 3" in capsys.readouterr().err
 
     def test_missing_magic(self, tmp_path):
         path = tmp_path / "m.model"

@@ -99,6 +99,11 @@ class TestFactorize:
         with pytest.raises(InputError):
             gp_core.factorize(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_gram_rejected(self, shape):
+        with pytest.raises(InputError, match="gram must be square"):
+            gp_core.factorize(np.ones(shape), 0.1)
+
     def test_deterministic(self):
         gram = np.array([[2.0, 0.3], [0.3, 1.0]])
         f1 = gp_core.factorize(gram, 0.1)

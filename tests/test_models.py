@@ -44,9 +44,17 @@ class TestDataset:
         with pytest.raises(InputError):
             Dataset(np.ones((2, 2)), np.ones((2, 3)))
 
+    def test_rejects_zero_rows(self):
+        with pytest.raises(InputError, match="at least one sample"):
+            Dataset(np.zeros((0, 2)), np.zeros((0, 2)))
+
     def test_prior_mean_rejects_non_finite(self):
         with pytest.raises(InputError, match="finite"):
             PriorMean(np.array([1.0, np.inf]))
+
+    def test_prior_mean_rejects_matrix(self):
+        with pytest.raises(InputError, match="must be a vector"):
+            PriorMean(np.ones((2, 2)))
 
 
 class TestFitPriorMean:
@@ -106,6 +114,12 @@ class TestFit:
         kernel, data, prior = random_instance(rng, "diag")
         with pytest.raises(InputError):
             fit("full", kernel, prior, data, 0.5)
+        other = DiagTorqueKernel(np.ones(data.n_dim + 1), np.ones(data.n_dim + 1))
+        with pytest.raises(InputError, match="does not match data dimension"):
+            fit("diag", other, prior, data, 0.5)
+        ard_kernel = SeArdKernelBank(kernel.lengthscales, np.ones(data.n_dim))
+        with pytest.raises(InputError, match="the ard baseline is zero-mean"):
+            fit("ard", ard_kernel, PriorMean(np.ones(data.n_dim)), data, 0.5)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_noise_variance_rejected(self, bad):
@@ -298,6 +312,26 @@ def blocked_prediction_mismatches() -> list:
     return mismatches
 
 
+class TestPredictionInputChecks:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [models.predict_torque_batch, predict_damping])
+    def test_non_finite_test_velocities_rejected(self, entry, bad):
+        # used to return NaN, with RuntimeWarnings from se_correlation
+        kernel, data, prior = random_instance(np.random.default_rng(45), "full", n=3, d=8)
+        model = fit("full", kernel, prior, data, 0.4)
+        qd = np.array([bad, 0.0, 50.0])
+        with pytest.raises(InputError, match="test velocities must be finite"):
+            entry(model, qd if entry is predict_damping else qd[None, :])
+
+    def test_wrong_shapes_rejected(self):
+        kernel, data, prior = random_instance(np.random.default_rng(46), "full", n=3, d=8)
+        model = fit("full", kernel, prior, data, 0.4)
+        with pytest.raises(InputError, match="single velocity vector"):
+            predict_torque(model, np.zeros((1, 3)))
+        with pytest.raises(InputError, match=r"qd_star must have shape \(3,\)"):
+            predict_damping(model, np.zeros(2))
+
+
 class TestBlockedPrediction:
     def test_blocked_equals_one_block_bitwise(self):
         # One BLAS thread: a threaded OpenBLAS matrix-vector product splits
@@ -434,6 +468,9 @@ class TestOptimizeHypervariances:
         expected = models._initial_hypervariances("diag", train, prior)
         assert res.n_evaluations == 1
         assert np.allclose(res.kernel.hypervariances, expected)
+        with pytest.raises(InputError, match="budget must be >= 1"):
+            models.optimize_hypervariances(
+                "diag", train, val, np.ones(2), 0.5, budget=0, prior_mean=prior)
 
     def test_monotone_improvement(self):
         rng = np.random.default_rng(18)
@@ -485,10 +522,10 @@ class TestOptimizeHypervariances:
             models.optimize_hypervariances(
                 "diag", data, data, np.ones(3), 0.5, budget=2, prior_mean=PriorMean(np.ones(2)))
 
-    def test_empty_validation_rejected(self):
+    def test_validation_of_another_dimension_rejected(self):
         rng = np.random.default_rng(20)
         _, train, prior = random_instance(rng, "diag", n=2, d=6)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="train/validation dimension mismatch"):
             models.optimize_hypervariances(
                 "diag", train, Dataset(np.zeros((1, 3)), np.zeros((1, 3))),
                 np.ones(2), 0.5, budget=5, prior_mean=prior,

@@ -10,6 +10,7 @@ from dampgp.errors import InfeasibilityError, InputError, NumericalError
 from dampgp.kernels import DiagTorqueKernel, FullTorqueKernel
 from dampgp.models import Dataset, PriorMean, fit, fit_prior_mean
 from dampgp.passivity import (
+    BoundCheck,
     check_bound,
     check_bound_diag,
     check_bound_full,
@@ -158,6 +159,8 @@ class TestCheckBound:
     def test_full_infeasible(self):
         bound = bound_with_c(1.0, [1.0, 1.0], 4.0 * np.ones((2, 2)))
         assert not check_bound_full(bound).feasible
+        # c = +inf (a vanishing residual or velocity) is vacuously feasible
+        assert check_bound_full(replace(bound, c=math.inf)) == BoundCheck(True, math.inf)
 
     def test_zero_sigma_f_always_feasible(self):
         bound = bound_with_c(1e-30, [0.0, 0.0], np.zeros((2, 2)))
@@ -652,3 +655,6 @@ class TestPassivitySweep:
             passivity_sweep(model, np.array([[-1.0, 1.0], [np.inf, 1.0]]), 10)
         with pytest.raises(InputError):
             passivity_sweep(model, np.array([[-1.0, 1.0], [-1.0, 1.0]]), 0)
+        # numpy's default_rng used to raise a bare ValueError
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            passivity_sweep(model, np.array([[-1.0, 1.0], [-1.0, 1.0]]), 10, seed=-1)
