@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ParseError
-from .models import Dataset
+from .models import KINDS, Dataset
 
 PSD_SWEEP_POINTS = 10_000
 PSD_SWEEP_BLOCK = 1_000
@@ -358,6 +358,16 @@ def read_dataset(path) -> Dataset:
     return Dataset(np.array(velocities), np.array(torques))
 
 
+def check_train_sizes(sizes) -> None:
+    """The training-size rule: a non-empty, strictly ascending list of
+    integers >= 1, so no size is fitted, or written, twice."""
+    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise InputError(
+            "training sizes must be a non-empty, strictly ascending list of "
+            f"integers >= 1, got {','.join(map(str, sizes))}"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description, mirroring the plain-text config keys."""
@@ -378,10 +388,18 @@ class ExperimentConfig:
         for key in ("train_sizes", "seeds", "kinds"):
             if not getattr(self, key):
                 raise InputError(f"{key} must list at least one value")
+        check_train_sizes(self.train_sizes)
+        for key in ("seeds", "kinds"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise InputError(f"{key} repeats a value: {','.join(map(str, values))}")
+        for kind in self.kinds:
+            if kind not in KINDS:
+                raise InputError(f"unknown kind {kind!r}; available: {list(KINDS)}")
         if self.val_size < 1 or self.test_size < 1:
             raise InputError("val_size and test_size must be >= 1")
-        if any(s < 1 for s in self.train_sizes):
-            raise InputError("train sizes must be >= 1")
+        if self.budget < 1:
+            raise InputError(f"budget must be >= 1, got {self.budget}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not (math.isfinite(self.noise_variance) and self.noise_variance > 0):

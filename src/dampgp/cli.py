@@ -46,36 +46,20 @@ def _bound_check(model: models.FittedModel):
     return bound, passivity.check_bound(bound)
 
 
-def _parse_floats(text: str) -> list[float]:
+def _flag_value(parse, flag: str, text: str):
+    """``parse(text)``, its ``ValueError`` raised as an InputError naming ``flag``."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return parse(text)
     except ValueError as exc:
-        raise InputError(f"bad float list {text!r}: {exc}") from exc
+        raise InputError(f"bad {flag} value {text!r}: {exc}") from exc
 
 
-def _parse_sizes(text: str) -> list[int]:
-    """Parse '10,20,40' into a non-empty list of integers >= 1."""
-    try:
-        sizes = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad size list {text!r}: {exc}") from exc
-    if not sizes or min(sizes) < 1:
-        raise InputError(f"sizes must be a non-empty list of integers >= 1, got {text!r}")
-    return sizes
-
-
-def _parse_domain(text: str) -> np.ndarray:
-    """Parse 'lo:hi,lo:hi,...' into an (N, 2) box."""
-    rows = []
-    for part in text.split(","):
-        if ":" not in part:
-            raise InputError(f"domain component {part!r} must be 'lo:hi'")
-        lo, hi = part.split(":", 1)
-        try:
-            rows.append((float(lo), float(hi)))
-        except ValueError as exc:
-            raise InputError(f"bad domain bound in {part!r}: {exc}") from exc
-    return np.array(rows)
+def _lo_hi(pair: str) -> tuple[float, float]:
+    """One 'lo:hi' component of a --domain box."""
+    if pair.count(":") != 1:
+        raise ValueError(f"component {pair!r} is not lo:hi")
+    lo, hi = pair.split(":")
+    return float(lo), float(hi)
 
 
 def _require_config(args) -> bench.ExperimentConfig:
@@ -130,7 +114,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    lengthscales = _parse_floats(args.lengthscales)
+    lengthscales = _flag_value(bench._CONFIG_PARSERS["lengthscales"], "--lengthscales",
+                               args.lengthscales)
     result = models.optimize_hypervariances(
         args.kind,
         bench.read_dataset(args.train),
@@ -201,8 +186,7 @@ def run_efficiency(cfg: bench.ExperimentConfig, sizes: list[int]) -> list[dict]:
     optimize hypervariances on a held-out validation sample, evaluate NMSE
     against the noise-free ground truth on a held-out test sample.
     """
-    if sorted(sizes) != list(sizes):
-        raise InputError("sizes must be ascending")
+    bench.check_train_sizes(sizes)
     system = bench.get_system(cfg.system)
     ell = cfg.resolved_lengthscales()
     records = []
@@ -220,9 +204,9 @@ def run_efficiency(cfg: bench.ExperimentConfig, sizes: list[int]) -> list[dict]:
         for size in sizes:
             train = bench.generate_dataset(
                 system,
-                bench.sample_trajectory(system, size, seed=_sub_seed(seed, 100 + size), waveform="uniform"),
+                bench.sample_trajectory(system, size, seed=_sub_seed(seed, 100 + 2 * size), waveform="uniform"),
                 cfg.noise_std,
-                seed=_sub_seed(seed, 200 + size),
+                seed=_sub_seed(seed, 101 + 2 * size),
             )
             for kind in cfg.kinds:
                 opt = models.optimize_hypervariances(
@@ -251,9 +235,10 @@ def run_efficiency(cfg: bench.ExperimentConfig, sizes: list[int]) -> list[dict]:
 
 def cmd_efficiency(args) -> int:
     cfg = _require_config(args)
-    sizes, out_dir = _parse_sizes(args.sizes), args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    sizes = _flag_value(bench._CONFIG_PARSERS["train_sizes"], "--sizes", args.sizes)
     records = run_efficiency(cfg, sizes)
+    out_dir = args.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "efficiency.csv"
     lines = ["kind,size,seed,output,nmse"]
     lines += [
@@ -299,7 +284,8 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_power(args) -> int:
-    domain, out_dir = _parse_domain(args.domain), args.out_dir
+    domain = _flag_value(bench._tuple_of(_lo_hi), "--domain", args.domain)
+    out_dir = args.out_dir
     model = modelio.load_model(args.model)
     checked = _bound_check(model)
     label = "constrained" if checked is not None and checked[1].feasible else "unconstrained"
@@ -369,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eff = sub.add_parser("efficiency", help="data-efficiency curves over training sizes")
     p_eff.add_argument("--sizes", type=str, required=True,
-                       help="ascending comma-separated training sizes")
+                       help="strictly ascending comma-separated training sizes")
     p_eff.set_defaults(handler=cmd_efficiency)
 
     p_pow = sub.add_parser("power", help="dissipated-power sweep of a fitted model")

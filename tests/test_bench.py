@@ -450,3 +450,24 @@ class TestConfig:
             bench.ExperimentConfig(val_size=0)
         with pytest.raises(InputError):
             bench.ExperimentConfig(train_sizes=(0,))
+
+    @pytest.mark.parametrize("sizes", [(20, 20), (40, 20), (10, 20, 20)])
+    def test_train_sizes_strictly_ascending(self, sizes):
+        with pytest.raises(InputError, match="strictly ascending"):
+            bench.ExperimentConfig(train_sizes=sizes)
+        with pytest.raises(InputError, match="strictly ascending"):
+            bench.check_train_sizes(sizes)
+        bench.check_train_sizes(sorted(set(sizes)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("kinds = bogus", "unknown kind 'bogus'"),
+        ("kinds = diag, diag", "kinds repeats a value: diag,diag"),
+        ("seeds = 0,0", "seeds repeats a value: 0,0"),
+        ("budget = 0", "budget must be >= 1, got 0"),
+        ("budget = -3", "budget must be >= 1, got -3"),
+    ])
+    def test_bad_config_value_rejected_on_read(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"system = linear1\n{text}\n")
+        with pytest.raises(InputError, match=re.escape(message)):
+            bench.read_config(path)

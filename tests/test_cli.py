@@ -1,12 +1,13 @@
 import json
 import re
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from dampgp import bench, charts, cli, modelio, models
-from dampgp.errors import ParseError
+from dampgp.errors import InputError, ParseError
 from dampgp.kernels import DiagTorqueKernel
 from dampgp.models import Dataset, PriorMean, fit, fit_prior_mean
 
@@ -123,6 +124,97 @@ def test_empty_config_list_exit_code(tmp_path, key, command, capsys):
     cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = ,", SMALL_CFG, flags=re.M))
     assert run_cli("--config", cfg, "--out-dir", tmp_path / "out", *command) == cli.EXIT_INPUT
     assert f"{key} must list at least one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, text, message", [
+    ("kinds", "bogus", "unknown kind 'bogus'"),
+    ("kinds", "diag,diag", "kinds repeats a value: diag,diag"),
+    ("seeds", "0,0", "seeds repeats a value: 0,0"),
+    ("budget", "0", "budget must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("command", [["generate"], ["efficiency", "--sizes", "10"]])
+def test_bad_config_value_writes_nothing(tmp_path, key, text, message, command, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {text}", SMALL_CFG, flags=re.M))
+    out = tmp_path / "out"
+    assert run_cli("--config", cfg, "--out-dir", out, *command) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _Stopped(Exception):
+    """Raised by a stub to end a command once it has seen its arguments."""
+
+
+@pytest.mark.parametrize("text", [" 12, 12,12", "12,,12,", " 7 ", ",", "12,x", "1.5"])
+def test_list_flags_parse_as_config_values(tmp_path, cfg_path, monkeypatch, text):
+    # each flag hands on exactly what the config parser of its key makes of the text
+    seen = []
+
+    def stop(*args, **kwargs):
+        seen.append(args)
+        raise _Stopped
+
+    monkeypatch.setattr(bench, "read_dataset", lambda path: None)
+    monkeypatch.setattr(models, "optimize_hypervariances", stop)
+    monkeypatch.setattr(cli, "run_efficiency", stop)
+    for key, position, argv in [
+        ("lengthscales", 3, ["fit", "t.csv", "--kind", "diag", "--val", "v.csv",
+                             "--lengthscales", text, "--out", tmp_path / "m.model"]),
+        ("train_sizes", 1, ["--config", cfg_path, "--out-dir", tmp_path / "eff",
+                            "efficiency", "--sizes", text]),
+    ]:
+        try:
+            expected = bench._CONFIG_PARSERS[key](text)
+        except ValueError:
+            assert run_cli(*argv) == cli.EXIT_INPUT, key
+            continue
+        with pytest.raises(_Stopped):
+            run_cli(*argv)
+        assert repr(seen.pop()[position]) == repr(expected), key
+
+
+def _reference_parse_domain(text):
+    """The --domain parser the CLI had before it read lists as config values do."""
+    rows = []
+    for part in text.split(","):
+        if ":" not in part:
+            raise InputError(f"domain component {part!r} must be 'lo:hi'")
+        lo, hi = part.split(":", 1)
+        try:
+            rows.append((float(lo), float(hi)))
+        except ValueError as exc:
+            raise InputError(f"bad domain bound in {part!r}: {exc}") from exc
+    return np.array(rows)
+
+
+def _swept_domain(monkeypatch, tmp_path, text):
+    """The box ``power --domain=text`` hands to the sweep."""
+    seen = []
+
+    def stop(model, domain, *args, **kwargs):
+        seen.append(np.asarray(domain, dtype=float))
+        raise _Stopped
+
+    monkeypatch.setattr(modelio, "load_model", lambda path: types.SimpleNamespace(kind="ard"))
+    monkeypatch.setattr(cli.passivity, "passivity_sweep", stop)
+    with pytest.raises(_Stopped):
+        run_cli("--out-dir", tmp_path, "power", "m.model", f"--domain={text}")
+    return seen[0]
+
+
+@pytest.mark.parametrize("text", ["-5:5", "-25:25,-25:25,40:90", " -25 : 25, -25:25 ,40:90",
+                                  "0:1e-3,-inf:inf", "5:-5", "1:1"])
+def test_domain_reads_valid_boxes_as_before(tmp_path, monkeypatch, text):
+    got, expected = _swept_domain(monkeypatch, tmp_path, text), _reference_parse_domain(text)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_domain_skips_empty_items(tmp_path, monkeypatch):
+    # the one grammar change: a trailing comma is skipped, as in `seeds = 0,`
+    got = _swept_domain(monkeypatch, tmp_path, "-5:5,")
+    assert got.tobytes() == _reference_parse_domain("-5:5").tobytes()
 
 
 class TestFit:
@@ -356,6 +448,15 @@ class TestEfficiency:
                        "efficiency", "--sizes", "20,10")
         assert code == cli.EXIT_INPUT
 
+    def test_repeated_sizes_exit_code(self, tmp_path, cfg_path, capsys):
+        out = tmp_path / "eff"
+        assert run_cli("--config", cfg_path, "--out-dir", out,
+                       "efficiency", "--sizes", "20,20") == cli.EXIT_INPUT
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(InputError, match="strictly ascending"):
+            cli.run_efficiency(bench.read_config(cfg_path), [10, 10])
+
     @pytest.mark.parametrize("sizes", ["10,x", ",", "0,10"])
     def test_malformed_sizes_exit_code(self, tmp_path, cfg_path, sizes, capsys):
         code = run_cli("--config", cfg_path, "--out-dir", tmp_path,
@@ -391,6 +492,24 @@ class TestEfficiency:
         assert sweeps == ["linear1"]
         manifest = json.loads((tmp_path / "eff" / "efficiency_manifest.json").read_text())
         assert manifest["config"]["lengthscales"] == [12.0]
+
+    def test_streams_of_different_sizes_never_share_a_seed(self, monkeypatch):
+        # sizes 100 apart: the per-size velocity and noise tags must still never meet
+        seeds = []
+        for name in ("sample_trajectory", "generate_dataset"):
+            original = getattr(bench, name)
+            monkeypatch.setattr(
+                bench, name,
+                lambda *args, _original=original, **kwargs:
+                    seeds.append(kwargs["seed"]) or _original(*args, **kwargs),
+            )
+        cfg = bench.ExperimentConfig(
+            system="linear1", val_size=10, test_size=10, seeds=(0,),
+            kinds=("diag",), lengthscales=(12.0,), noise_variance=1.0, budget=1,
+        )
+        cli.run_efficiency(cfg, [10, 110, 210])
+        assert len(seeds) == 3 + 2 * 3  # test, val and its noise, then two per size
+        assert len(set(seeds)) == len(seeds)
 
     def test_run_efficiency_deterministic(self):
         cfg = bench.ExperimentConfig(
