@@ -10,8 +10,10 @@ mimics an angle/angle/airspeed coordinate: two symmetric wind bands in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -308,12 +310,164 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Exact "%.17g" text for whole arrays, without a ``%`` call per value.
+#
+# A value with 1e-6 < |v| < 1e17 takes the fast path.  Its 17
+# significant digits are |v| * 10**(16 - k), k = floor(log10|v|), rounded half
+# to even.  Dekker's error-free product gives that product exactly as
+# hi + lo (10**p is an exact double for p <= 22), and because
+# hi >= 1e16 > 2**53 is an even integer, int(hi) + rint(lo) is the rounded
+# value.  Its text is then one of the templates below, picked by its sign,
+# decimal exponent and significant-digit count; a zero takes the template of a
+# one-digit value.  Every other value (subnormals, tiny or huge values, inf
+# and nan) goes through ``%``.
+_FMT_CHUNK = 4096  # values per pass, so that temporaries stay O(chunk)
+_FMT_WIDTH = 25  # widest text plus separator: "-4.9406564584124654e-324,"
+_FMT_EXPONENTS = range(-6, 18)  # decimal exponents of fast-path texts
+# A buffer row per value: its 17 digits in bytes 3..19 (five 4-digit groups,
+# the first "000d"), every other character of a fast-path text, the byte
+# that follows the value (separator or newline) and a zero.  A template
+# lists the row bytes of one text; zeros pad it to _FMT_WIDTH.
+_FMT_CHARS = b".e+-0123456789"
+_FMT_END = 20 + len(_FMT_CHARS)
+_FMT_ROW = _FMT_END + 2
+
+
+class _FmtTables(NamedTuple):
+    templates: np.ndarray  # row bytes of each text, by (sign, exponent, digit count)
+    quads: np.ndarray  # uint32 whose bytes are the 4 digits of 0..9999
+    sig: np.ndarray  # (4, 10_000) digit count if group 1..4 holds the last nonzero digit
+    pow10: np.ndarray  # 10**p for p = 0..22
+    pow10_hi: np.ndarray  # the two halves of its Veltkamp split
+    pow10_lo: np.ndarray
+
+
+def _fmt_pattern(x: int, s: int) -> bytes:
+    """The "%.17g" text of a positive value with decimal exponent ``x`` and
+    ``s`` significant digits, its digits named A, B, ..., Q."""
+    d = b"ABCDEFGHIJKLMNOPQ"
+    if x < -4 or x >= 17:
+        return d[:1] + (b"." + d[1:s] if s > 1 else b"") + b"e%+03d" % x
+    if x < 0:
+        return b"0." + b"0" * (-x - 1) + d[:s]
+    return d[: x + 1] + (b"." + d[x + 1 : s] if s > x + 1 else b"")
+
+
+@functools.cache
+def _fmt_tables() -> _FmtTables:
+    """Built on first use (about 2 ms), so that importing costs nothing."""
+    # names -> row bytes: digits A..Q, _FMT_CHARS, then "|" for the byte
+    # that follows the value
+    to_row = bytes.maketrans(b"ABCDEFGHIJKLMNOPQ" + _FMT_CHARS + b"|",
+                             bytes(range(3, _FMT_END + 1)))
+    templates = b"".join(
+        (sign + _fmt_pattern(x, s) + b"|").translate(to_row).ljust(_FMT_WIDTH, b"%c" % (_FMT_END + 1))
+        for sign in (b"", b"-") for x in _FMT_EXPONENTS for s in range(1, 18)
+    )
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    quads = np.stack(np.meshgrid(digits, digits, digits, digits, indexing="ij"), axis=-1)
+    # position of a group's last nonzero digit, 0 if it has none; group j
+    # follows 4j - 3 digits of the value
+    nonzero = (quads != ord("0")).reshape(-1, 4)
+    last = np.where(nonzero.any(axis=1), 4 - nonzero[:, ::-1].argmax(axis=1), 0)
+    pow10 = np.array([float(10**p) for p in range(23)])
+    pow10_hi = _split_hi(pow10)
+    return _FmtTables(
+        templates=np.frombuffer(templates, dtype=np.uint8).reshape(-1, _FMT_WIDTH).astype(np.intp),
+        quads=quads.view(np.uint32).ravel(),
+        sig=np.where(last > 0, last + np.array([1, 5, 9, 13])[:, None], 0).astype(np.uint8),
+        pow10=pow10, pow10_hi=pow10_hi, pow10_lo=pow10 - pow10_hi,
+    )
+
+
+def _split_hi(a):
+    """The high half of Veltkamp's split: at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    return c - (c - a)
+
+
+def _scaled(a, p, t: _FmtTables):
+    """``(hi, lo)`` with hi + lo == a * 10**p exactly (Dekker's product)."""
+    hi = a * t.pow10[p]
+    a_hi = _split_hi(a)
+    a_lo = a - a_hi
+    b_hi, b_lo = t.pow10_hi[p], t.pow10_lo[p]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _decades_off(hi, lo):
+    """-1 where hi + lo < 1e16, +1 where it is >= 1e17, else 0."""
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    return above.astype(np.intp) - below
+
+
+def _fmt_chunk(v: np.ndarray, buf: np.ndarray, ends: bytes) -> str:
+    """The text of the 1-D values ``v``, the i-th followed by
+    ``ends[i % len(ends)]``; ``buf`` holds a row per value (see _FMT_CHARS)."""
+    t = _fmt_tables()
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = (a > 1e-6) & (a < 1e17)
+    a[~fast] = 1.0
+    k = np.log10(a)
+    np.floor(k, out=k)
+    k = np.clip(k, -6, 16, out=k).astype(np.intp)
+    hi, lo = _scaled(a, 16 - k, t)
+    # log10 can be off by one next to a power of ten: the exact product
+    # then lies a decade off, and the exponent moves by one
+    off = _decades_off(hi, lo)
+    moved = np.flatnonzero(off)
+    if moved.size:
+        k[moved] += off[moved]
+        hi[moved], lo[moved] = _scaled(a[moved], 16 - k[moved], t)
+        fast[moved] &= _decades_off(hi[moved], lo[moved]) == 0
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+    d[zero] = 0  # with k = 0 (from a = 1): the text "0"
+    fast |= zero
+    # the 17 digits as the first one and four groups of 4
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    first = upper // 10**8
+    upper -= first * 10**8
+    g1, g3 = upper // 10**4, lower // 10**4
+    groups = (first, g1, upper - g1 * 10**4, g3, lower - g3 * 10**4)
+    n = len(v)
+    quads = buf.view(np.uint32)
+    s = np.ones(n, dtype=np.uint8)  # significant digits
+    for j, g in enumerate(groups):
+        quads[:n, j] = t.quads.take(g)
+        if j:
+            np.maximum(s, t.sig[j - 1].take(g), out=s)
+    key = (np.signbit(v) * len(_FMT_EXPONENTS) + k - _FMT_EXPONENTS[0]) * 17 + s - 1
+    at = t.templates.take(key, axis=0)
+    at += (_FMT_ROW * np.arange(n))[:, None]
+    out = buf.take(at)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [b"%.17g%c" % (x, ends[i % len(ends)]) for x, i in zip(v[slow].tolist(), slow.tolist())]
+        out[slow] = np.array(texts, dtype=f"S{_FMT_WIDTH}").view(np.uint8).reshape(-1, _FMT_WIDTH)
+    return out[out != 0].tobytes().decode("ascii")
+
+
 def _fmt_rows(rows: np.ndarray, sep: str) -> str:
-    """Each row of a 2-D array as ``sep``-joined 17-significant-digit values
-    plus a newline; the same text as ``_fmt`` per value, in one format call."""
+    """Each row of a 2-D array as values joined by the one character ``sep``,
+    plus a newline; the same text as ``_fmt`` per value, ``"%.17g"``."""
     rows = np.asarray(rows, dtype=float)
-    line = sep.join(["%.17g"] * rows.shape[1]) + "\n"
-    return line * rows.shape[0] % tuple(rows.ravel().tolist())
+    n_rows, n_cols = rows.shape
+    if rows.size == 0:
+        return "\n" * n_rows
+    ends = bytes([ord(sep)] * (n_cols - 1)) + b"\n"
+    step = min(n_rows, max(1, _FMT_CHUNK // n_cols))  # rows per pass
+    buf = np.empty((step * n_cols, _FMT_ROW), dtype=np.uint8)
+    buf[:, 20:_FMT_END] = np.frombuffer(_FMT_CHARS, dtype=np.uint8)
+    buf[:, _FMT_END] = np.frombuffer(ends * step, dtype=np.uint8)
+    buf[:, _FMT_END + 1] = 0
+    return "".join(_fmt_chunk(rows[i : i + step].ravel(), buf, ends)
+                   for i in range(0, n_rows, step))
 
 
 def write_dataset(path, data: Dataset) -> None:

@@ -11,6 +11,7 @@ WIDTH, HEIGHT = 720, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 170, 40, 55
 
 MIN_BINS = 10
+TICKS = 5  # about this many tick values per axis
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -27,7 +28,9 @@ def _svg_open(title: str) -> list[str]:
     ]
 
 
-def _axes(parts: list[str], xlabel: str, ylabel: str) -> None:
+def _axes(parts: list[str], xlabel: str, ylabel: str, xticks, yticks) -> None:
+    """Both axes with their titles; ``xticks`` and ``yticks`` are
+    (pixel, label markup) pairs."""
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
     parts.append(
@@ -45,6 +48,32 @@ def _axes(parts: list[str], xlabel: str, ylabel: str) -> None:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {(y0 + y1) // 2})">{escape(ylabel)}</text>'
     )
+    for px, label in xticks:
+        parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>')
+        parts.append(
+            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{label}</text>'
+        )
+    for py, label in yticks:
+        parts.append(f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
+        parts.append(
+            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{label}</text>'
+        )
+
+
+def _ticks(lo: float, hi: float, integer: bool = False) -> list[tuple[float, str]]:
+    """About TICKS round values in [lo, hi], 1, 2 or 5 times a power of ten
+    apart (at least 1 apart if ``integer``), each with its label."""
+    if not hi > lo:
+        return [(lo, f"{lo:g}")]
+    raw = max((hi - lo) / TICKS, 1.0 if integer else 0.0)
+    e = math.floor(math.log10(raw))
+    m = next((m for m in (1, 2, 5) if m * 10.0**e >= raw), 10)
+    step = m * 10.0**e
+    decimals = max(0, -e)
+    return [(i * step, f"{round(i * step, decimals):g}")
+            for i in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
 
 
 def _scale(v, lo, hi, p0, p1):
@@ -72,9 +101,14 @@ def line_chart(
         ylo, yhi = ylo - 1.0, yhi + 1.0
 
     parts = _svg_open(title)
-    _axes(parts, xlabel, ylabel + " (log10)")
     px0, px1 = MARGIN_L, WIDTH - MARGIN_R
     py0, py1 = HEIGHT - MARGIN_B, MARGIN_T
+    _axes(
+        parts, xlabel, ylabel + " (log10)",
+        [(_scale(x, xlo, xhi, px0, px1), text) for x, text in _ticks(xlo, xhi)],
+        [(_scale(y, ylo, yhi, py0, py1), f'10<tspan dy="-5" font-size="9">{text}</tspan>')
+         for y, text in _ticks(ylo, yhi)],
+    )
     for idx, (name, pts) in enumerate(sorted(series.items())):
         color = PALETTE[idx % len(PALETTE)]
         coords = []
@@ -123,10 +157,14 @@ def histogram(path, values, title: str, xlabel: str, series_name: str = "count")
     nbins = freedman_diaconis_bins(values)
     counts, edges = np.histogram(values, bins=nbins)
     parts = _svg_open(title)
-    _axes(parts, xlabel, series_name)
     px0, px1 = MARGIN_L, WIDTH - MARGIN_R
     py0, py1 = HEIGHT - MARGIN_B, MARGIN_T
     cmax = max(int(counts.max()), 1)
+    _axes(
+        parts, xlabel, series_name,
+        [(_scale(x, edges[0], edges[-1], px0, px1), text) for x, text in _ticks(edges[0], edges[-1])],
+        [(_scale(c, 0, cmax, py0, py1), text) for c, text in _ticks(0, cmax, integer=True)],
+    )
     for i, c in enumerate(counts):
         x_l = _scale(edges[i], edges[0], edges[-1], px0, px1)
         x_r = _scale(edges[i + 1], edges[0], edges[-1], px0, px1)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -353,6 +355,103 @@ class TestDatasetIo:
         path.write_text("qd_1,tau_1\n1,x\n")
         with pytest.raises(ParseError, match=":2:"):
             bench.read_dataset(path)
+
+
+def _per_value(rows, sep):
+    """``_fmt_rows``'s reference: ``"%.17g" %`` on every value on its own."""
+    return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in np.asarray(rows).tolist())
+
+
+def _around_powers_of_ten(ulps):
+    """Every double within ``ulps`` steps of 1e-8, 1e-7, ..., 1e18, both signs."""
+    values = []
+    for e in range(-8, 19):
+        below = above = float(f"1e{e}")
+        values.append(below)
+        for _ in range(ulps):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+    return np.array(values + [-v for v in values])
+
+
+def _ties(rng, per_decade):
+    """Doubles n / 2**(17 - j) in [10**j, 10**(j + 1)) with n odd: their
+    decimal expansions have 18 significant digits, the last a 5, so the
+    17-digit text is a round-half-even tie."""
+    values = []
+    for j in range(-6, 15):
+        scale = 2.0 ** (17 - j)
+        lo, hi = math.ceil(10.0**j * scale), math.floor(10.0 ** (j + 1) * scale)
+        n = rng.integers(lo // 2, hi // 2, size=per_decade) * 2 + 1
+        values.append(n / scale)
+    ties = np.concatenate(values)
+    return np.concatenate([ties, -ties])
+
+
+class TestFmtRowsExact:
+    """``_fmt_rows`` formats whole arrays in numpy; its text must equal
+    ``"%.17g" %`` on every value, byte for byte."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(16)
+        bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values[:6] = [np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308]
+        assert np.isnan(values).sum() > 6 and (np.abs(values) < 2.2250738585072014e-308).sum() > 2
+        rows = values.reshape(-1, 4)
+        assert bench._fmt_rows(rows, " ") == _per_value(rows, " ")
+
+    def test_log_uniform_values(self):
+        # random bit patterns rarely land in the fast path's 23 decades
+        rng = np.random.default_rng(17)
+        values = np.exp(rng.uniform(math.log(1e-7), math.log(1e18), 300_000))
+        rows = (values * rng.choice([-1.0, 1.0], values.size)).reshape(-1, 5)
+        assert bench._fmt_rows(rows, ",") == _per_value(rows, ",")
+
+    def test_powers_of_ten_and_neighbours(self):
+        rows = _around_powers_of_ten(30)[:, None]
+        assert bench._fmt_rows(rows, ",") == _per_value(rows, ",")
+
+    def test_exact_ties_round_half_even(self):
+        ties = _ties(np.random.default_rng(18), per_decade=100)
+        assert format(1 + 2.0**-17, ".17g") == "1.0000076293945312"  # the even neighbour
+        for tie in ties.tolist():
+            digits = Decimal(tie).as_tuple().digits  # the exact expansion
+            assert len(digits) == 18 and digits[-1] == 5
+        rows = ties.reshape(-1, 3)
+        assert bench._fmt_rows(rows, " ") == _per_value(rows, " ")
+
+    def test_signed_zeros(self):
+        assert bench._fmt_rows(np.array([[0.0, -0.0], [-0.0, 1.0]]), ",") == "0,-0\n-0,1\n"
+        rows = np.random.default_rng(21).normal(0, 1, (300, 4))
+        rows[np.abs(rows) < 0.8] *= 0.0  # +0 and -0 among other values
+        assert bench._fmt_rows(rows, " ") == _per_value(rows, " ")
+
+    @pytest.mark.parametrize("sep", [",", " "])
+    @pytest.mark.parametrize("n_cols", [1, 3])
+    def test_row_counts_around_the_chunk(self, sep, n_cols):
+        rng = np.random.default_rng(19)
+        per_chunk = bench._FMT_CHUNK // n_cols
+        for n_rows in (0, 1, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 1):
+            rows = rng.normal(0, 30, (n_rows, n_cols))
+            assert bench._fmt_rows(rows, sep) == _per_value(rows, sep)
+
+    def test_no_columns(self):
+        assert bench._fmt_rows(np.empty((3, 0)), ",") == "\n\n\n"
+
+    def test_peak_memory_is_a_few_times_the_text(self):
+        # the size of a cli-pipeline power.csv; chunking keeps the temporaries
+        # O(chunk), so the peak is the chunks' texts plus their join
+        rng = np.random.default_rng(20)
+        rows = np.column_stack([rng.uniform(-25, 25, (20_008, 3)), rng.normal(0, 500, 20_008)])
+        bench._fmt_rows(rows[:1], ",")  # the tables are built on first use
+        tracemalloc.start()
+        try:
+            text = bench._fmt_rows(rows, ",")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
 
 
 class TestConfig:

@@ -741,6 +741,30 @@ class TestCharts:
         assert ">y (log10)</text>" in svg
         assert svg.count("<polyline") == 2
 
+    def test_efficiency_charts_show_their_values(self, tmp_path):
+        # one series over two sizes is the same polyline whatever its NMSE
+        # values; only the tick labels tell two such charts apart
+        svgs = []
+        for scale in (1.0, 10.0):
+            path = tmp_path / f"efficiency{scale}.svg"
+            charts.line_chart(path, {"full": [(20.0, 0.0185 * scale), (40.0, 0.0106 * scale)]},
+                              title="t", xlabel="training set size", ylabel="median aggregate NMSE")
+            svgs.append(path.read_text())
+            ET.fromstring(svgs[-1])
+        assert svgs[0] != svgs[1]
+        polylines = [re.findall(r"<polyline[^>]*>", svg) for svg in svgs]
+        assert polylines[0] == polylines[1]
+        assert '>10<tspan dy="-5" font-size="9">-1.8</tspan></text>' in svgs[0]
+        assert '>10<tspan dy="-5" font-size="9">-0.8</tspan></text>' in svgs[1]
+        assert all(f">{size}</text>" in svgs[0] for size in (20, 30, 40))
+
+    def test_histogram_ticks_span_the_data(self, tmp_path):
+        path = tmp_path / "h.svg"
+        charts.histogram(path, np.linspace(-3.0, 512.0, 100), title="t", xlabel="x")
+        labels = re.findall(r'font-size="11">([^<]*)</text>', path.read_text())
+        # x: the data's range; y: counts 0..10 (10 bins of 10 values)
+        assert labels == ["0", "200", "400", "0", "2", "4", "6", "8", "10"]
+
     def test_histogram_min_bins(self, tmp_path):
         assert charts.freedman_diaconis_bins(np.array([1.0, 1.0, 1.0])) == 10
         vals = np.random.default_rng(4).normal(0, 1, 500)
