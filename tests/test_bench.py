@@ -111,13 +111,28 @@ class TestBuiltinSystems:
         with pytest.raises(InputError, match=re.escape("takes (M, 1) velocities")):
             system.torque_batch(np.ones(shape))
 
-    def test_get_system_sweeps_only_the_requested_system(self, monkeypatch):
-        swept = []
-        sweep = bench._psd_construction_sweep
-        monkeypatch.setattr(bench, "_psd_construction_sweep",
-                            lambda system: swept.append(system.name) or sweep(system))
+    def test_get_system_builds_only_the_requested_system(self, monkeypatch):
+        built = []
+        build = bench._system
+        monkeypatch.setattr(bench, "_system", lambda *args: built.append(args[0]) or build(*args))
         assert bench.get_system("full3").name == "full3"
-        assert swept == ["full3"]
+        assert built == ["full3"]
+
+    @pytest.mark.parametrize("system_id", SYSTEM_IDS)
+    def test_builtin_passes_the_psd_sweep(self, system_id):
+        # the guarantee get_system relies on: the sweep make_system runs on
+        # a user field, over the same 10,000 seeded points
+        bench._psd_construction_sweep(bench.get_system(system_id))
+
+    def test_get_system_runs_no_sweep(self, monkeypatch):
+        def sweep(system):
+            raise AssertionError(f"swept {system.name}")
+
+        monkeypatch.setattr(bench, "_psd_construction_sweep", sweep)
+        for system_id in SYSTEM_IDS:
+            assert bench.get_system(system_id).name == system_id
+        with pytest.raises(AssertionError, match="swept user"):
+            bench.make_system("user", lambda Q: np.ones((len(Q), 1, 1)), [[-1.0, 1.0]], [1.0])
 
 
 # The per-point fields as they were before the damping functions took a
@@ -296,6 +311,12 @@ class TestRelativeError:
         with pytest.raises(InputError):
             bench.relative_error(np.ones((1, 1)), np.ones((1, 1)), 0.0)
 
+    @pytest.mark.parametrize("normalizer", [math.inf, -math.inf, math.nan, -1.0])
+    def test_normalizer_must_be_finite_and_positive(self, normalizer):
+        # an infinite normalizer made every relative error 0
+        with pytest.raises(InputError, match="finite and > 0"):
+            bench.relative_error(np.ones((1, 1)), np.zeros((1, 1)), normalizer)
+
 
 class TestDatasetIo:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -320,6 +341,13 @@ class TestDatasetIo:
         ):
             expected = "".join(sep.join(bench._fmt(v) for v in row) + "\n" for row in rows)
             assert bench._fmt_rows(rows, sep) == expected
+
+    def test_fmt_rows_keeps_a_percent_separator(self):
+        # the values off the fast path are formatted by one "%" call over
+        # the chunk's text, so the text's own "%" must pass through it
+        rows = np.array([[1.5, 5e-324, np.nan], [-1e300, 0.25, -np.inf], [1e-7, 2.0, 3.0]])
+        assert bench._fmt_rows(rows, "%") == _per_value(rows, "%")
+        assert bench._fmt_rows(rows[2:, 1:], "%") == "2%3\n"  # the fast path alone
 
     def test_header(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -420,6 +420,16 @@ class TestEvaluate:
                        "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("normalizer", ["inf", "nan", "0", "-1"])
+    def test_bad_normalizer_exit_code(self, tmp_path, cfg_path, normalizer, capsys):
+        # --normalizer inf exited 0 with relative errors of 0
+        model_path, test_path = self._fitted(tmp_path, cfg_path)
+        out_csv = tmp_path / "metrics.csv"
+        assert run_cli("evaluate", model_path, test_path, "--out", out_csv,
+                       f"--normalizer={normalizer}") == cli.EXIT_INPUT
+        assert "normalizer must be finite and > 0" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_corrupt_model_file(self, tmp_path, cfg_path):
         _, test_path = self._fitted(tmp_path, cfg_path)
         bad = tmp_path / "bad.model"
@@ -482,14 +492,14 @@ class TestEfficiency:
 
     def test_system_is_built_once(self, tmp_path, cfg_path, monkeypatch):
         # the default lengthscales are read without building the system again
-        sweeps = []
-        sweep = bench._psd_construction_sweep
-        monkeypatch.setattr(bench, "_psd_construction_sweep",
-                            lambda system: sweeps.append(system.name) or sweep(system))
+        built = []
+        get_system = bench.get_system
+        monkeypatch.setattr(bench, "get_system",
+                            lambda system_id: built.append(system_id) or get_system(system_id))
         cfg_path.write_text(SMALL_CFG.replace("lengthscales = 12\n", ""))
         assert run_cli("--config", cfg_path, "--out-dir", tmp_path / "eff",
                        "efficiency", "--sizes", "10") == 0
-        assert sweeps == ["linear1"]
+        assert built == ["linear1"]
         manifest = json.loads((tmp_path / "eff" / "efficiency_manifest.json").read_text())
         assert manifest["config"]["lengthscales"] == [12.0]
 
