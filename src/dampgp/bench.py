@@ -49,7 +49,8 @@ class GroundTruthSystem:
         return self.domain.shape[0]
 
     def damping_batch(self, Q) -> np.ndarray:
-        """Damping matrices (M, N, N) at the rows of ``Q`` (M, N)."""
+        """Damping matrices (M, N, N) at the rows of ``Q`` (M, N); a
+        non-finite matrix raises ``InputError`` naming its velocity."""
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[1] != self.n_dim:
             raise InputError(
@@ -63,6 +64,11 @@ class GroundTruthSystem:
                 f"system {self.name!r}: damping_fn returned shape {d.shape} "
                 f"for velocities of shape {Q.shape}; expected {expected}"
             )
+        nonfinite = np.flatnonzero(~np.isfinite(d).all(axis=(1, 2)))
+        if nonfinite.size:
+            raise InputError(
+                f"system {self.name!r}: damping matrix not finite at {Q[nonfinite[0]]}"
+            )
         return d
 
     def torque_batch(self, Q) -> np.ndarray:
@@ -75,12 +81,10 @@ def _psd_construction_sweep(system: GroundTruthSystem) -> None:
     """Reject systems whose damping field is not PSD across the domain.
 
     The points are checked in blocks, one field call and one batched
-    Cholesky each, so the sweep never holds more than one block of
-    matrices.  A block whose symmetric parts all factor passes: then
-    lambda_min >= -O(eps * ||A||), far above the -1e-10 * trace threshold.
-    Only a block that Cholesky rejects (an indefinite or singular matrix)
-    is checked against that threshold with a batched ``eigvalsh``.  A
-    non-finite matrix is rejected first: neither test would catch a NaN.
+    ``eigvalsh`` each, so the sweep never holds more than one block of
+    matrices.  A matrix fails when the minimum eigenvalue of its symmetric
+    part is below -1e-10 * trace; ``damping_batch`` has already rejected a
+    non-finite one, which no comparison would catch.
     """
     rng = np.random.default_rng(0)
     lo, hi = system.domain[:, 0], system.domain[:, 1]
@@ -88,18 +92,8 @@ def _psd_construction_sweep(system: GroundTruthSystem) -> None:
     for start in range(0, PSD_SWEEP_POINTS, PSD_SWEEP_BLOCK):
         block = pts[start : start + PSD_SWEEP_BLOCK]
         d = system.damping_batch(block)
-        nonfinite = np.flatnonzero(~np.isfinite(d).all(axis=(1, 2)))
-        if nonfinite.size:
-            raise InputError(
-                f"system {system.name!r}: damping matrix not finite at {block[nonfinite[0]]}"
-            )
         sym = d + d.transpose(0, 2, 1)
         sym *= 0.5
-        try:
-            np.linalg.cholesky(sym)
-            continue
-        except np.linalg.LinAlgError:
-            pass
         min_eig = np.linalg.eigvalsh(sym)[:, 0]
         bad = np.flatnonzero(min_eig < -1e-10 * np.abs(np.trace(sym, axis1=1, axis2=2)))
         if bad.size:
@@ -134,9 +128,17 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in x.tolist()], dtype=float)
 
 
+def _square(v: float) -> float:
+    """``v ** 2``, or inf where it overflows (``float ** 2`` raises there)."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def _diag3_damping(Q: np.ndarray) -> np.ndarray:
     d = np.zeros((len(Q), 3, 3))
-    d[:, 0, 0] = _DIAG3_A[0] + _DIAG3_B[0] * _each(lambda v: v**2, Q[:, 0])
+    d[:, 0, 0] = _DIAG3_A[0] + _DIAG3_B[0] * _each(_square, Q[:, 0])
     d[:, 1, 1] = _DIAG3_A[1] + _DIAG3_B[1] * np.abs(Q[:, 1])
     d[:, 2, 2] = _DIAG3_A[2] + _DIAG3_B[2] * _each(lambda v: math.tanh(v) ** 2, Q[:, 2])
     return d

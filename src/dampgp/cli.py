@@ -124,7 +124,6 @@ def cmd_fit(args) -> int:
         args.noise_variance,
         constrained=args.constrained,
         budget=args.budget,
-        tie_full=not args.free_hypervariances,
     )
     modelio.save_model(args.out, result.model)
     print(f"wrote {args.out} (kind={args.kind}, val_mse={result.val_mse:.6g}, "
@@ -339,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--noise-variance", type=float, default=100.0)
     p_fit.add_argument("--constrained", action="store_true")
     p_fit.add_argument("--budget", type=int, default=40)
-    p_fit.add_argument("--free-hypervariances", action="store_true",
-                       help="optimize all N^2 full-model hypervariances independently")
     p_fit.add_argument("--out", type=Path, required=True)
     p_fit.set_defaults(handler=cmd_fit)
 

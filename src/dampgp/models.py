@@ -328,7 +328,6 @@ def optimize_hypervariances(
     noise_variance: float,
     constrained: bool = False,
     budget: int = 60,
-    tie_full: bool = True,
     prior_mean: PriorMean | None = None,
 ) -> OptimizationResult:
     """Derivative-free search over log-hypervariances against validation MSE.
@@ -342,9 +341,9 @@ def optimize_hypervariances(
     model is always feasible; the bound factor c depends only on the data,
     prior and noise variance, so the search computes it once and bounds
     each candidate's grid with it.  The ard baseline has no bound, so it
-    cannot be constrained.  For the full kind with ``tie_full`` the N^2 grid
-    is tied to a row-scale times column-scale pattern to keep the search
-    space small.
+    cannot be constrained.  ``ard`` and ``diag`` search one log-hypervariance
+    per output; ``full`` searches its N^2 grid as a row scale times a column
+    scale, exp(r_m + c_n), so its search space grows with N, not N^2.
     The prior mean defaults to zero for ard and ``fit_prior_mean`` otherwise.
     """
     from . import passivity  # local import to avoid a module cycle
@@ -375,14 +374,13 @@ def optimize_hypervariances(
     if constrained:
         search_bound = passivity.compute_bound(data_train, prior_mean, noise_variance, init)
 
-    tied = kind == "full" and tie_full
-    if tied:
-        # theta = (row log-scales, column log-scales); hyp = exp(r_m + c_n)
+    if kind == "full":
+        # theta = (row log-scales r, column log-scales c); grid = exp(r_m + c_n)
         row0 = 0.5 * np.log(np.maximum(init.mean(axis=1), 1e-300))
         col0 = 0.5 * np.log(np.maximum(init.mean(axis=0), 1e-300))
         theta = np.concatenate([row0, col0])
     else:
-        theta = np.log(np.maximum(init.reshape(-1), 1e-300))
+        theta = np.log(np.maximum(init, 1e-300))
 
     evals = 0
     best: dict = {"mse": np.inf, "model": None}
@@ -395,7 +393,7 @@ def optimize_hypervariances(
         evals += 1
         t = theta.copy()
         t[i] = x
-        hyp = np.exp(t[:n, None] + t[n:][None, :]) if tied else np.exp(t).reshape(init.shape)
+        hyp = np.exp(t[:n, None] + t[n:][None, :]) if kind == "full" else np.exp(t)
         if constrained:
             hyp = passivity.enforce_bound(search_bound.with_grid(hyp)).hypervariances
         model = fit(kind, KERNEL_TYPES[kind](ell, hyp), prior_mean, data_train,

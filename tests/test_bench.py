@@ -75,25 +75,6 @@ class TestBuiltinSystems:
         with pytest.raises(InputError, match=re.escape(f"not finite at {point}")):
             bench.make_system("nan", field, [[-1.0, 1.0]], [1.0])
 
-    def test_psd_sweep_checks_only_blocks_cholesky_rejects(self, monkeypatch):
-        # a positive definite field passes on Cholesky alone; a PSD but
-        # singular one fails Cholesky at its zero pivot and passes eigvalsh
-        checked = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: checked.append(len(a)) or eigvalsh(a))
-        domain, ell = [[-1.0, 1.0], [-1.0, 1.0]], [1.0, 1.0]
-        bench.make_system("definite", lambda Q: np.tile(np.eye(2), (len(Q), 1, 1)), domain, ell)
-        assert checked == []
-
-        def singular(Q):
-            d = np.zeros((len(Q), 2, 2))
-            d[:, 0, 0] = 1.0 + Q[:, 0] ** 2
-            return d
-
-        assert bench.make_system("singular", singular, domain, ell).name == "singular"
-        blocks = bench.PSD_SWEEP_POINTS // bench.PSD_SWEEP_BLOCK
-        assert checked == [bench.PSD_SWEEP_BLOCK] * blocks
-
     @pytest.mark.parametrize("field", [
         lambda Q: np.array([[2.0]]),  # one matrix, not one per row
         lambda Q: np.ones((len(Q), 2, 2)),
@@ -110,6 +91,24 @@ class TestBuiltinSystems:
         system = bench.get_system("linear1")
         with pytest.raises(InputError, match=re.escape("takes (M, 1) velocities")):
             system.torque_batch(np.ones(shape))
+
+    def test_diag3_squares_as_python_floats(self, monkeypatch):
+        # float ** 2 and numpy's x * x round some inputs differently; the
+        # field keeps the bits of ** 2 on the sweep's points
+        system = bench.get_system("diag3")
+        lo, hi = system.domain[:, 0], system.domain[:, 1]
+        pts = np.random.default_rng(0).uniform(lo, hi, size=(bench.PSD_SWEEP_POINTS, 3))
+        d = bench._diag3_damping(pts)
+        monkeypatch.setattr(bench, "_square", lambda v: v ** 2)
+        assert np.array_equal(d, bench._diag3_damping(pts))
+
+    def test_diag3_overflowing_square_is_inf(self):
+        Q = np.array([[0.0, 0.0, 50.0], [1e200, 0.0, 50.0], [-1e200, 0.0, 50.0]])
+        d = bench._diag3_damping(Q)
+        assert np.array_equal(d[:, 0, 0], [1.0, np.inf, np.inf])
+        # damping_batch names the first velocity whose matrix is not finite
+        with pytest.raises(InputError, match=re.escape(f"not finite at {Q[1]}")):
+            bench.get_system("diag3").torque_batch(Q)
 
     def test_get_system_builds_only_the_requested_system(self, monkeypatch):
         built = []

@@ -1,7 +1,9 @@
+import argparse
 import json
 import re
 import types
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +219,29 @@ def test_domain_skips_empty_items(tmp_path, monkeypatch):
     assert got.tobytes() == _reference_parse_domain("-5:5").tobytes()
 
 
+def _readme_harness_flags() -> set:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command-line harness\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", section))
+
+
+def _parser_long_options(parser) -> set:
+    options = set()
+    for action in parser._actions:
+        options |= {o for o in action.option_strings if o.startswith("--")}
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _parser_long_options(sub)
+    return options - {"--help"}
+
+
+def test_readme_names_every_cli_flag():
+    # README's "Command-line harness" section and the parsers list the same flags
+    documented, accepted = _readme_harness_flags(), _parser_long_options(cli.build_parser())
+    assert sorted(documented - accepted) == [], "named in README but not accepted"
+    assert sorted(accepted - documented) == [], "accepted but not named in README"
+
+
 class TestFit:
     def _generated(self, tmp_path, cfg_path):
         out = tmp_path / "data"
@@ -254,28 +279,6 @@ class TestFit:
         )
         assert code == cli.EXIT_INPUT
         assert "no passivity bound" in capsys.readouterr().err
-
-    def test_free_hypervariances_saves_untied_search(self, tmp_path):
-        out = tmp_path / "data"
-        cfg = tmp_path / "full3.cfg"
-        cfg.write_text("system = full3\ntrain_sizes = 12\nval_size = 8\n"
-                       "test_size = 4\nseeds = 0\n")
-        run_cli("--config", cfg, "--out-dir", out, "generate")
-        train, val = out / "seed0_train.csv", out / "seed0_val.csv"
-        model_path = tmp_path / "free.model"
-        code = run_cli(
-            "fit", train, "--kind", "full", "--val", val, "--lengthscales", "12,12,12",
-            "--free-hypervariances", "--budget", "12", "--out", model_path,
-        )
-        assert code == 0
-        expected = models.optimize_hypervariances(
-            "full", bench.read_dataset(train), bench.read_dataset(val),
-            [12.0, 12.0, 12.0], 100.0, budget=12, tie_full=False,
-        ).kernel.hypervariances
-        saved = modelio.load_model(model_path).kernel.hypervariances
-        assert np.array_equal(saved, expected)
-        # the untied search moves single elements, which the tied grid cannot
-        assert not np.allclose(saved * saved.T, np.outer(np.diag(saved), np.diag(saved)))
 
     def test_refit_byte_identical(self, tmp_path, cfg_path):
         train, val, _ = self._generated(tmp_path, cfg_path)
@@ -428,6 +431,31 @@ class TestEvaluate:
         assert run_cli("evaluate", model_path, test_path, "--out", out_csv,
                        f"--normalizer={normalizer}") == cli.EXIT_INPUT
         assert "normalizer must be finite and > 0" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_non_finite_ground_truth_exit_code(self, tmp_path, capsys):
+        # diag3's q1^2 overflows at q1 = 1e200: its damping matrix is inf
+        cfg = tmp_path / "diag3.cfg"
+        cfg.write_text(SMALL_CFG.replace("system = linear1", "system = diag3")
+                       .replace("lengthscales = 12", "lengthscales = 12,12,12"))
+        data = tmp_path / "data"
+        run_cli("--config", cfg, "--out-dir", data, "generate")
+        model_path = tmp_path / "m.model"
+        assert run_cli(
+            "fit", data / "seed0_train.csv", "--kind", "diag",
+            "--val", data / "seed0_val.csv", "--lengthscales", "12,12,12",
+            "--noise-variance", "1.0", "--budget", "2", "--out", model_path,
+        ) == 0
+        test = bench.read_dataset(data / "seed0_test.csv")
+        velocities = test.velocities.copy()
+        velocities[3, 0] = 1e200
+        test_path = tmp_path / "far.csv"
+        bench.write_dataset(test_path, Dataset(velocities, test.torques))
+        out_csv = tmp_path / "metrics.csv"
+        assert run_cli("evaluate", model_path, test_path, "--out", out_csv,
+                       "--system", "diag3") == cli.EXIT_INPUT
+        assert (f"damping matrix not finite at {velocities[3]}"
+                in capsys.readouterr().err)
         assert not out_csv.exists()
 
     def test_corrupt_model_file(self, tmp_path, cfg_path):

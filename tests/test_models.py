@@ -537,17 +537,15 @@ class TestOptimizeHypervariances:
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="finite"):
             models.optimize_hypervariances("diag", Dataset(q, q), val, np.ones(2), 1.0, budget=3)
 
-    @pytest.mark.parametrize("kind, tie_full, constrained", [
-        ("ard", True, False),
-        ("diag", True, False),
-        ("diag", True, True),
-        ("full", True, False),
-        ("full", True, True),
-        ("full", False, False),
-        ("full", False, True),
+    @pytest.mark.parametrize("kind, constrained", [
+        ("ard", False),
+        ("diag", False),
+        ("diag", True),
+        ("full", False),
+        ("full", True),
     ])
     def test_shared_correlations_match_per_evaluation_search_bitwise(
-        self, monkeypatch, kind, tie_full, constrained
+        self, monkeypatch, kind, constrained
     ):
         system = bench.get_system("full3")
         train = bench.generate_dataset(
@@ -561,7 +559,7 @@ class TestOptimizeHypervariances:
         def search():
             res = models.optimize_hypervariances(
                 kind, train, val, system.default_lengthscales, 100.0,
-                constrained=constrained, budget=15, tie_full=tie_full, prior_mean=prior,
+                constrained=constrained, budget=15, prior_mean=prior,
             )
             return res, fit(kind, res.kernel, prior, train, 100.0)
 
@@ -591,8 +589,8 @@ class TestOptimizeHypervariances:
         for a, b in zip(shared.model.residual_solves, shared_model.residual_solves, strict=True):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("kind, tie_full", [("diag", True), ("full", True), ("full", False)])
-    def test_constrained_search_computes_the_bound_once(self, monkeypatch, kind, tie_full):
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_constrained_search_computes_the_bound_once(self, monkeypatch, kind):
         # c depends only on the data, prior and noise variance: the search
         # computes it once, and every projected bound is bit for bit the one
         # compute_bound builds for the candidate
@@ -626,10 +624,39 @@ class TestOptimizeHypervariances:
         monkeypatch.setattr(passivity, "enforce_bound", checking_enforce_bound)
         res = models.optimize_hypervariances(
             kind, train, val, system.default_lengthscales, 100.0,
-            constrained=True, budget=15, tie_full=tie_full, prior_mean=prior,
+            constrained=True, budget=15, prior_mean=prior,
         )
         assert len(computed) == 1
         assert len(projected) == res.n_evaluations == 15
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_full_search_fits_only_row_times_column_grids(self, monkeypatch, constrained):
+        # every grid the full search fits is exp(r_m + c_n): its log, centred
+        # by row and by column, is zero
+        system = bench.get_system("full3")
+        train = bench.generate_dataset(
+            system, bench.sample_trajectory(system, 30, seed=9, waveform="uniform"), 1.0, seed=10
+        )
+        val = bench.generate_dataset(
+            system, bench.sample_trajectory(system, 20, seed=11, waveform="uniform"), 1.0, seed=12
+        )
+        grids = []
+        real_fit = models.fit
+
+        def recording_fit(kind, kernel, *args, **kwargs):
+            grids.append(kernel.grid.copy())
+            return real_fit(kind, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(models, "fit", recording_fit)
+        res = models.optimize_hypervariances(
+            "full", train, val, system.default_lengthscales, 100.0,
+            constrained=constrained, budget=15,
+        )
+        assert len(grids) == res.n_evaluations == 15
+        for grid in grids:
+            log = np.log(grid)
+            centred = log - log.mean(axis=0) - log.mean(axis=1)[:, None] + log.mean()
+            assert np.max(np.abs(centred)) < 1e-10
 
     @pytest.mark.parametrize("kind, constrained", [
         ("diag", False), ("diag", True), ("full", False), ("full", True),
