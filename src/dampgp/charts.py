@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -21,10 +21,10 @@ def _svg_open(title: str) -> list[str]:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<title>{escape(title)}</title>',
+        f'<title>{escape(title, quote=False)}</title>',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
     ]
 
 
@@ -41,12 +41,12 @@ def _axes(parts: list[str], xlabel: str, ylabel: str, xticks, yticks) -> None:
     )
     parts.append(
         f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
     )
     parts.append(
         f'<text x="18" y="{(y0 + y1) // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(y0 + y1) // 2})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 18 {(y0 + y1) // 2})">{escape(ylabel, quote=False)}</text>'
     )
     for px, label in xticks:
         parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>')
@@ -131,7 +131,7 @@ def line_chart(
         )
         parts.append(
             f'<text x="{px1 + 42}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{escape(name)}</text>'
+            f'font-size="12">{escape(name, quote=False)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
@@ -182,7 +182,7 @@ def histogram(path, values, title: str, xlabel: str, series_name: str = "count")
         )
     parts.append(
         f'<text x="{px1 + 12}" y="{MARGIN_T + 4}" font-family="sans-serif" '
-        f'font-size="12">{escape(series_name)}</text>'
+        f'font-size="12">{escape(series_name, quote=False)}</text>'
     )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

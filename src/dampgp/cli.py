@@ -288,8 +288,8 @@ def cmd_power(args) -> int:
     model = modelio.load_model(args.model)
     checked = _bound_check(model)
     label = "constrained" if checked is not None and checked[1].feasible else "unconstrained"
-    out_dir.mkdir(parents=True, exist_ok=True)
     sweep = passivity.passivity_sweep(model, domain, args.samples, seed=args.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     csv_path = out_dir / "power.csv"
     header = ",".join([f"qd_{i+1}" for i in range(model.n_dim)] + ["power"])

@@ -4,6 +4,9 @@ The fast path used by the estimators factorizes one D x D system per output
 dimension.  ``joint_multi_output_oracle`` instead builds the literal stacked
 ND x ND joint system and solves it once; it exists purely so the decomposed
 path can be validated against it.
+
+The LAPACK routines ``dpotrf`` and ``dpotrs`` come from ``_lapack``, which
+binds them from SciPy's extension module without importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .errors import InputError, NumericalError
 
 # Diagonal inflation attempted after a failed factorization at jitter 0,

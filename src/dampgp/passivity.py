@@ -12,7 +12,9 @@ velocity.
 The projection's critical c is one generalized symmetric eigenproblem,
 solved by a direct LAPACK ``dsygvd`` call (eigenvalues only, the routine
 ``scipy.linalg.eigh`` runs for it); the grid and prior mean are checked
-finite first, since LAPACK would not reject a NaN or inf.
+finite first, since LAPACK would not reject a NaN or inf.  ``dsygvd`` comes
+from ``_lapack``, which binds it from SciPy's extension module without
+importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dsygvd
 
+from ._lapack import dsygvd
 from .errors import InfeasibilityError, InputError, NumericalError
 from .models import Dataset, FittedModel, PriorMean, predict_torque_batch
 

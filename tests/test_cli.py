@@ -642,6 +642,17 @@ class TestPower:
                        "--domain=5:-5") == cli.EXIT_INPUT
         assert "lower bounds must not exceed upper bounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (("--domain=-5:5", "--samples", "0"), "samples must be >= 1"),
+        (("--domain=-5:5,-5:5",), r"domain must have shape \(1, 2\)"),
+    ], ids=["zero-samples", "domain-dimension"])
+    def test_rejected_sweep_creates_no_directory(self, tmp_path, capsys, args, message):
+        model_path = self._model(tmp_path)
+        out = tmp_path / "pow"
+        assert run_cli("--out-dir", out, "power", model_path, *args) == cli.EXIT_INPUT
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch):
         model_path = self._model(tmp_path)
 
@@ -778,6 +789,14 @@ class TestCharts:
         assert "alpha" in svg and "beta" in svg
         assert ">y (log10)</text>" in svg
         assert svg.count("<polyline") == 2
+
+    def test_text_escapes_markup_but_not_quotes(self, tmp_path):
+        path = tmp_path / "c.svg"
+        charts.histogram(path, [1.0, 2.0], title='a&b <c> "d"', xlabel="x",
+                         series_name="s")
+        svg = path.read_text()
+        ET.fromstring(svg)
+        assert '<title>a&amp;b &lt;c&gt; "d"</title>' in svg
 
     def test_efficiency_charts_show_their_values(self, tmp_path):
         # one series over two sizes is the same polyline whatever its NMSE

@@ -1,15 +1,53 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from dampgp import gp_core, models
+import dampgp
+from dampgp import _lapack, gp_core, models, passivity
 from dampgp.errors import InputError, NumericalError
 from dampgp.kernels import DiagTorqueKernel, SeArdKernel
 
 
 def se1(sigma2=1.0, ell=1.0):
     return SeArdKernel(np.array([ell]), sigma2)
+
+
+class TestLapackLoader:
+    def test_routines_are_scipys_own(self):
+        # the same function objects, so every factor, solve and eigenvalue
+        # is what scipy.linalg.lapack would give, bit for bit
+        assert gp_core.dpotrf is scipy.linalg.lapack.dpotrf
+        assert gp_core.dpotrs is scipy.linalg.lapack.dpotrs
+        assert passivity.dsygvd is scipy.linalg.lapack.dsygvd
+
+    def test_cold_import_skips_scipy_linalg_and_xml_sax(self):
+        src = str(Path(dampgp.__file__).resolve().parents[1])
+        env = os.environ | {
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        }
+        code = ("import dampgp.cli, sys; "
+                "print(sorted({'scipy.linalg', 'xml.sax'} & set(sys.modules)))")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_missing_extension_names_the_folder(self, tmp_path, monkeypatch):
+        monkeypatch.delitem(sys.modules, _lapack.FLAPACK)
+        message = re.escape(f"no LAPACK extension _flapack in {tmp_path}")
+        with pytest.raises(ImportError, match=message):
+            _lapack.load_flapack(tmp_path)
+
+    def test_reuses_a_loaded_extension(self, tmp_path):
+        assert _lapack.load_flapack(tmp_path) is sys.modules[_lapack.FLAPACK]
 
 
 class TestAssembleGram:
