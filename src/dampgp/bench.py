@@ -487,10 +487,20 @@ def write_dataset(path, data: Dataset) -> None:
         fh.write(_fmt_rows(np.hstack([data.velocities, data.torques]), ","))
 
 
+def _read_lines(path, encoding: str = "ascii") -> list[str]:
+    """The lines of a text file; an undecodable byte raises ``ParseError``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode(encoding).splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not {encoding} text") from exc
+
+
 def read_dataset(path) -> Dataset:
     """Inverse of ``write_dataset``; errors carry the offending line number."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file, no data rows")
     header = lines[0].split(",")
@@ -603,23 +613,26 @@ _CONFIG_PARSERS = {
 
 
 def read_config(path) -> ExperimentConfig:
-    """Parse a flat ``key = value`` config file ('#' starts a comment)."""
+    """Parse a flat ``key = value`` config file ('#' starts a comment, no key repeats)."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_PARSERS:
-                raise InputError(
-                    f"{path}:{lineno}: unknown config key {key!r}; "
-                    f"known keys: {sorted(_CONFIG_PARSERS)}"
-                )
-            try:
-                values[key] = _CONFIG_PARSERS[key](value)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(_read_lines(path, "utf-8"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_PARSERS:
+            raise InputError(
+                f"{path}:{lineno}: unknown config key {key!r}; "
+                f"known keys: {sorted(_CONFIG_PARSERS)}"
+            )
+        if key in first_line:
+            raise ParseError(f"{path}:{lineno}: {key} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        try:
+            values[key] = _CONFIG_PARSERS[key](value)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**values)

@@ -61,24 +61,15 @@ class PosteriorResult:
     mean: np.ndarray
 
 
-def _as_input_matrix(inputs) -> np.ndarray:
-    """A (D, N) matrix as is, or a list of equal-dimension vectors stacked
-    into one."""
-    try:
-        X = np.asarray(inputs, dtype=float)
-    except ValueError as exc:
-        raise InputError(f"inputs must be vectors of one dimension: {exc}") from exc
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise InputError(f"need at least one input point of shape (N,), got shape {X.shape}")
-    return X
-
-
-def assemble_gram(kernel, inputs) -> np.ndarray:
-    """Kernel matrix over all training pairs; ``factorize`` symmetrizes it.
+def assemble_gram(kernel, X: np.ndarray) -> np.ndarray:
+    """Kernel matrix over all pairs of rows of the (D, N) array ``X``;
+    ``factorize`` symmetrizes it.
 
     ``kernel`` is a scalar kernel exposing ``pairwise(X, X2)``.
     """
-    X = _as_input_matrix(inputs)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise InputError(f"need a (D, N) array of at least one input point, got shape {X.shape}")
     return np.asarray(kernel.pairwise(X, X), dtype=float)
 
 
@@ -120,21 +111,17 @@ def posterior(
     prior_mean_test = np.asarray(prior_mean_test, dtype=float)
     observations = np.asarray(observations, dtype=float)
     d = fact.n_train
-    if cross_cov.shape[0] != d:
-        raise InputError(
-            f"cross_cov has {cross_cov.shape[0]} rows, expected {d}"
-        )
-    m = cross_cov.shape[1] if cross_cov.ndim == 2 else 1
+    if cross_cov.ndim != 2 or cross_cov.shape[0] != d:
+        raise InputError(f"cross_cov must have shape ({d}, M), got {cross_cov.shape}")
     if prior_mean_train.shape != (d,):
         raise InputError("prior_mean_train shape mismatch")
     if observations.shape != (d,):
         raise InputError("observations shape mismatch")
-    if prior_mean_test.shape != (m,):
+    if prior_mean_test.shape != (cross_cov.shape[1],):
         raise InputError("prior_mean_test shape mismatch")
 
-    cross = cross_cov.reshape(d, m)
     alpha = fact.solve(observations - prior_mean_train)
-    return PosteriorResult(mean=prior_mean_test + cross.T @ alpha)
+    return PosteriorResult(mean=prior_mean_test + cross_cov.T @ alpha)
 
 
 def joint_multi_output_oracle(
@@ -162,7 +149,6 @@ def joint_multi_output_oracle(
     for i in range(d):
         for j in range(d):
             K[i * n : (i + 1) * n, j * n : (j + 1) * n] = torque_kernel(Q[i], Q[j])
-    K = 0.5 * (K + K.T)
     fact = factorize(K, noise_variance)
 
     m_y = np.concatenate([np.asarray(prior_mean_fn(Q[i]), dtype=float) for i in range(d)])

@@ -11,15 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import models
-from .bench import _fmt, _fmt_rows
+from .bench import _fmt, _fmt_rows, _read_lines
 from .errors import ParseError
 from .models import Dataset, FittedModel, PriorMean
 
 MAGIC = "dampgp-model 1"
 
-
-def _block(name: str, array: np.ndarray) -> str:
-    return f"[{name}]\n" + _fmt_rows(np.atleast_2d(array), " ")
+# the [block]s of a model file, in file order; the first two, and the third
+# for a kernel with a vector of hypervariances, are one row each
+BLOCKS = ("lengthscales", "prior_mean", "hypervariances", "train_velocities", "train_torques")
 
 
 def save_model(path, model: FittedModel) -> None:
@@ -28,36 +28,41 @@ def save_model(path, model: FittedModel) -> None:
         f"kind: {model.kind}",
         f"noise_variance: {_fmt(model.noise_variance)}",
     ]
+    arrays = (model.kernel.lengthscales, model.prior_mean.coefficients,
+              model.kernel.hypervariances, model.train.velocities, model.train.torques)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header) + "\n")
-        fh.write(_block("lengthscales", model.kernel.lengthscales))
-        fh.write(_block("prior_mean", model.prior_mean.coefficients))
-        fh.write(_block("hypervariances", model.kernel.hypervariances))
-        fh.write(_block("train_velocities", model.train.velocities))
-        fh.write(_block("train_torques", model.train.torques))
+        for name, array in zip(BLOCKS, arrays):
+            fh.write(f"[{name}]\n" + _fmt_rows(np.atleast_2d(array), " "))
 
 
 def _parse_blocks(lines: list[str], path) -> tuple[dict, dict]:
+    """Header ``key: value`` pairs and [block] rows; a repeat raises ``ParseError``."""
     meta: dict[str, str] = {}
     blocks: dict[str, list[list[float]]] = {}
+    first_line: dict[str, int] = {}  # "key" or "[block]" -> line of its first appearance
     current = None
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
+            name, current = line, line[1:-1]
             blocks[current] = []
         elif current is None:
             if ":" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key: value', got {line!r}")
-            key, value = line.split(":", 1)
-            meta[key.strip()] = value.strip()
+            name, value = (part.strip() for part in line.split(":", 1))
+            meta[name] = value
         else:
             try:
                 blocks[current].append([float(v) for v in line.split()])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            continue
+        if name in first_line:
+            raise ParseError(f"{path}:{lineno}: {name} repeats line {first_line[name]}")
+        first_line[name] = lineno
     return meta, blocks
 
 
@@ -65,8 +70,7 @@ def load_model(path) -> FittedModel:
     """Read a model file and refit.  Header keys other than ``kind`` and
     ``noise_variance``, such as the ``n_dim`` and ``constrained`` lines of
     older files, are ignored."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != MAGIC:
         raise ParseError(f"{path}: not a dampgp model file (missing {MAGIC!r} header)")
     meta, blocks = _parse_blocks(lines, path)
@@ -74,14 +78,7 @@ def load_model(path) -> FittedModel:
     for key in ("kind", "noise_variance"):
         if key not in meta:
             raise ParseError(f"{path}: missing header key {key!r}")
-    required_blocks = (
-        "lengthscales",
-        "prior_mean",
-        "hypervariances",
-        "train_velocities",
-        "train_torques",
-    )
-    for name in required_blocks:
+    for name in BLOCKS:
         rows = blocks.get(name)
         if not rows:
             raise ParseError(f"{path}: missing block [{name}]")
@@ -97,16 +94,9 @@ def load_model(path) -> FittedModel:
         raise ParseError(f"{path}: bad header value: {exc}") from exc
 
     kernel_type = models.KERNEL_TYPES[kind]
-    vectors = ["lengthscales", "prior_mean"]
-    if kernel_type.hyp_ndim == 1:
-        vectors.append("hypervariances")
-    for name in vectors:
+    for name in (BLOCKS[:3] if kernel_type.hyp_ndim == 1 else BLOCKS[:2]):
         if len(blocks[name]) != 1:
             raise ParseError(f"{path}: block [{name}] must be one row, found {len(blocks[name])}")
-    ell = np.array(blocks["lengthscales"][0])
-    prior = PriorMean(np.array(blocks["prior_mean"][0]))
-    hyp = np.array(blocks["hypervariances"])
-    kernel = kernel_type(ell, hyp[0] if kernel_type.hyp_ndim == 1 else hyp)
-
-    data = Dataset(np.array(blocks["train_velocities"]), np.array(blocks["train_torques"]))
-    return models.fit(kind, kernel, prior, data, noise_variance)
+    ell, prior, hyp, velocities, torques = (np.array(blocks[name]) for name in BLOCKS)
+    kernel = kernel_type(ell[0], hyp[0] if kernel_type.hyp_ndim == 1 else hyp)
+    return models.fit(kind, kernel, PriorMean(prior[0]), Dataset(velocities, torques), noise_variance)

@@ -327,7 +327,7 @@ def optimize_hypervariances(
     lengthscales,
     noise_variance: float,
     constrained: bool = False,
-    budget: int = 60,
+    budget: int = 40,
     prior_mean: PriorMean | None = None,
 ) -> OptimizationResult:
     """Derivative-free search over log-hypervariances against validation MSE.
@@ -386,7 +386,8 @@ def optimize_hypervariances(
     best: dict = {"mse": np.inf, "model": None}
 
     def evaluate(i: int, x: float) -> float:
-        """Validation MSE of ``theta`` with coordinate ``i`` set to ``x``."""
+        """Validation MSE of ``theta`` with coordinate ``i`` set to ``x``;
+        inf, with no fit, once the budget is spent, so no later step moves."""
         nonlocal evals
         if evals >= budget:
             return np.inf
@@ -410,15 +411,11 @@ def optimize_hypervariances(
     while evals < budget:
         improved_any = False
         for i in range(theta.size):
-            if evals >= budget:
-                break
             lo, hi = theta[i] - span, theta[i] + span
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
             f1, f2 = evaluate(i, x1), evaluate(i, x2)
             for _ in range(4):
-                if evals >= budget:
-                    break
                 if f1 <= f2:
                     hi, x2, f2 = x2, x1, f1
                     x1 = hi - _GOLDEN * (hi - lo)

@@ -164,25 +164,12 @@ def _critical_c(bound: PassivityBound) -> float:
 
 @dataclass(frozen=True)
 class EnforcementResult:
-    """Scaled hypervariances that satisfy the bound.
-
-    ``hypervariances`` are ``alpha`` times the input grid, in the same
-    layout as the input to ``compute_bound`` (vector or matrix); ``bound``
-    is what ``compute_bound`` returns for them.
-    """
+    """Scaled hypervariances that satisfy the bound: ``alpha`` times the
+    input grid, in the same layout as the input to ``compute_bound``
+    (vector or matrix)."""
 
     hypervariances: np.ndarray
     alpha: float
-    bound: PassivityBound
-
-
-def _result(bound: PassivityBound, alpha: float) -> EnforcementResult:
-    grid = alpha * bound.hypervariance_matrix
-    return EnforcementResult(
-        hypervariances=np.diag(grid) if bound.diagonal else grid,
-        alpha=float(alpha),
-        bound=replace(bound, hypervariance_matrix=grid),
-    )
 
 
 def enforce_bound(bound: PassivityBound) -> EnforcementResult:
@@ -190,8 +177,9 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
 
     With c* the smallest c at which the unscaled grid is feasible, the
     scale is alpha = min(1, c / c*).  alpha * grid can round outside the
-    bound, so alpha is stepped down an ulp at a time until
-    ``result.bound`` passes.  A NaN or negative c is rejected: no alpha
+    bound, so alpha is stepped down an ulp at a time until the bound on
+    alpha * grid passes; ``bound.with_grid(result.hypervariances)``
+    rebuilds that bound.  A NaN or negative c is rejected: no alpha
     would pass, and the step-down would not end.  c = 0, which a zero
     noise variance gives, admits only the zero grid.
     """
@@ -214,11 +202,11 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
             "no positive hypervariance scale is feasible "
             "(prior mean too small for the data residual)"
         )
-    result = _result(bound, alpha)
-    while not check_bound(result.bound).feasible:
+    grid = bound.hypervariance_matrix
+    while not check_bound(replace(bound, hypervariance_matrix=alpha * grid)).feasible:
         alpha = np.nextafter(alpha, 0.0)
-        result = _result(bound, alpha)
-    return result
+    scaled = alpha * grid
+    return EnforcementResult(np.diag(scaled) if bound.diagonal else scaled, float(alpha))
 
 
 @dataclass(frozen=True)

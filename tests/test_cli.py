@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import re
 import types
@@ -217,6 +218,49 @@ def test_domain_skips_empty_items(tmp_path, monkeypatch):
     # the one grammar change: a trailing comma is skipped, as in `seeds = 0,`
     got = _swept_domain(monkeypatch, tmp_path, "-5:5,")
     assert got.tobytes() == _reference_parse_domain("-5:5").tobytes()
+
+
+def test_budget_defaults_agree():
+    # optimize_hypervariances, fit --budget and the config's budget
+    library = inspect.signature(models.optimize_hypervariances).parameters["budget"].default
+    flags = cli.build_parser().parse_args(
+        ["fit", "t.csv", "--kind", "diag", "--val", "v.csv", "--lengthscales", "1", "--out", "m"])
+    assert library == flags.budget == bench.ExperimentConfig().budget == 40
+
+
+@pytest.mark.parametrize("reader", ["dataset", "config", "model"])
+def test_undecodable_byte_exit_code(tmp_path, cfg_path, reader, capsys):
+    # each reader names the file and line of a byte its encoding cannot decode
+    data = tmp_path / "data"
+    run_cli("--config", cfg_path, "--out-dir", data, "generate")
+    train, val, test = (data / f"seed0_{split}.csv" for split in ("train", "val", "test"))
+    model = tmp_path / "m.model"
+    run_cli("fit", train, "--kind", "diag", "--val", val, "--lengthscales", "12",
+            "--noise-variance", "1.0", "--budget", "5", "--out", model)
+    bad, byte, argv = {
+        "dataset": (train, b"\xff", ("fit", train, "--kind", "diag", "--val", val,
+                                     "--lengthscales", "12", "--out", tmp_path / "m2.model")),
+        "config": (cfg_path, b"# caf\xe9", ("--config", cfg_path, "--out-dir", tmp_path / "g",
+                                            "generate")),
+        "model": (model, b"\xff", ("evaluate", model, test, "--out", tmp_path / "x.csv")),
+    }[reader]
+    lines = bad.read_bytes().split(b"\n")
+    lines[2] += byte
+    bad.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_INPUT
+    encoding = "utf-8" if reader == "config" else "ascii"
+    assert f"{bad}:3: byte 0x{byte[-1]:02x} is not {encoding} text" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_repeated_config_key_exit_code(tmp_path, cfg_path, capsys):
+    # a second "seeds" line used to win silently
+    cfg_path.write_text(SMALL_CFG + "seeds = 7\n")
+    out = tmp_path / "data"
+    assert run_cli("--config", cfg_path, "--out-dir", out, "generate") == cli.EXIT_INPUT
+    assert f"{cfg_path}:11: seeds repeats line 6" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _readme_harness_flags() -> set:
@@ -765,6 +809,22 @@ class TestModelIo:
         assert run_cli("evaluate", path, test, "--out", out) == cli.EXIT_INPUT
         assert f"[{block}]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        # inserted as line 4, after the header's first noise_variance line
+        ("noise_variance: 3", ":4: noise_variance repeats line 3"),
+        # inserted as lines 4-5, before [lengthscales] and the first [prior_mean]
+        ("[prior_mean]\n0.5 0.5", ":8: [prior_mean] repeats line 4"),
+    ], ids=["header-key", "block"])
+    def test_repeated_key_or_block_rejected(self, tmp_path, line, message):
+        # a repeat used to replace the first value silently
+        model = self._model("diag", np.random.default_rng(4))
+        path = tmp_path / "m.model"
+        modelio.save_model(path, model)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [line] + lines[3:]) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
+            modelio.load_model(path)
 
     def test_missing_block(self, tmp_path):
         model = self._model("diag", np.random.default_rng(3))

@@ -53,26 +53,17 @@ class TestLapackLoader:
 class TestAssembleGram:
     def test_zero_distance_pair(self):
         x = np.array([0.7])
-        K = gp_core.assemble_gram(se1(), [x, x])
+        K = gp_core.assemble_gram(se1(), np.array([x, x]))
         assert np.allclose(K, np.ones((2, 2)))
 
     def test_single_point_amplitude(self):
-        K = gp_core.assemble_gram(se1(sigma2=4.0), [np.array([1.3])])
+        K = gp_core.assemble_gram(se1(sigma2=4.0), np.array([[1.3]]))
         assert np.allclose(K, [[4.0]])
 
     def test_hand_evaluated_offdiagonal(self):
-        K = gp_core.assemble_gram(se1(), [np.array([0.0]), np.array([1.0])])
+        K = gp_core.assemble_gram(se1(), np.array([[0.0], [1.0]]))
         e = np.exp(-0.5)
         assert np.allclose(K, [[1.0, e], [e, 1.0]], atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            gp_core.assemble_gram(se1(), [np.array([0.0]), np.array([0.0, 1.0])])
-
-    def test_array_and_list_inputs_agree(self):
-        k = SeArdKernel(np.array([1.5, 0.7]), 2.0)
-        pts = np.random.default_rng(2).normal(0, 1, (6, 2))
-        assert np.array_equal(gp_core.assemble_gram(k, pts), gp_core.assemble_gram(k, list(pts)))
 
     @pytest.mark.parametrize("inputs", [[], np.empty((0, 1))])
     def test_empty_inputs_rejected(self, inputs):
@@ -258,6 +249,17 @@ class TestPosterior:
             gp_core.posterior(
                 fact, np.ones((3, 1)), np.zeros(2), np.zeros(1), np.zeros(2)
             )
+
+    @pytest.mark.parametrize("cross_cov, n_test", [
+        (np.array(0.8), 1),  # 0-D: used to raise IndexError
+        (np.ones((2, 3, 1)), 3),  # 3-D: used to be blamed on prior_mean_test
+    ], ids=["0-D", "3-D"])
+    def test_cross_cov_must_be_2d(self, cross_cov, n_test):
+        d = 1 if cross_cov.ndim == 0 else 2
+        fact = gp_core.factorize(np.eye(d), 0.1)
+        message = re.escape(f"cross_cov must have shape ({d}, M), got {cross_cov.shape}")
+        with pytest.raises(InputError, match=message):
+            gp_core.posterior(fact, cross_cov, np.zeros(d), np.zeros(n_test), np.zeros(d))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)

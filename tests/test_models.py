@@ -629,6 +629,36 @@ class TestOptimizeHypervariances:
         assert len(computed) == 1
         assert len(projected) == res.n_evaluations == 15
 
+    @pytest.mark.parametrize("kind, constrained", [
+        ("diag", False), ("diag", True), ("full", False), ("full", True),
+    ])
+    def test_search_fits_once_per_budget_unit(self, monkeypatch, kind, constrained):
+        # the search stops fitting exactly when its budget is spent: budgets
+        # 1-13 cover every stop inside and just past the first coordinate's
+        # six evaluations, which follow the starting candidate's
+        system = bench.get_system("full3")
+        train = bench.generate_dataset(
+            system, bench.sample_trajectory(system, 20, seed=13, waveform="uniform"), 1.0, seed=14
+        )
+        val = bench.generate_dataset(
+            system, bench.sample_trajectory(system, 10, seed=15, waveform="uniform"), 1.0, seed=16
+        )
+        fits = []
+        real_fit = models.fit
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(models, "fit", counting_fit)
+        for budget in range(1, 14):
+            fits.clear()
+            res = models.optimize_hypervariances(
+                kind, train, val, system.default_lengthscales, 100.0,
+                constrained=constrained, budget=budget,
+            )
+            assert len(fits) == res.n_evaluations == budget
+
     @pytest.mark.parametrize("constrained", [False, True])
     def test_full_search_fits_only_row_times_column_grids(self, monkeypatch, constrained):
         # every grid the full search fits is exp(r_m + c_n): its log, centred

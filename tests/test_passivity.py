@@ -204,7 +204,7 @@ class TestEnforceBound:
         res = enforce_bound(bound)
         assert res.alpha == pytest.approx(0.5, rel=1e-9)
         assert res.hypervariances[0] == res.alpha * 2.0
-        assert check_bound_diag(res.bound).feasible
+        assert check_bound(bound.with_grid(res.hypervariances)).feasible
 
     def test_scale_full_matrix(self):
         bound = bound_with_c(1.0, [1.0, 1.0], 2.0 * np.ones((2, 2)))
@@ -212,7 +212,7 @@ class TestEnforceBound:
         # largest alpha with alpha*2*ones PSD-dominated by I is 1/4 (eigs 2*2*alpha)
         assert res.alpha == pytest.approx(0.25, rel=1e-8)
         assert np.array_equal(res.hypervariances, res.alpha * 2.0 * np.ones((2, 2)))
-        assert check_bound_full(res.bound).feasible
+        assert check_bound(bound.with_grid(res.hypervariances)).feasible
 
     def test_scale_infeasible_zero_mean(self):
         bound = bound_with_c(1.0, [0.0], np.array([1.0]))
@@ -228,9 +228,10 @@ class TestEnforceBound:
             enforce_bound(bound)
 
     def test_zero_c_keeps_a_zero_grid(self):
-        res = enforce_bound(bound_with_c(0.0, [1.0, 2.0], np.zeros(2)))
+        bound = bound_with_c(0.0, [1.0, 2.0], np.zeros(2))
+        res = enforce_bound(bound)
         assert res.alpha == 1.0
-        assert check_bound_diag(res.bound).feasible
+        assert check_bound(bound.with_grid(res.hypervariances)).feasible
 
     @pytest.mark.parametrize("c", [math.nan, -1.0, -math.inf])
     def test_nan_or_negative_c_rejected(self, c):
@@ -244,15 +245,15 @@ class TestEnforceBound:
         with pytest.raises(TypeError):
             enforce_bound(bound, mode="raise_noise")
 
-    def test_result_keeps_c_and_prior_mean(self):
-        # only the grid is scaled; c, the prior mean and the layout stay
+    def test_result_is_alpha_times_grid_in_input_layout(self):
+        # only the grid is scaled, and the result keeps the input's layout
         rng = np.random.default_rng(14)
         for layout in ("diag", "sym", "full"):
             *_, bound = random_bound(rng, layout)
             res = enforce_bound(bound)
-            assert res.bound.c == bound.c
-            assert np.array_equal(res.bound.mean_coefficients, bound.mean_coefficients)
-            assert res.bound.diagonal == bound.diagonal
+            scaled = res.alpha * bound.hypervariance_matrix
+            assert np.array_equal(res.hypervariances, np.diag(scaled) if bound.diagonal else scaled)
+            assert check_bound(bound.with_grid(res.hypervariances)).feasible
 
     def test_step_down_stays_within_ulps_of_closed_form(self):
         # alpha * grid can round past c*m_d; the result still passes the
@@ -266,7 +267,7 @@ class TestEnforceBound:
             bound = bound_with_c(c, m_d, hyp)
             res = enforce_bound(bound)
             closed = c / passivity._critical_c(bound)
-            assert check_bound_diag(res.bound).feasible
+            assert check_bound(bound.with_grid(res.hypervariances)).feasible
             assert closed - 4 * np.spacing(closed) <= res.alpha <= closed
             stepped += res.alpha < closed
         assert stepped > 0
@@ -338,7 +339,9 @@ class TestSymmetricPartCondition:
 
         res = enforce_bound(bound)
         assert res.alpha < 1e-2
-        projected = res.bound.c * np.diag(res.bound.mean_coefficients) - res.bound.hypervariance_matrix
+        certified = bound.with_grid(res.hypervariances)
+        assert check_bound(certified).feasible
+        projected = bound.c * np.diag(bound.mean_coefficients) - certified.hypervariance_matrix
         v = np.linalg.eigh(0.5 * (projected + projected.T))[1][:, 0]
         assert v @ projected @ v >= -1e-12 * np.trace(projected)
         rebuilt = compute_bound(data, prior, 100.0, res.hypervariances)
@@ -385,16 +388,18 @@ class TestClosedFormProjection:
     @pytest.mark.parametrize("layout", ["diag", "sym", "full"])
     def test_rebuilt_result_passes_check(self, layout):
         # compute_bound on the returned hypervariances rebuilds the scaled
-        # grid exactly, so the result passes the check to the last ulp.
+        # grid alpha * grid that the step-down checked, so the result passes
+        # the check to the last ulp.
         rng = np.random.default_rng(13)
         check = check_bound_diag if layout == "diag" else check_bound_full
         for _ in range(1000):
             data, prior, nv, bound = random_bound(rng, layout, d=int(rng.integers(2, 8)))
             res = enforce_bound(bound)
             rebuilt = compute_bound(data, prior, nv, res.hypervariances)
-            assert np.array_equal(rebuilt.hypervariance_matrix, res.bound.hypervariance_matrix)
-            assert rebuilt.c == res.bound.c
+            assert np.array_equal(rebuilt.hypervariance_matrix, res.alpha * bound.hypervariance_matrix)
+            assert rebuilt.c == bound.c
             assert check(rebuilt).feasible
+            assert check_bound(bound.with_grid(res.hypervariances)).feasible
 
     def test_zero_mean_with_coupled_row_infeasible(self):
         # m_d_2 = 0: row 2 of sym grid must vanish for any scale to work
