@@ -9,6 +9,9 @@ import numpy as np
 
 WIDTH, HEIGHT = 720, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 170, 40, 55
+# the plot frame in pixels: left and right, bottom and top
+X0, X1 = MARGIN_L, WIDTH - MARGIN_R
+Y0, Y1 = HEIGHT - MARGIN_B, MARGIN_T
 
 MIN_BINS = 10
 TICKS = 5  # about this many tick values per axis
@@ -28,36 +31,40 @@ def _svg_open(title: str) -> list[str]:
     ]
 
 
+def _svg_write(path, parts: list[str]) -> None:
+    """Close the SVG of ``parts`` and write it to ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n</svg>\n")
+
+
 def _axes(parts: list[str], xlabel: str, ylabel: str, xticks, yticks) -> None:
     """Both axes with their titles; ``xticks`` and ``yticks`` are
     (pixel, label markup) pairs."""
-    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
-    y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
     parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>'
+        f'<line x1="{X0}" y1="{Y0}" x2="{X1}" y2="{Y0}" stroke="black"/>'
     )
     parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>'
+        f'<line x1="{X0}" y1="{Y0}" x2="{X0}" y2="{Y1}" stroke="black"/>'
     )
     parts.append(
-        f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+        f'<text x="{(X0 + X1) // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
     )
     parts.append(
-        f'<text x="18" y="{(y0 + y1) // 2}" text-anchor="middle" '
+        f'<text x="18" y="{(Y0 + Y1) // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(y0 + y1) // 2})">{escape(ylabel, quote=False)}</text>'
+        f'transform="rotate(-90 18 {(Y0 + Y1) // 2})">{escape(ylabel, quote=False)}</text>'
     )
     for px, label in xticks:
-        parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>')
+        parts.append(f'<line x1="{px:.2f}" y1="{Y0}" x2="{px:.2f}" y2="{Y0 + 5}" stroke="black"/>')
         parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
+            f'<text x="{px:.2f}" y="{Y0 + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     for py, label in yticks:
-        parts.append(f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
+        parts.append(f'<line x1="{X0 - 5}" y1="{py:.2f}" x2="{X0}" y2="{py:.2f}" stroke="black"/>')
         parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
+            f'<text x="{X0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
 
@@ -101,12 +108,10 @@ def line_chart(
         ylo, yhi = ylo - 1.0, yhi + 1.0
 
     parts = _svg_open(title)
-    px0, px1 = MARGIN_L, WIDTH - MARGIN_R
-    py0, py1 = HEIGHT - MARGIN_B, MARGIN_T
     _axes(
         parts, xlabel, ylabel + " (log10)",
-        [(_scale(x, xlo, xhi, px0, px1), text) for x, text in _ticks(xlo, xhi)],
-        [(_scale(y, ylo, yhi, py0, py1), f'10<tspan dy="-5" font-size="9">{text}</tspan>')
+        [(_scale(x, xlo, xhi, X0, X1), text) for x, text in _ticks(xlo, xhi)],
+        [(_scale(y, ylo, yhi, Y0, Y1), f'10<tspan dy="-5" font-size="9">{text}</tspan>')
          for y, text in _ticks(ylo, yhi)],
     )
     for idx, (name, pts) in enumerate(sorted(series.items())):
@@ -114,8 +119,8 @@ def line_chart(
         coords = []
         for x, y in sorted(pts):
             coords.append(
-                f"{_scale(x, xlo, xhi, px0, px1):.2f},"
-                f"{_scale(y, ylo, yhi, py0, py1):.2f}"
+                f"{_scale(x, xlo, xhi, X0, X1):.2f},"
+                f"{_scale(y, ylo, yhi, Y0, Y1):.2f}"
             )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
@@ -124,66 +129,53 @@ def line_chart(
         for c in coords:
             cx, cy = c.split(",")
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>')
-        ly = MARGIN_T + 18 * idx
+        ly = Y1 + 18 * idx
         parts.append(
-            f'<line x1="{px1 + 12}" y1="{ly}" x2="{px1 + 36}" y2="{ly}" '
+            f'<line x1="{X1 + 12}" y1="{ly}" x2="{X1 + 36}" y2="{ly}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{px1 + 42}" y="{ly + 4}" font-family="sans-serif" '
+            f'<text x="{X1 + 42}" y="{ly + 4}" font-family="sans-serif" '
             f'font-size="12">{escape(name, quote=False)}</text>'
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _svg_write(path, parts)
 
 
 def freedman_diaconis_bins(values: np.ndarray) -> int:
-    """Freedman-Diaconis bin count, at least MIN_BINS."""
-    v = np.sort(np.asarray(values, dtype=float))
-    n = v.size
-    if n < 2 or v[0] == v[-1]:
-        return MIN_BINS
-    iqr = float(np.percentile(v, 75) - np.percentile(v, 25))
-    if iqr == 0.0:
-        return MIN_BINS
-    width = 2.0 * iqr / n ** (1.0 / 3.0)
-    return max(MIN_BINS, int(math.ceil((v[-1] - v[0]) / width)))
+    """numpy's Freedman-Diaconis bin count, at least MIN_BINS.  The values are
+    read as floats: numpy widens the bins of integer data to at least 1."""
+    return max(MIN_BINS, len(np.histogram_bin_edges(np.asarray(values, float), "fd")) - 1)
 
 
-def histogram(path, values, title: str, xlabel: str, series_name: str = "count") -> None:
-    """Binned histogram of ``values`` using Freedman-Diaconis bin widths."""
+def histogram(path, values, title: str, xlabel: str) -> None:
+    """Histogram of ``values`` in Freedman-Diaconis bins, its counts labelled "samples"."""
     values = np.asarray(values, dtype=float)
     nbins = freedman_diaconis_bins(values)
     counts, edges = np.histogram(values, bins=nbins)
     parts = _svg_open(title)
-    px0, px1 = MARGIN_L, WIDTH - MARGIN_R
-    py0, py1 = HEIGHT - MARGIN_B, MARGIN_T
     cmax = max(int(counts.max()), 1)
     _axes(
-        parts, xlabel, series_name,
-        [(_scale(x, edges[0], edges[-1], px0, px1), text) for x, text in _ticks(edges[0], edges[-1])],
-        [(_scale(c, 0, cmax, py0, py1), text) for c, text in _ticks(0, cmax, integer=True)],
+        parts, xlabel, "samples",
+        [(_scale(x, edges[0], edges[-1], X0, X1), text) for x, text in _ticks(edges[0], edges[-1])],
+        [(_scale(c, 0, cmax, Y0, Y1), text) for c, text in _ticks(0, cmax, integer=True)],
     )
     for i, c in enumerate(counts):
-        x_l = _scale(edges[i], edges[0], edges[-1], px0, px1)
-        x_r = _scale(edges[i + 1], edges[0], edges[-1], px0, px1)
-        top = _scale(float(c), 0, cmax, py0, py1)
+        x_l = _scale(edges[i], edges[0], edges[-1], X0, X1)
+        x_r = _scale(edges[i + 1], edges[0], edges[-1], X0, X1)
+        top = _scale(float(c), 0, cmax, Y0, Y1)
         parts.append(
             f'<rect x="{x_l:.2f}" y="{top:.2f}" width="{max(x_r - x_l - 1, 1):.2f}" '
-            f'height="{py0 - top:.2f}" fill="{PALETTE[0]}" stroke="white"/>'
+            f'height="{Y0 - top:.2f}" fill="{PALETTE[0]}" stroke="white"/>'
         )
     # zero marker helps reading a dissipated-power distribution
     if edges[0] < 0 < edges[-1]:
-        xz = _scale(0.0, edges[0], edges[-1], px0, px1)
+        xz = _scale(0.0, edges[0], edges[-1], X0, X1)
         parts.append(
-            f'<line x1="{xz:.2f}" y1="{py1}" x2="{xz:.2f}" y2="{py0}" '
+            f'<line x1="{xz:.2f}" y1="{Y1}" x2="{xz:.2f}" y2="{Y0}" '
             f'stroke="#d62728" stroke-dasharray="4 3"/>'
         )
     parts.append(
-        f'<text x="{px1 + 12}" y="{MARGIN_T + 4}" font-family="sans-serif" '
-        f'font-size="12">{escape(series_name, quote=False)}</text>'
+        f'<text x="{X1 + 12}" y="{Y1 + 4}" font-family="sans-serif" '
+        f'font-size="12">samples</text>'
     )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _svg_write(path, parts)

@@ -302,7 +302,6 @@ def cmd_power(args) -> int:
         sweep.powers,
         title=f"Dissipated power distribution ({label})",
         xlabel="dissipated power",
-        series_name="samples",
     )
     if sweep.violation_count == 0:
         print(f"PASSIVE (min={sweep.min_power:.6g})")
@@ -380,7 +379,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error (numerical): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InputError, DampGpError, OSError) as exc:
+    except (DampGpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

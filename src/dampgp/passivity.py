@@ -226,7 +226,8 @@ def passivity_sweep(
     """Dissipated power over seeded uniform samples, box corners, and origin.
 
     Violations are powers below -1e-9 times the observed power scale
-    (floating-point slack on the exact-arithmetic guarantee).
+    (floating-point slack on the exact-arithmetic guarantee).  A power that
+    is not finite (the box is too large for the model) raises InputError.
     """
     box = np.asarray(domain, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] != model.n_dim:
@@ -249,8 +250,11 @@ def passivity_sweep(
         pts.append(np.zeros((1, model.n_dim)))
     points = np.vstack(pts)
 
-    torques = predict_torque_batch(model, points)
-    powers = np.sum(points * torques, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.sum(points * predict_torque_batch(model, points), axis=1)
+    nonfinite = np.flatnonzero(~np.isfinite(powers))
+    if nonfinite.size:
+        raise InputError(f"dissipated power not finite at velocity {points[nonfinite[0]]}")
     scale = max(1.0, float(np.max(np.abs(powers))))
     return SweepResult(
         min_power=float(np.min(powers)),

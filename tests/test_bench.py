@@ -7,7 +7,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from dampgp import bench
+from dampgp import bench, models, passivity
 from dampgp.errors import InputError, ParseError
 from dampgp.models import Dataset
 
@@ -122,6 +122,23 @@ class TestBuiltinSystems:
         # the guarantee get_system relies on: the sweep make_system runs on
         # a user field, over the same 10,000 seeded points
         bench._psd_construction_sweep(bench.get_system(system_id))
+
+    def test_make_system_returns_a_usable_system(self):
+        # a constant PSD field passes the sweep and carries a whole
+        # constrained identification
+        field = np.array([[2.0, 0.5], [0.5, 1.0]])
+        system = bench.make_system("const2", lambda Q: np.broadcast_to(field, (len(Q), 2, 2)),
+                                   [[-5.0, 5.0], [-5.0, 5.0]], [3.0, 3.0])
+        assert system.name == "const2" and system.n_dim == 2
+        train, val = (
+            bench.generate_dataset(
+                system, bench.sample_trajectory(system, size, seed=seed, waveform="uniform"),
+                0.1, seed=seed + 1)
+            for size, seed in ((30, 1), (20, 3))
+        )
+        opt = models.optimize_hypervariances("full", train, val, system.default_lengthscales,
+                                             1.0, constrained=True, budget=10)
+        assert passivity.passivity_sweep(opt.model, system.domain, 500).violation_count == 0
 
     def test_get_system_runs_no_sweep(self, monkeypatch):
         def sweep(system):
@@ -367,9 +384,11 @@ class TestDatasetIo:
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "b.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ParseError, match=":1:"):
-            bench.read_dataset(path)
+        # one-column, odd-length and empty headers fail the same column check
+        for header in ("a,b", "qd_1", "qd_1,qd_2,tau_1", ""):
+            path.write_text(f"{header}\n1,2\n")
+            with pytest.raises(ParseError, match=re.escape(f"{path}:1: header columns")):
+                bench.read_dataset(path)
 
     def test_column_count_error_names_line(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import re
 import types
 import xml.etree.ElementTree as ET
@@ -627,6 +628,20 @@ class TestPower:
         assert len(lines) == 1 + 200 + 2 + 1  # samples + corners + origin
         ET.fromstring((out / "power.svg").read_text())
 
+    def test_violations_verdict(self, tmp_path, capsys):
+        # a free diag fit chases the flipped torques of the adversarial set
+        train = tmp_path / "adversarial.csv"
+        bench.write_dataset(train, bench.adversarial_dataset(seed=0))
+        model_path = tmp_path / "free.model"
+        assert run_cli("fit", train, "--kind", "diag", "--val", train,
+                       "--lengthscales", "12,12,12", "--noise-variance", "1.0",
+                       "--budget", "20", "--out", model_path) == 0
+        capsys.readouterr()
+        assert run_cli("--out-dir", tmp_path / "pow", "power", model_path,
+                       "--domain=-25:25,-25:25,40:90", "--samples", "2000") == 0
+        verdict = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(r"VIOLATIONS [1-9]\d* \(min=-\S+\)", verdict)
+
     def test_label_is_the_bound_check(self, tmp_path, cfg_path):
         # the title follows the saved hypervariances, whatever fit was asked for
         data = tmp_path / "data"
@@ -689,7 +704,9 @@ class TestPower:
     @pytest.mark.parametrize("args, message", [
         (("--domain=-5:5", "--samples", "0"), "samples must be >= 1"),
         (("--domain=-5:5,-5:5",), r"domain must have shape \(1, 2\)"),
-    ], ids=["zero-samples", "domain-dimension"])
+        # q * tau(q) overflows: no RuntimeWarning, no traceback, no power.csv
+        (("--domain=-1e160:1e160",), r"dissipated power not finite at velocity \["),
+    ], ids=["zero-samples", "domain-dimension", "overflowing-power"])
     def test_rejected_sweep_creates_no_directory(self, tmp_path, capsys, args, message):
         model_path = self._model(tmp_path)
         out = tmp_path / "pow"
@@ -852,8 +869,7 @@ class TestCharts:
 
     def test_text_escapes_markup_but_not_quotes(self, tmp_path):
         path = tmp_path / "c.svg"
-        charts.histogram(path, [1.0, 2.0], title='a&b <c> "d"', xlabel="x",
-                         series_name="s")
+        charts.histogram(path, [1.0, 2.0], title='a&b <c> "d"', xlabel="x")
         svg = path.read_text()
         ET.fromstring(svg)
         assert '<title>a&amp;b &lt;c&gt; "d"</title>' in svg
@@ -891,6 +907,40 @@ class TestCharts:
         svg = path.read_text()
         ET.fromstring(svg)
         assert svg.count("<rect") - 1 >= 10  # background rect plus >= 10 bars
+
+    @staticmethod
+    def _fd_reference(values) -> int:
+        # the hand-written Freedman-Diaconis rule numpy's estimator replaced
+        v = np.sort(np.asarray(values, dtype=float))
+        n = v.size
+        if n < 2 or v[0] == v[-1]:
+            return charts.MIN_BINS
+        iqr = float(np.percentile(v, 75) - np.percentile(v, 25))
+        if iqr == 0.0:
+            return charts.MIN_BINS
+        width = 2.0 * iqr / n ** (1.0 / 3.0)
+        return max(charts.MIN_BINS, math.ceil((v[-1] - v[0]) / width))
+
+    def test_fd_bins_match_the_hand_written_rule(self):
+        rng = np.random.default_rng(21)
+        families = [
+            lambda n: rng.normal(size=1),  # n = 1
+            lambda n: np.full(n, rng.normal()),  # all equal
+            # IQR 0 with nonzero spread: a constant bulk and a few outliers
+            lambda n: np.concatenate([np.full(n, 3.0), 100.0 * rng.normal(size=n // 4 + 1)]),
+            lambda n: rng.normal(size=n),
+            lambda n: rng.integers(-3, 4, size=n) * 0.25,  # ties on exact quartiles
+            lambda n: rng.integers(0, 4, size=10 * n),  # integers: FD width below 1
+            lambda n: rng.standard_t(2, size=n),  # heavy tails
+            lambda n: rng.lognormal(0.0, 2.0, size=n),
+        ]
+        seen = set()
+        for i in range(2_100):
+            values = families[i % len(families)](int(rng.integers(2, 200)))
+            bins = charts.freedman_diaconis_bins(values)
+            assert bins == self._fd_reference(values), (i, values)
+            seen.add(bins == charts.MIN_BINS)
+        assert seen == {True, False}
 
     def test_titles_are_escaped(self, tmp_path):
         path = tmp_path / "e.svg"

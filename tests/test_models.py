@@ -121,6 +121,11 @@ class TestFit:
         with pytest.raises(InputError, match="the ard baseline is zero-mean"):
             fit("ard", ard_kernel, PriorMean(np.ones(data.n_dim)), data, 0.5)
 
+    def test_unknown_kind_rejected(self):
+        kernel, data, prior = random_instance(np.random.default_rng(4), "diag")
+        with pytest.raises(InputError, match="unknown model kind 'bogus'"):
+            fit("bogus", kernel, prior, data, 0.5)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_noise_variance_rejected(self, bad):
         kernel, data, prior = random_instance(np.random.default_rng(4), "diag")

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -232,6 +233,14 @@ class TestEnforceBound:
         res = enforce_bound(bound)
         assert res.alpha == 1.0
         assert check_bound(bound.with_grid(res.hypervariances)).feasible
+
+    def test_underflowing_scale_infeasible(self):
+        # c / c* = 1.6e-301 / 1e30 underflows to alpha = 0
+        data = Dataset(np.array([[1.0], [2.0]]), np.array([[3.0], [1.0]]))
+        bound = compute_bound(data, PriorMean(np.array([1.0])), 1e-300, np.array([1e30]))
+        assert 0.0 < bound.c < 1e-300
+        with pytest.raises(InfeasibilityError, match="prior mean too small"):
+            enforce_bound(bound)
 
     @pytest.mark.parametrize("c", [math.nan, -1.0, -math.inf])
     def test_nan_or_negative_c_rejected(self, c):
@@ -651,6 +660,15 @@ class TestPassivitySweep:
         s1 = passivity_sweep(model, box, 50, seed=3)
         s2 = passivity_sweep(model, box, 50, seed=3)
         assert np.array_equal(s1.powers, s2.powers)
+
+    def test_non_finite_power_rejected(self):
+        # q * tau(q) overflows; no RuntimeWarning may escape the sweep
+        model = self._toy_model()
+        box = np.array([[-1e160, 1e160], [-1e160, 1e160]])
+        first = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(10, 2))[0]
+        with pytest.raises(InputError, match=re.escape(
+                f"dissipated power not finite at velocity {first}")):
+            passivity_sweep(model, box, 10)
 
     def test_bad_domain(self):
         model = self._toy_model()
