@@ -14,6 +14,7 @@ X0, X1 = MARGIN_L, WIDTH - MARGIN_R
 Y0, Y1 = HEIGHT - MARGIN_B, MARGIN_T
 
 MIN_BINS = 10
+MAX_BINS = X1 - X0  # one bin per pixel of the frame: narrower bars overlap
 TICKS = 5  # about this many tick values per axis
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -142,9 +143,22 @@ def line_chart(
 
 
 def freedman_diaconis_bins(values: np.ndarray) -> int:
-    """numpy's Freedman-Diaconis bin count, at least MIN_BINS.  The values are
-    read as floats: numpy widens the bins of integer data to at least 1."""
-    return max(MIN_BINS, len(np.histogram_bin_edges(np.asarray(values, float), "fd")) - 1)
+    """numpy's Freedman-Diaconis bin count, ceil(range / width) for the width
+    2 IQR n^(-1/3) or 1 when that width is 0, clipped to [MIN_BINS, MAX_BINS].
+    The count is capped before any edge exists: a heavy tail over a small IQR
+    asks for millions of bins, and ``np.histogram_bin_edges(values, "fd")``
+    would build all their edges.  The values are read as floats: numpy widens
+    the bins of integer data to at least 1."""
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size == 0:
+        return MIN_BINS
+    lo, hi = x.min(), x.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"autodetected range of [{lo}, {hi}] is not finite")
+    q75, q25 = np.percentile(x, [75, 25])
+    width = 2.0 * (q75 - q25) * x.size ** (-1.0 / 3.0)
+    bins = (hi - lo) / width if width else 1.0
+    return MAX_BINS if bins > MAX_BINS else max(MIN_BINS, math.ceil(bins))
 
 
 def histogram(path, values, title: str, xlabel: str) -> None:

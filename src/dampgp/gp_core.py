@@ -81,15 +81,16 @@ def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InputError(f"gram must be square, got shape {gram.shape}")
-    if not (np.isfinite(noise_variance) and noise_variance >= 0):
+    if not 0 <= noise_variance < np.inf:
         raise InputError(f"noise_variance must be finite and >= 0, got {noise_variance}")
     rungs = (0.0, *JITTER_LADDER)
     for jitter in rungs:
-        work = gram + gram.T
+        # C order for any layout of gram, so that ravel() is a view
+        work = np.add(gram, gram.T, order="C")
         work *= 0.5
-        if jitter == 0.0 and not np.all(np.isfinite(work)):
+        if jitter == 0.0 and not np.isfinite(work).all():
             raise InputError("gram contains non-finite entries")
-        work.flat[:: len(work) + 1] += noise_variance + jitter
+        work.ravel()[:: len(work) + 1] += noise_variance + jitter
         # work is symmetric, so its transpose is the same matrix in the
         # column-major order LAPACK factors in place
         factor, info = dpotrf(work.T, lower=1, clean=1, overwrite_a=1)

@@ -20,9 +20,20 @@ def _validate_lengthscales(ell: np.ndarray) -> np.ndarray:
     ell = np.asarray(ell, dtype=float)
     if ell.ndim != 1 or ell.size < 1:
         raise InputError("lengthscales must be a nonempty vector")
-    if not np.all(np.isfinite(ell) & (ell > 0)):
+    if not (np.isfinite(ell) & (ell > 0)).all():
         raise InputError(f"lengthscales must be finite and strictly positive, got {ell}")
     return ell
+
+
+def _inputs(X, X2, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``X2`` as float arrays, each checked to have shape (·, n)."""
+    X = np.asarray(X, dtype=float)
+    X2 = np.asarray(X2, dtype=float)
+    if X.ndim != 2 or X2.ndim != 2 or X.shape[1] != n or X2.shape[1] != n:
+        raise InputError(
+            f"inputs must have dimension {n}, shape (·, {n}); got {X.shape} and {X2.shape}"
+        )
+    return X, X2
 
 
 def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -74,6 +85,7 @@ class SeArdKernel:
     def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
         """Kernel matrix over all row pairs; ``corr`` is the shared
         ``se_correlation(lengthscales, X, X2)`` when the caller has it."""
+        X, X2 = _inputs(X, X2, self.dim)
         if corr is None:
             corr = se_correlation(self.lengthscales, X, X2)
         return self.hypervariance * corr
@@ -99,10 +111,7 @@ class _PerOutputKernel:
     def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
         """Kernel matrix over all row pairs; ``corr`` is the shared
         ``se_correlation(lengthscales, X, X2)`` when the caller has it."""
-        X = np.asarray(X, dtype=float)
-        X2 = np.asarray(X2, dtype=float)
-        if X.shape[1] != self.dim or X2.shape[1] != self.dim:
-            raise InputError(f"inputs must have dimension {self.dim}")
+        X, X2 = _inputs(X, X2, self.dim)
         if corr is None:
             corr = se_correlation(self.lengthscales, X, X2)
         out = (X * self.row_variances) @ X2.T
@@ -127,7 +136,7 @@ class _KernelCore:
         shape = (ell.size,) * self.hyp_ndim
         if hyp.shape != shape:
             raise InputError(f"hypervariances must have shape {shape}, got {hyp.shape}")
-        if not np.all(np.isfinite(hyp) & (hyp > 0)):
+        if not (np.isfinite(hyp) & (hyp > 0)).all():
             raise InputError("hypervariances must be finite and strictly positive")
         object.__setattr__(self, "hypervariances", hyp)
 
@@ -150,6 +159,12 @@ class _TorqueKernel(_KernelCore):
     element kernel k_{mn} (zero where the model has no element).
     """
 
+    def __post_init__(self):
+        # built once: a fit reads the grid N times and a prediction once more
+        super().__post_init__()
+        hyp = self.hypervariances
+        object.__setattr__(self, "grid", np.diag(hyp) if hyp.ndim == 1 else hyp)
+
     def __call__(self, qd, qd2) -> np.ndarray:
         qd = np.asarray(qd, dtype=float)
         qd2 = np.asarray(qd2, dtype=float)
@@ -167,20 +182,12 @@ class FullTorqueKernel(_TorqueKernel):
 
     hyp_ndim = 2
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.hypervariances
-
 
 class DiagTorqueKernel(_TorqueKernel):
     """Diagonal damping model: the full model with its off-diagonal elements
     removed, so entry (n, n) of K(q, q') is q_n q'_n k_n(q, q').
     ``hypervariances`` is the (N,) diagonal of the grid.
     """
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.diag(self.hypervariances)
 
 
 class SeArdKernelBank(_KernelCore):

@@ -172,7 +172,7 @@ def fit(
     their residual solves.  Their Gram matrices share one SE correlation;
     ``corr`` is that (D, D) matrix when the caller already has it."""
     kind = _check_kind(kind)
-    if not (np.isfinite(noise_variance) and noise_variance > 0):
+    if not 0 < noise_variance < np.inf:
         raise InputError(f"noise_variance must be finite and > 0, got {noise_variance}")
     expected = KERNEL_TYPES[kind]
     if type(kernel) is not expected:
@@ -184,7 +184,7 @@ def fit(
             f"kernel dimension {kernel.dim} does not match data dimension {data.n_dim}"
         )
     prior_mean.check_dim(data.n_dim)
-    if kind == "ard" and np.any(prior_mean.coefficients != 0):
+    if kind == "ard" and (prior_mean.coefficients != 0).any():
         raise InputError("the ard baseline is zero-mean; pass a zero prior mean")
 
     q = data.velocities
@@ -207,7 +207,7 @@ def fit(
 def _damping_weights(model: FittedModel) -> np.ndarray:
     """W (D, N^2) with W[i, m*N + n] = alpha_m,i * q_train[i, n], so that
     G[m, n](qd) = sum_i corr_i(qd) * W[i, m*N + n]."""
-    alphas = np.vstack(model.residual_solves).T  # (D, N)
+    alphas = np.array(model.residual_solves).T  # (D, N)
     q_train = model.train.velocities
     return (alphas[:, :, None] * q_train[:, None, :]).reshape(len(q_train), -1)
 
@@ -235,7 +235,7 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
         raise InputError(
             f"test velocities must have shape (M, {model.n_dim}), got {qs.shape}"
         )
-    if not np.all(np.isfinite(qs)):
+    if not np.isfinite(qs).all():
         raise InputError("test velocities must be finite")
     out = model.prior_mean.torque(qs)
     q_train = model.train.velocities
@@ -400,7 +400,7 @@ def optimize_hypervariances(
         model = fit(kind, KERNEL_TYPES[kind](ell, hyp), prior_mean, data_train,
                     noise_variance, corr=corr_train)
         pred = predict_torque_batch(model, data_val.velocities, corr=corr_val)
-        mse = float(np.mean((pred - data_val.torques) ** 2))
+        mse = float(((pred - data_val.torques) ** 2).mean())
         if mse < best["mse"]:
             best["mse"] = mse
             best["model"] = model

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +44,14 @@ class PassivityBound:
         what ``compute_bound`` returns for them on the same data, prior and
         noise variance, with the same validation of the grid."""
         grid, diagonal = _grid(hypervariances, self.mean_coefficients.size)
-        return replace(self, hypervariance_matrix=grid, diagonal=diagonal)
+        return PassivityBound(self.c, grid, self.mean_coefficients, diagonal)
 
 
 def _grid(hypervariances, n: int) -> tuple[np.ndarray, bool]:
     """The N x N grid of ``hypervariances`` for N = ``n`` dimensions, and
     whether it came from an N-vector."""
     hyp = np.asarray(hypervariances, dtype=float)
-    if not np.all(np.isfinite(hyp) & (hyp >= 0)):
+    if not (np.isfinite(hyp) & (hyp >= 0)).all():
         raise InputError("hypervariances must be finite and nonnegative")
     if hyp.shape not in ((n,), (n, n)):
         raise InputError(
@@ -115,7 +115,7 @@ def check_bound_full(bound: PassivityBound) -> BoundCheck:
         return BoundCheck(feasible=True, margin=math.inf)
     residual = bound.c * np.diag(bound.mean_coefficients) - _sym(bound.hypervariance_matrix)
     min_eig = float(np.linalg.eigvalsh(residual)[0])
-    tol = 1e-12 * abs(float(np.trace(residual)))
+    tol = 1e-12 * abs(float(residual.trace()))
     return BoundCheck(feasible=min_eig >= -tol, margin=min_eig)
 
 
@@ -125,9 +125,9 @@ def check_bound_diag(bound: PassivityBound) -> BoundCheck:
         raise InputError("check_bound_diag requires a bound built from an N-vector")
     if math.isinf(bound.c):
         return BoundCheck(feasible=True, margin=math.inf)
-    hyp = np.diag(bound.hypervariance_matrix)
+    hyp = bound.hypervariance_matrix.diagonal()
     limits = bound.c * bound.mean_coefficients
-    return BoundCheck(feasible=bool(np.all(hyp <= limits)), margin=float(np.min(limits - hyp)))
+    return BoundCheck(feasible=bool((hyp <= limits).all()), margin=float((limits - hyp).min()))
 
 
 def check_bound(bound: PassivityBound) -> BoundCheck:
@@ -144,14 +144,14 @@ def _critical_c(bound: PassivityBound) -> float:
     """
     sym = _sym(bound.hypervariance_matrix)
     m = bound.mean_coefficients
-    if not (np.all(np.isfinite(sym)) and np.all(np.isfinite(m))):
+    if not (np.isfinite(sym).all() and np.isfinite(m).all()):
         raise InputError(
             "the symmetric part of the bound's grid and the prior mean coefficients "
             "must be finite"
         )
     active = m > 0
-    if not np.all(active):
-        if np.any(sym[~active] != 0):
+    if not active.all():
+        if (sym[~active] != 0).any():
             return math.inf
         sym, m = sym[np.ix_(active, active)], m[active]
     if m.size == 0:
@@ -159,7 +159,7 @@ def _critical_c(bound: PassivityBound) -> float:
     eigvals, _, info = dsygvd(sym, np.diag(m), uplo="L", jobz="N")
     if info != 0:
         raise NumericalError(f"dsygvd failed on the bound's eigenproblem (info={info})")
-    return float(np.max(eigvals, initial=0.0))
+    return float(eigvals.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
     """
     if not bound.c >= 0:
         raise InputError(f"the bound factor c must be >= 0, got {bound.c}")
-    if bound.c == 0 and np.any(bound.hypervariance_matrix != 0):
+    if bound.c == 0 and (bound.hypervariance_matrix != 0).any():
         raise InfeasibilityError(
             "no positive hypervariance scale is feasible: the bound factor c is 0 "
             "because the noise variance is 0"
@@ -202,11 +202,11 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
             "no positive hypervariance scale is feasible "
             "(prior mean too small for the data residual)"
         )
-    grid = bound.hypervariance_matrix
-    while not check_bound(replace(bound, hypervariance_matrix=alpha * grid)).feasible:
+    c, m, grid = bound.c, bound.mean_coefficients, bound.hypervariance_matrix
+    while not check_bound(PassivityBound(c, alpha * grid, m, bound.diagonal)).feasible:
         alpha = np.nextafter(alpha, 0.0)
     scaled = alpha * grid
-    return EnforcementResult(np.diag(scaled) if bound.diagonal else scaled, float(alpha))
+    return EnforcementResult(scaled.diagonal() if bound.diagonal else scaled, float(alpha))
 
 
 @dataclass(frozen=True)

@@ -919,7 +919,7 @@ class TestCharts:
         if iqr == 0.0:
             return charts.MIN_BINS
         width = 2.0 * iqr / n ** (1.0 / 3.0)
-        return max(charts.MIN_BINS, math.ceil((v[-1] - v[0]) / width))
+        return min(charts.MAX_BINS, max(charts.MIN_BINS, math.ceil((v[-1] - v[0]) / width)))
 
     def test_fd_bins_match_the_hand_written_rule(self):
         rng = np.random.default_rng(21)
@@ -941,6 +941,19 @@ class TestCharts:
             assert bins == self._fd_reference(values), (i, values)
             seen.add(bins == charts.MIN_BINS)
         assert seen == {True, False}
+
+    def test_fd_bins_capped_at_the_frame_width(self, tmp_path):
+        # uncapped, the Student-t (df 1) draw asks for 353,827 bins and the
+        # outlier far past 200 values in [0, 1] for about 5.8e7
+        heavy_tail = np.random.default_rng(5).standard_t(1, size=200)
+        outlier = np.append(np.linspace(0.0, 1.0, 200), 1e7)
+        assert charts.MAX_BINS == charts.X1 - charts.X0 == 480
+        for values in (heavy_tail, outlier):
+            assert charts.freedman_diaconis_bins(values) == 480
+            path = tmp_path / "h.svg"
+            charts.histogram(path, values, title="t", xlabel="x")
+            bars = path.read_text().count("<rect") - 1  # less the background
+            assert bars <= 480
 
     def test_titles_are_escaped(self, tmp_path):
         path = tmp_path / "e.svg"

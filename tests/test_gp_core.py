@@ -185,6 +185,28 @@ class TestFactorize:
         assert np.array_equal(fact.factor, factor)
         assert np.array_equal(gram, before)
 
+    @pytest.mark.parametrize("case", ["rank-deficient", "plain"])
+    def test_memory_layout_does_not_change_the_factor(self, case):
+        # the noise goes onto the diagonal through a view of the working
+        # array, so C-ordered, F-ordered and strided input must all get it
+        rng = np.random.default_rng(13)
+        B = rng.normal(0, 1, (30, 5))
+        # the noise 0.25 lifts the plain matrix clear of 0 and leaves the
+        # rank-5 one 1e-7 below, so that it needs the jitter ladder
+        gram = B @ B.T + (np.eye(30) if case == "plain" else -(0.25 + 1e-7) * np.eye(30))
+        gram += 1e-12 * rng.normal(0, 1, (30, 30))  # not symmetric
+        strided = np.zeros((60, 90))
+        strided[::2, ::3] = gram
+        layouts = [gram, np.asfortranarray(gram), strided[::2, ::3]]
+        assert layouts[1].flags.f_contiguous and not layouts[1].flags.c_contiguous
+        assert not (layouts[2].flags.c_contiguous or layouts[2].flags.f_contiguous)
+        jitter, factor = copy_path_factorize(gram, 0.25)
+        assert (jitter > 0.0) == (case == "rank-deficient")
+        for layout in layouts:
+            fact = gp_core.factorize(layout, 0.25)
+            assert fact.jitter_used == jitter
+            assert np.array_equal(fact.factor, factor)
+
     @pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)])
     def test_solve_matches_cho_solve_bitwise(self, rhs_shape):
         rng = np.random.default_rng(11)

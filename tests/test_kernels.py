@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,25 @@ class TestPerOutputScalarKernel:
                 row = kernel.grid[m]
                 expected = corr * ((A * row) @ B.T)
                 assert np.array_equal(kernel.output_kernel(m).pairwise(A, B, corr), expected)
+
+    @pytest.mark.parametrize("kind", KERNEL_MAKERS)
+    @pytest.mark.parametrize("shapes", [
+        ((3,), (4, 3)),  # one velocity, not a (1, N) row
+        ((4, 3), (3,)),
+        ((4, 2), (4, 3)),  # wrong width
+        ((4, 3), (5, 4)),
+        ((2, 4, 3), (4, 3)),  # three dimensions
+        ((), (4, 3)),
+    ])
+    @pytest.mark.parametrize("with_corr", [False, True])
+    def test_pairwise_rejects_bad_shapes(self, kind, shapes, with_corr):
+        # SeArdKernel (ard) and the structured outputs (diag, full) name the
+        # expected (·, N) instead of failing inside numpy
+        kernel = KERNEL_MAKERS[kind](np.random.default_rng(9)).output_kernel(0)
+        X, X2 = (np.ones(shape) for shape in shapes)
+        corr = np.ones((4, 4)) if with_corr else None
+        with pytest.raises(InputError, match=re.escape("shape (·, 3); got")):
+            kernel.pairwise(X, X2, corr)
 
     def test_index_out_of_range(self):
         k = DiagTorqueKernel(np.ones(2), np.ones(2))

@@ -635,12 +635,14 @@ class TestOptimizeHypervariances:
         assert len(projected) == res.n_evaluations == 15
 
     @pytest.mark.parametrize("kind, constrained", [
-        ("diag", False), ("diag", True), ("full", False), ("full", True),
+        ("ard", False), ("diag", False), ("diag", True), ("full", False), ("full", True),
     ])
     def test_search_fits_once_per_budget_unit(self, monkeypatch, kind, constrained):
         # the search stops fitting exactly when its budget is spent: budgets
         # 1-13 cover every stop inside and just past the first coordinate's
-        # six evaluations, which follow the starting candidate's
+        # six evaluations, which follow the starting candidate's; each fit
+        # factorizes one Gram matrix per output, the count the benchmark's
+        # trace checks as factorize calls = N x fits
         system = bench.get_system("full3")
         train = bench.generate_dataset(
             system, bench.sample_trajectory(system, 20, seed=13, waveform="uniform"), 1.0, seed=14
@@ -648,21 +650,28 @@ class TestOptimizeHypervariances:
         val = bench.generate_dataset(
             system, bench.sample_trajectory(system, 10, seed=15, waveform="uniform"), 1.0, seed=16
         )
-        fits = []
-        real_fit = models.fit
+        fits, factorizations = [], []
+        real_fit, real_factorize = models.fit, gp_core.factorize
 
         def counting_fit(*args, **kwargs):
             fits.append(1)
             return real_fit(*args, **kwargs)
 
+        def counting_factorize(*args, **kwargs):
+            factorizations.append(1)
+            return real_factorize(*args, **kwargs)
+
         monkeypatch.setattr(models, "fit", counting_fit)
+        monkeypatch.setattr(gp_core, "factorize", counting_factorize)
         for budget in range(1, 14):
             fits.clear()
+            factorizations.clear()
             res = models.optimize_hypervariances(
                 kind, train, val, system.default_lengthscales, 100.0,
                 constrained=constrained, budget=budget,
             )
             assert len(fits) == res.n_evaluations == budget
+            assert len(factorizations) == train.n_dim * len(fits)
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_full_search_fits_only_row_times_column_grids(self, monkeypatch, constrained):
