@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -456,21 +457,31 @@ def _fmt_chunk(v: np.ndarray, buf: np.ndarray, ends: bytes) -> str:
     return (fmt % tuple(v[slow].tolist())).decode("ascii")
 
 
-def _fmt_rows(rows: np.ndarray, sep: str) -> str:
-    """Each row of a 2-D array as values joined by the one character ``sep``,
-    plus a newline; the same text as ``_fmt`` per value, ``"%.17g"``."""
-    rows = np.asarray(rows, dtype=float)
-    n_rows, n_cols = rows.shape
-    if rows.size == 0:
-        return "\n" * n_rows
+def _fmt_chunks(columns, sep: str) -> Iterator[str]:
+    """The text of ``_fmt_rows`` of the rows that the 2-D arrays ``columns``
+    form side by side, a chunk of rows at a time, so that neither the
+    stacked rows nor the whole text are ever held."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n_rows = len(columns[0])
+    n_cols = sum(c.shape[1] for c in columns)
+    if n_rows == 0 or n_cols == 0:
+        yield "\n" * n_rows
+        return
     ends = bytes([ord(sep)] * (n_cols - 1)) + b"\n"
     step = min(n_rows, max(1, _FMT_CHUNK // n_cols))  # rows per pass
     buf = np.empty((step * n_cols, _FMT_ROW), dtype=np.uint8)
     buf[:, 20:_FMT_END] = np.frombuffer(_FMT_CHARS, dtype=np.uint8)
     buf[:, _FMT_END] = np.frombuffer(ends * step, dtype=np.uint8)
     buf[:, _FMT_END + 1] = 0
-    return "".join(_fmt_chunk(rows[i : i + step].ravel(), buf, ends)
-                   for i in range(0, n_rows, step))
+    for i in range(0, n_rows, step):
+        rows = np.hstack([c[i : i + step] for c in columns])
+        yield _fmt_chunk(rows.ravel(), buf, ends)
+
+
+def _fmt_rows(rows: np.ndarray, sep: str) -> str:
+    """Each row of a 2-D array as values joined by the one character ``sep``,
+    plus a newline; the same text as ``_fmt`` per value, ``"%.17g"``."""
+    return "".join(_fmt_chunks([rows], sep))
 
 
 def write_dataset(path, data: Dataset) -> None:
@@ -479,7 +490,7 @@ def write_dataset(path, data: Dataset) -> None:
     header = ",".join([f"qd_{i+1}" for i in range(n)] + [f"tau_{i+1}" for i in range(n)])
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        fh.write(_fmt_rows(np.hstack([data.velocities, data.torques]), ","))
+        fh.writelines(_fmt_chunks([data.velocities, data.torques], ","))
 
 
 def _read_lines(path, encoding: str = "ascii") -> list[str]:

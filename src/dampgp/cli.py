@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, charts, modelio, models, passivity
-from .bench import _fmt, _fmt_rows
+from .bench import _fmt, _fmt_chunks
 from .errors import DampGpError, InfeasibilityError, InputError, NumericalError
 
 EXIT_INPUT = 2
@@ -293,8 +293,9 @@ def cmd_power(args) -> int:
 
     csv_path = out_dir / "power.csv"
     header = ",".join([f"qd_{i+1}" for i in range(model.n_dim)] + ["power"])
-    rows = np.column_stack([sweep.points, sweep.powers])
-    csv_path.write_text(header + "\n" + _fmt_rows(rows, ","))
+    with open(csv_path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        fh.writelines(_fmt_chunks([sweep.points, sweep.powers[:, None]], ","))
 
     svg_path = out_dir / "power.svg"
     charts.histogram(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import models
-from .bench import _fmt, _fmt_rows, _read_lines
+from .bench import _fmt, _fmt_chunks, _read_lines
 from .errors import ParseError
 from .models import Dataset, FittedModel, PriorMean
 
@@ -33,7 +33,8 @@ def save_model(path, model: FittedModel) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header) + "\n")
         for name, array in zip(BLOCKS, arrays):
-            fh.write(f"[{name}]\n" + _fmt_rows(np.atleast_2d(array), " "))
+            fh.write(f"[{name}]\n")
+            fh.writelines(_fmt_chunks([np.atleast_2d(array)], " "))
 
 
 def _parse_blocks(lines: list[str], path) -> tuple[dict, dict]:

@@ -45,11 +45,13 @@ KINDS = tuple(KERNEL_TYPES)
 _PIECE = 384
 
 
-def _pieces(count: int) -> list:
-    """(start, stop) of the ``_PIECE`` pieces that cover ``count`` columns.
+def _pieces(count: int, width: int = _PIECE) -> list:
+    """(start, stop) of the ``width`` pieces that cover ``count`` columns.
     The last piece takes the remainder: a piece narrower than a kernel's
-    unroll width is rounded differently than inside a wider one."""
-    stops = [*range(_PIECE, count - _PIECE + 1, _PIECE), count]
+    unroll width is rounded differently than inside a wider one.  Blocks
+    whose width is a multiple of ``_PIECE`` therefore split into the same
+    ``_PIECE`` pieces as the whole."""
+    stops = [*range(width, count - width + 1, width), count]
     return list(zip([0, *stops], stops))
 
 

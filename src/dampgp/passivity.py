@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._lapack import dsygvd
 from .errors import InfeasibilityError, InputError, NumericalError
-from .models import Dataset, FittedModel, PriorMean, predict_torque_batch
+from .models import _PIECE, Dataset, FittedModel, PriorMean, _pieces, predict_torque_batch
 
 
 @dataclass(frozen=True)
@@ -209,12 +210,26 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
     return EnforcementResult(scaled.diagonal() if bound.diagonal else scaled, float(alpha))
 
 
+# Sweep points per ``predict_torque_batch`` call: whole ``_PIECE`` pieces,
+# so that the blocks split into the pieces of one call over every point and
+# the powers keep their bits, while the prediction and its product with the
+# points stay O(block) whatever the sample count.
+_SWEEP_BLOCK = 16 * _PIECE
+
+
 @dataclass(frozen=True)
 class SweepResult:
     min_power: float
     violation_count: int
     points: np.ndarray  # every evaluated point
     powers: np.ndarray  # dissipated power per point
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def passivity_sweep(
@@ -228,6 +243,8 @@ def passivity_sweep(
     Violations are powers below -1e-9 times the observed power scale
     (floating-point slack on the exact-arithmetic guarantee).  A power that
     is not finite (the box is too large for the model) raises InputError.
+    The samples are drawn and the powers computed in blocks of
+    ``_SWEEP_BLOCK`` points, with the bits of one draw and one prediction.
     """
     box = np.asarray(domain, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] != model.n_dim:
@@ -237,21 +254,31 @@ def passivity_sweep(
     lo, hi = box[:, 0], box[:, 1]
     if np.any(lo > hi):
         raise InputError(f"domain lower bounds must not exceed upper bounds, got {box.tolist()}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo).all():  # numpy's uniform raises OverflowError
+            raise InputError(f"domain widths must be finite, got {box.tolist()}")
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
         raise InputError("samples must be >= 1")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
-    pts = [rng.uniform(lo, hi, size=(samples, model.n_dim))]
-    corners = np.array(list(itertools.product(*box)), dtype=float)
-    pts.append(corners)
+    corners = [*itertools.product(*box)]
     if np.all(lo <= 0) and np.all(hi >= 0):
-        pts.append(np.zeros((1, model.n_dim)))
-    points = np.vstack(pts)
-
+        corners.append((0.0,) * model.n_dim)  # the origin
+    points = np.empty((samples + len(corners), model.n_dim))
+    points[samples:] = corners
+    powers = np.empty(len(points))
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.sum(points * predict_torque_batch(model, points), axis=1)
+        for start, stop in _pieces(len(points), _SWEEP_BLOCK):
+            # consecutive draws continue one stream: the blocks' samples
+            # are those of one draw of all of them
+            drawn = min(stop, samples)
+            if start < drawn:
+                points[start:drawn] = rng.uniform(lo, hi, size=(drawn - start, model.n_dim))
+            block = points[start:stop]
+            powers[start:stop] = np.sum(block * predict_torque_batch(model, block), axis=1)
     nonfinite = np.flatnonzero(~np.isfinite(powers))
     if nonfinite.size:
         raise InputError(f"dissipated power not finite at velocity {points[nonfinite[0]]}")

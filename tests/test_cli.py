@@ -1,8 +1,15 @@
 import argparse
+import contextlib
 import inspect
+import io
+import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,9 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampgp import bench, charts, cli, modelio, models
+import dampgp
+from dampgp import bench, charts, cli, modelio, models, passivity
 from dampgp.errors import InputError, ParseError
-from dampgp.kernels import DiagTorqueKernel
+from dampgp.kernels import DiagTorqueKernel, FullTorqueKernel
 from dampgp.models import Dataset, PriorMean, fit, fit_prior_mean
 
 SMALL_CFG = """\
@@ -604,6 +612,67 @@ class TestEfficiency:
         assert r1 == r2
 
 
+def _one_call_sweep(model, box, samples, seed):
+    """The sweep's points and powers as one draw of the samples, the corners
+    and the origin stacked, and one prediction over all of them."""
+    n = len(box)
+    points = np.vstack([
+        np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(samples, n)),
+        np.array(list(itertools.product(*box))),
+        np.zeros((1, n)),
+    ])
+    return points, np.sum(points * models.predict_torque_batch(model, points), axis=1)
+
+
+def blocked_sweep_mismatches(out_dir) -> list:
+    """(kind, samples, output) of every ``passivity_sweep`` result and every
+    ``power`` file that is not bitwise equal to ``_one_call_sweep``'s."""
+    out_dir = Path(out_dir)
+    rng = np.random.default_rng(44)
+    box = np.array([[-2.0, 2.0], [-3.0, 3.0], [-1.0, 4.0]])
+    domain = "--domain=" + ",".join(f"{lo:g}:{hi:g}" for lo, hi in box)
+    p, block, extra = models._PIECE, passivity._SWEEP_BLOCK, 2**3 + 1  # corners, origin
+    counts = (1, p - 1, p, p + 1, block - 1, block, block + 1, 20_000,
+              # the second block starts at 2 * block points
+              2 * block - 1 - extra, 2 * block - extra, 2 * block + 1 - extra)
+    kernels = {"diag": DiagTorqueKernel(rng.uniform(1.0, 3.0, 3), rng.uniform(0.2, 2.0, 3)),
+               "full": FullTorqueKernel(rng.uniform(1.0, 3.0, 3), rng.uniform(0.2, 2.0, (3, 3)))}
+    mismatches = []
+    for kind, kernel in kernels.items():
+        # 400 training points: there a last piece narrower than _PIECE
+        # rounds differently, where at 60 it happened not to
+        q = rng.uniform(-3.0, 3.0, (400, 3))
+        data = Dataset(q, q * 1.5 + rng.normal(0.0, 0.5, (400, 3)))
+        model_path = out_dir / f"{kind}.model"
+        modelio.save_model(model_path, fit(kind, kernel, fit_prior_mean(data), data, 0.5))
+        model = modelio.load_model(model_path)
+        label = "constrained" if cli._bound_check(model)[1].feasible else "unconstrained"
+        for samples in counts:
+            points, powers = _one_call_sweep(model, box, samples, seed=samples)
+            sweep = passivity.passivity_sweep(model, box, samples, seed=samples)
+            out = out_dir / f"{kind}{samples}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["--out-dir", str(out), "power", str(model_path), domain,
+                                 "--samples", str(samples), "--seed", str(samples)])
+            assert code == 0
+            csv = "qd_1,qd_2,qd_3,power\n" + bench._fmt_rows(np.column_stack([points, powers]), ",")
+            charts.histogram(out / "reference.svg", powers,
+                             title=f"Dissipated power distribution ({label})",
+                             xlabel="dissipated power")
+            for output, same in (
+                ("points", sweep.points.shape == points.shape
+                 and sweep.points.tobytes() == points.tobytes()),
+                ("powers", sweep.powers.shape == powers.shape
+                 and sweep.powers.tobytes() == powers.tobytes()),
+                ("power.csv", (out / "power.csv").read_bytes() == csv.encode("ascii")),
+                ("power.svg", (out / "power.svg").read_bytes()
+                 == (out / "reference.svg").read_bytes()),
+            ):
+                if not same:
+                    mismatches.append((kind, samples, output))
+    return mismatches
+
+
 class TestPower:
     def _model(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -627,6 +696,44 @@ class TestPower:
         assert lines[0] == "qd_1,power"
         assert len(lines) == 1 + 200 + 2 + 1  # samples + corners + origin
         ET.fromstring((out / "power.svg").read_text())
+
+    def test_blocked_sweep_equals_one_call_bitwise(self, tmp_path):
+        # One BLAS thread, as for the blocked prediction: a threaded
+        # matrix-vector product splits its rows at points that depend on M.
+        single = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(dampgp.__file__).resolve().parents[1])
+        env = os.environ | single | {
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        }
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import test_cli; print(test_cli.blocked_sweep_mismatches(sys.argv[2]))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).parent), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_peak_memory_is_points_and_powers(self, tmp_path):
+        # numpy reports its buffers to tracemalloc.  Whole, the sweep's
+        # copies and the CSV text took 7 times points and powers at this
+        # size.  In blocks, the prediction and the text live a block or a
+        # chunk at a time, so the peak is points and powers, one
+        # powers-sized temporary (such as the histogram's quartiles) and
+        # about 2 MB: 5.5 MB here.
+        model_path = self._model(tmp_path)
+        samples, held = 200_000, (200_000 + 3) * (1 + 1) * 8  # points, powers; corners, origin
+        argv = ("--out-dir", tmp_path / "pow", "power", model_path, "--domain=-5:5")
+        assert run_cli(*argv, "--samples", "10") == 0  # the formatter's tables
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, "--samples", samples) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * held + 4e6
 
     def test_violations_verdict(self, tmp_path, capsys):
         # a free diag fit chases the flipped torques of the adversarial set
@@ -706,7 +813,9 @@ class TestPower:
         (("--domain=-5:5,-5:5",), r"domain must have shape \(1, 2\)"),
         # q * tau(q) overflows: no RuntimeWarning, no traceback, no power.csv
         (("--domain=-1e160:1e160",), r"dissipated power not finite at velocity \["),
-    ], ids=["zero-samples", "domain-dimension", "overflowing-power"])
+        # hi - lo overflows: numpy's uniform raised OverflowError, a traceback
+        (("--domain=-1e308:1e308",), r"domain widths must be finite"),
+    ], ids=["zero-samples", "domain-dimension", "overflowing-power", "overflowing-width"])
     def test_rejected_sweep_creates_no_directory(self, tmp_path, capsys, args, message):
         model_path = self._model(tmp_path)
         out = tmp_path / "pow"

@@ -681,3 +681,15 @@ class TestPassivitySweep:
         # numpy's default_rng used to raise a bare ValueError
         with pytest.raises(InputError, match="seed must be >= 0, got -1"):
             passivity_sweep(model, np.array([[-1.0, 1.0], [-1.0, 1.0]]), 10, seed=-1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 0), "samples must be an integer, got 2.5"),
+        ((10, 1.5), "seed must be an integer, got 1.5"),
+    ], ids=["samples", "seed"])
+    def test_non_integer_samples_or_seed_rejected(self, args, message):
+        # numpy's TypeError used to escape: from the draw's size for samples,
+        # from SeedSequence for seed
+        model = self._toy_model()
+        samples, seed = args
+        with pytest.raises(InputError, match=re.escape(message)):
+            passivity_sweep(model, np.array([[-1.0, 1.0], [-1.0, 1.0]]), samples, seed=seed)
