@@ -3,7 +3,8 @@
 Subcommands: generate, fit, evaluate, efficiency, power.  Every command is
 deterministic given its config and seeds: reruns at the same BLAS thread
 count into the same directory write byte-identical files, manifests too.
-Exit codes: 0 success, 2 input error, 3 numerical error, 4 passivity infeasibility.
+Exit codes: 0 success, 2 input error or failed allocation, 3 numerical error,
+4 passivity infeasibility.
 """
 
 from __future__ import annotations
@@ -382,6 +383,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (DampGpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # e.g. a power sweep too large to hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -36,25 +36,35 @@ def _inputs(X, X2, n: int) -> tuple[np.ndarray, np.ndarray]:
     return X, X2
 
 
-def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Unit-amplitude SE-ARD correlation over all row pairs of X, X2.
+def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray, out=None) -> np.ndarray:
+    """Unit-amplitude SE-ARD correlation over all row pairs of X, X2,
+    written into ``out`` (a float (D, M) array) when it is given.
 
     Every element kernel of a model shares it, so a caller that needs the
     matrices of all N outputs over the same inputs computes it once and
     hands it to each output's ``pairwise``.
+
+    With s = x / ell it is exp(min(-|s|^2/2 - |s2|^2/2 + s.s2, 0)), the
+    first two terms from the rank-2 product [-|s_i|^2/2, 1] @ [1, -|s2_j|^2/2]^T.
+    Each entry of that product is a sum of two exact products (the other
+    factor is 1), so any BLAS kernel rounds it once, as the broadcast sum
+    of the two would be; the scalings by -1/2 are exact, so the bits are
+    those of exp(-0.5 * max(|s|^2 + |s2|^2 - 2 s.s2, 0)).  The exception
+    is the band where that expression computes inf - inf = NaN, as
+    |s|^2 + |s2|^2 and 2 s.s2 both overflow (|s| and |s2| near 1e154 or
+    above): there this one may give a number (0.0 for s = 1.5e154 against
+    s2 = 0.7e154, and 1.0 for s = s2 = 0.95e154).
     """
     S = X / ell
     S2 = X2 / ell
-    # exp(-0.5 * max(|s|^2 + |s2|^2 - 2 s.s2, 0)) in two (D, M) arrays;
-    # the scalings by 2 and -0.5 are exact, so the bits match the
-    # out-of-place expression
-    cross = S @ S2.T
-    cross *= 2.0
-    sq = np.sum(S * S, axis=1)[:, None] + np.sum(S2 * S2, axis=1)[None, :]
-    sq -= cross
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -0.5
-    return np.exp(sq, out=sq)
+    A = np.ones((len(S), 2))
+    A[:, 0] = (S * S).sum(axis=1) * -0.5
+    B_T = np.ones((2, len(S2)))
+    B_T[1] = (S2 * S2).sum(axis=1) * -0.5
+    t = np.matmul(A, B_T, out=out)
+    t += S @ S2.T
+    np.minimum(t, 0.0, out=t)
+    return np.exp(t, out=t)
 
 
 @dataclass(frozen=True)

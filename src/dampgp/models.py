@@ -227,7 +227,8 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
     """Posterior mean torques at each row of ``qd_stars`` (M, N) -> (M, N).
 
     The test points are taken in pieces of ``_PIECE``, so temporaries stay
-    O(D * _PIECE) whatever M is.  Each piece uses its own SE correlation, or
+    O(D * _PIECE) whatever M is.  Each piece uses its own SE correlation,
+    written into one buffer that the call allocates for all its pieces, or
     its columns of ``corr`` when the caller passes the full (D, M) one.  The
     structured kinds predict through the damping matrix, G from one weight
     matrix W per call; ``ard`` builds one cross-covariance per output.
@@ -248,9 +249,17 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
         output_kernels = [model.kernel.output_kernel(m) for m in range(model.n_dim)]
     else:
         weights = _damping_weights(model)
+    if corr is None:
+        # one buffer for the correlations of all pieces, each a C-contiguous
+        # (D, width) view of its start (a strided view is slower)
+        d = len(q_train)
+        buf = np.empty(d * min(len(qs), 2 * _PIECE - 1))
     for start, stop in _pieces(len(qs)):
         piece = qs[start:stop]
-        piece_corr = se_correlation(ell, q_train, piece) if corr is None else corr[:, start:stop]
+        if corr is None:
+            piece_corr = se_correlation(ell, q_train, piece, out=buf[: d * len(piece)].reshape(d, -1))
+        else:
+            piece_corr = corr[:, start:stop]
         if model.kind == "ard":
             for m, kernel in enumerate(output_kernels):
                 cross = kernel.pairwise(q_train, piece, piece_corr)  # (D, piece)

@@ -815,7 +815,13 @@ class TestPower:
         (("--domain=-1e160:1e160",), r"dissipated power not finite at velocity \["),
         # hi - lo overflows: numpy's uniform raised OverflowError, a traceback
         (("--domain=-1e308:1e308",), r"domain widths must be finite"),
-    ], ids=["zero-samples", "domain-dimension", "overflowing-power", "overflowing-width"])
+        # 218 TiB of points, past the 128 TiB user address space, so the
+        # allocation fails at once without touching memory: numpy's
+        # MemoryError escaped with a traceback and exit code 1
+        (("--domain=-5:5", "--samples", "30000000000000"),
+         r"^error: out of memory: Unable to allocate 218\. TiB"),
+    ], ids=["zero-samples", "domain-dimension", "overflowing-power", "overflowing-width",
+            "unallocatable-samples"])
     def test_rejected_sweep_creates_no_directory(self, tmp_path, capsys, args, message):
         model_path = self._model(tmp_path)
         out = tmp_path / "pow"

@@ -20,6 +20,29 @@ KERNEL_MAKERS = {
 }
 
 
+def reference_correlation(ell, A, B):
+    """``se_correlation`` as the out-of-place expression it had before its
+    in-place rewrites; ``test_models`` predicts through it too."""
+    S, S2 = A / ell, B / ell
+    sq = (
+        np.sum(S * S, axis=1)[:, None]
+        + np.sum(S2 * S2, axis=1)[None, :]
+        - 2.0 * S @ S2.T
+    )
+    return np.exp(-0.5 * np.maximum(sq, 0.0))
+
+
+# (M, N, input scale) of the correlation reference test: M = 384 and 767
+# are the widest prediction pieces; at the scales 1e-150 and 1e150 the
+# squared norms are near the ends of the normal range, yet neither
+# underflows nor overflows
+_CORRELATION_CASES = [
+    (1, 3, 3.0), (2, 3, 3.0), (17, 3, 3.0),
+    (1, 1, 3.0), (384, 1, 3.0), (767, 1, 3.0), (384, 3, 3.0), (767, 2, 3.0),
+    (17, 3, 1e-150), (17, 3, 1e150), (384, 2, 1e150),
+]
+
+
 class TestSeArd:
     def test_zero_distance_is_amplitude(self):
         k = SeArdKernel(np.array([18.0, 18.0, 0.2]), 3.5)
@@ -227,27 +250,39 @@ class TestPerOutputScalarKernel:
             km = kernel.output_kernel(m)
             assert np.array_equal(km.pairwise(X, X2, corr), km.pairwise(X, X2))
 
-    @pytest.mark.parametrize("m2", [1, 2, 17])
-    def test_in_place_products_match_out_of_place_expressions_bitwise(self, m2):
-        # reference: the expressions before the in-place rewrite
+    @pytest.mark.parametrize("m2, n, scale", _CORRELATION_CASES, ids=[
+        f"{m2}" if (n, scale) == (3, 3.0) else f"{m2}-n{n}-scale{scale:g}"
+        for m2, n, scale in _CORRELATION_CASES
+    ])
+    def test_in_place_products_match_out_of_place_expressions_bitwise(self, m2, n, scale):
         rng = np.random.default_rng(30 + m2)
-        ell = rng.uniform(0.3, 3.0, 3)
-        X = rng.normal(0, 3, (23, 3))
-        X2 = rng.normal(0, 3, (m2, 3))
+        ell = rng.uniform(0.3, 3.0, n)
+        X = rng.normal(0, scale, (23, n))
+        X2 = rng.normal(0, scale, (m2, n))
+        X[1] = X[0]  # repeated points, within X and across the two sides
+        X[2] = X2[0]
+        X[3] = 0.0  # a zero row on each side
+        X2[-1] = 0.0
         for A, B in ((X, X2), (X, X), (X2, X)):
-            S, S2 = A / ell, B / ell
-            sq = (
-                np.sum(S * S, axis=1)[:, None]
-                + np.sum(S2 * S2, axis=1)[None, :]
-                - 2.0 * S @ S2.T
-            )
-            corr = np.exp(-0.5 * np.maximum(sq, 0.0))
+            corr = reference_correlation(ell, A, B)
             assert np.array_equal(se_correlation(ell, A, B), corr)
-            kernel = FullTorqueKernel(ell, rng.uniform(0.1, 2, (3, 3)))
-            for m in range(3):
+            out = np.empty_like(corr)
+            assert se_correlation(ell, A, B, out=out) is out
+            assert np.array_equal(out, corr)
+            kernel = FullTorqueKernel(ell, rng.uniform(0.1, 2, (n, n)))
+            for m in range(n):
                 row = kernel.grid[m]
                 expected = corr * ((A * row) @ B.T)
                 assert np.array_equal(kernel.output_kernel(m).pairwise(A, B, corr), expected)
+
+    def test_overflowing_squared_norm_gives_a_number_where_the_reference_is_nan(self):
+        # |s|^2 = 2.25e308 overflows and 2 s.s2 = 2.1e308 does too, so the
+        # reference computes inf - inf; the rank-2 form adds -inf to a
+        # finite s.s2 and gets exp(-inf) = 0, the true value's rounding
+        ell, A, B = np.ones(1), np.array([[1.5e154]]), np.array([[0.7e154]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(reference_correlation(ell, A, B)[0, 0])
+            assert se_correlation(ell, A, B)[0, 0] == 0.0
 
     @pytest.mark.parametrize("kind", KERNEL_MAKERS)
     @pytest.mark.parametrize("shapes", [

@@ -18,6 +18,7 @@ from dampgp.kernels import (
     se_correlation,
 )
 from dampgp.models import Dataset, PriorMean, fit, fit_prior_mean, predict_damping, predict_torque
+from test_kernels import reference_correlation
 
 
 def random_instance(rng, kind, n=None, d=None):
@@ -285,9 +286,10 @@ def _damping_formula_prediction(model, qs, corr):
 
 def _one_block_prediction(model, qs):
     """Reference: one correlation over all M test points, as before
-    taking pieces; the damping formula for the structured kinds, the per-output
-    cross-covariances for ard."""
-    corr = se_correlation(model.kernel.lengthscales, model.train.velocities, qs)
+    taking pieces, from the out-of-place expression rather than the code
+    under test; the damping formula for the structured kinds, the
+    per-output cross-covariances for ard."""
+    corr = reference_correlation(model.kernel.lengthscales, model.train.velocities, qs)
     if model.kind == "ard":
         return _per_output_prediction(model, qs, corr)
     return _damping_formula_prediction(model, qs, corr)
