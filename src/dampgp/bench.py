@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, ParseError
-from .models import KINDS, Dataset
+from .models import Dataset, _check_budget, _check_kind, _check_noise_variance
 
 PSD_SWEEP_POINTS = 10_000
 PSD_SWEEP_BLOCK = 1_000
@@ -172,17 +172,13 @@ _SYSTEM_SPECS = {
 }
 
 
-def _system_spec(system_id: str) -> tuple:
+def get_system(system_id: str) -> GroundTruthSystem:
+    """One built-in system; PSD by construction, so no sweep runs."""
     if system_id not in _SYSTEM_SPECS:
         raise InputError(
             f"unknown system id {system_id!r}; available: {sorted(_SYSTEM_SPECS)}"
         )
-    return _SYSTEM_SPECS[system_id]
-
-
-def get_system(system_id: str) -> GroundTruthSystem:
-    """One built-in system; PSD by construction, so no sweep runs."""
-    return _system(system_id, *_system_spec(system_id))
+    return _system(system_id, *_SYSTEM_SPECS[system_id])
 
 
 def sample_trajectory(
@@ -458,9 +454,10 @@ def _fmt_chunk(v: np.ndarray, buf: np.ndarray, ends: bytes) -> str:
 
 
 def _fmt_chunks(columns, sep: str) -> Iterator[str]:
-    """The text of ``_fmt_rows`` of the rows that the 2-D arrays ``columns``
-    form side by side, a chunk of rows at a time, so that neither the
-    stacked rows nor the whole text are ever held."""
+    """The rows that the 2-D arrays ``columns`` form side by side, each its
+    values' ``_fmt`` text (``"%.17g"``) joined by the one character ``sep``
+    plus a newline, a chunk of rows at a time, so that neither the stacked
+    rows nor the whole text are ever held."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     n_rows = len(columns[0])
     n_cols = sum(c.shape[1] for c in columns)
@@ -476,12 +473,6 @@ def _fmt_chunks(columns, sep: str) -> Iterator[str]:
     for i in range(0, n_rows, step):
         rows = np.hstack([c[i : i + step] for c in columns])
         yield _fmt_chunk(rows.ravel(), buf, ends)
-
-
-def _fmt_rows(rows: np.ndarray, sep: str) -> str:
-    """Each row of a 2-D array as values joined by the one character ``sep``,
-    plus a newline; the same text as ``_fmt`` per value, ``"%.17g"``."""
-    return "".join(_fmt_chunks([rows], sep))
 
 
 def write_dataset(path, data: Dataset) -> None:
@@ -570,23 +561,18 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 raise InputError(f"{key} repeats a value: {','.join(map(str, values))}")
         for kind in self.kinds:
-            if kind not in KINDS:
-                raise InputError(f"unknown kind {kind!r}; available: {list(KINDS)}")
+            _check_kind(kind)
         if self.val_size < 1 or self.test_size < 1:
             raise InputError("val_size and test_size must be >= 1")
-        if self.budget < 1:
-            raise InputError(f"budget must be >= 1, got {self.budget}")
+        _check_budget(self.budget)
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if not (math.isfinite(self.noise_variance) and self.noise_variance > 0):
-            raise InputError(
-                f"noise_variance must be finite and > 0, got {self.noise_variance}"
-            )
+        _check_noise_variance(self.noise_variance)
 
     def resolved_lengthscales(self) -> np.ndarray:
         if self.lengthscales is not None:
             return np.asarray(self.lengthscales, dtype=float)
-        return np.asarray(_system_spec(self.system)[2], dtype=float)  # no system build
+        return get_system(self.system).default_lengthscales
 
 
 def _tuple_of(cast):

@@ -367,14 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.handler(args)
-
-
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except InfeasibilityError as exc:
         print(f"error (infeasible): {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -61,6 +61,18 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
+def _check_noise_variance(noise_variance: float) -> None:
+    """A model's noise variance is finite and > 0: the bound factor c and
+    the passivity guarantee (K + sigma^2 I)^-1 <= I / sigma^2 need it."""
+    if not 0 < noise_variance < np.inf:
+        raise InputError(f"noise_variance must be finite and > 0, got {noise_variance}")
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise InputError(f"budget must be >= 1, got {budget}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Paired velocity/torque observations, one sample per row."""
@@ -174,8 +186,7 @@ def fit(
     their residual solves.  Their Gram matrices share one SE correlation;
     ``corr`` is that (D, D) matrix when the caller already has it."""
     kind = _check_kind(kind)
-    if not 0 < noise_variance < np.inf:
-        raise InputError(f"noise_variance must be finite and > 0, got {noise_variance}")
+    _check_noise_variance(noise_variance)
     expected = KERNEL_TYPES[kind]
     if type(kernel) is not expected:
         raise InputError(
@@ -360,8 +371,8 @@ def optimize_hypervariances(
     from . import passivity  # local import to avoid a module cycle
 
     kind = _check_kind(kind)
-    if budget < 1:
-        raise InputError(f"budget must be >= 1, got {budget}")
+    _check_budget(budget)
+    _check_noise_variance(noise_variance)
     if data_val.n_dim != data_train.n_dim:
         raise InputError("train/validation dimension mismatch")
     if constrained and kind == "ard":

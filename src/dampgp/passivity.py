@@ -28,7 +28,8 @@ import numpy as np
 
 from ._lapack import dsygvd
 from .errors import InfeasibilityError, InputError, NumericalError
-from .models import _PIECE, Dataset, FittedModel, PriorMean, _pieces, predict_torque_batch
+from .models import (_PIECE, Dataset, FittedModel, PriorMean, _check_noise_variance, _pieces,
+                     predict_torque_batch)
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,10 @@ def compute_bound(
     c is the +inf sentinel (vacuously feasible) when either the velocity
     sup-norm or the stacked residual vanishes.  c depends on the data, the
     prior and the noise variance only; ``PassivityBound.with_grid`` reuses
-    it for another grid.  A zero noise variance gives c = 0, which no
-    nonzero grid meets.
+    it for another grid.  The noise variance must be finite and > 0, as
+    for ``fit``.
     """
-    if not (math.isfinite(noise_variance) and noise_variance >= 0):
-        raise InputError(f"noise_variance must be finite and >= 0, got {noise_variance}")
+    _check_noise_variance(noise_variance)
     prior_mean.check_dim(data.n_dim)
     grid, diagonal = _grid(hypervariances, data.n_dim)
     q = data.velocities
@@ -181,16 +181,12 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
     bound, so alpha is stepped down an ulp at a time until the bound on
     alpha * grid passes; ``bound.with_grid(result.hypervariances)``
     rebuilds that bound.  A NaN or negative c is rejected: no alpha
-    would pass, and the step-down would not end.  c = 0, which a zero
-    noise variance gives, admits only the zero grid.
+    would pass, and the step-down would not end.  c = 0, which
+    ``compute_bound`` gives only when its quotient underflows, keeps a zero
+    grid (alpha = 1) and raises on any other (alpha = 0).
     """
     if not bound.c >= 0:
         raise InputError(f"the bound factor c must be >= 0, got {bound.c}")
-    if bound.c == 0 and (bound.hypervariance_matrix != 0).any():
-        raise InfeasibilityError(
-            "no positive hypervariance scale is feasible: the bound factor c is 0 "
-            "because the noise variance is 0"
-        )
     critical = _critical_c(bound)
     if math.isinf(critical):
         raise InfeasibilityError(

@@ -356,14 +356,14 @@ class TestDatasetIo:
             rng.normal(0, 1e3, (9, 4)),
         ):
             expected = "".join(sep.join(bench._fmt(v) for v in row) + "\n" for row in rows)
-            assert bench._fmt_rows(rows, sep) == expected
+            assert "".join(bench._fmt_chunks([rows], sep)) == expected
 
     def test_fmt_rows_keeps_a_percent_separator(self):
         # the values off the fast path are formatted by one "%" call over
         # the chunk's text, so the text's own "%" must pass through it
         rows = np.array([[1.5, 5e-324, np.nan], [-1e300, 0.25, -np.inf], [1e-7, 2.0, 3.0]])
-        assert bench._fmt_rows(rows, "%") == _per_value(rows, "%")
-        assert bench._fmt_rows(rows[2:, 1:], "%") == "2%3\n"  # the fast path alone
+        assert "".join(bench._fmt_chunks([rows], "%")) == _per_value(rows, "%")
+        assert "".join(bench._fmt_chunks([rows[2:, 1:]], "%")) == "2%3\n"  # the fast path alone
 
     def test_header(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -404,7 +404,7 @@ class TestDatasetIo:
 
 
 def _per_value(rows, sep):
-    """``_fmt_rows``'s reference: ``"%.17g" %`` on every value on its own."""
+    """``_fmt_chunks``'s reference: ``"%.17g" %`` on every value on its own."""
     return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in np.asarray(rows).tolist())
 
 
@@ -435,7 +435,7 @@ def _ties(rng, per_decade):
 
 
 class TestFmtRowsExact:
-    """``_fmt_rows`` formats whole arrays in numpy; its text must equal
+    """``_fmt_chunks`` formats whole arrays in numpy; its text must equal
     ``"%.17g" %`` on every value, byte for byte."""
 
     def test_random_bit_patterns(self):
@@ -445,18 +445,18 @@ class TestFmtRowsExact:
         values[:6] = [np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308]
         assert np.isnan(values).sum() > 6 and (np.abs(values) < 2.2250738585072014e-308).sum() > 2
         rows = values.reshape(-1, 4)
-        assert bench._fmt_rows(rows, " ") == _per_value(rows, " ")
+        assert "".join(bench._fmt_chunks([rows], " ")) == _per_value(rows, " ")
 
     def test_log_uniform_values(self):
         # random bit patterns rarely land in the fast path's 23 decades
         rng = np.random.default_rng(17)
         values = np.exp(rng.uniform(math.log(1e-7), math.log(1e18), 300_000))
         rows = (values * rng.choice([-1.0, 1.0], values.size)).reshape(-1, 5)
-        assert bench._fmt_rows(rows, ",") == _per_value(rows, ",")
+        assert "".join(bench._fmt_chunks([rows], ",")) == _per_value(rows, ",")
 
     def test_powers_of_ten_and_neighbours(self):
         rows = _around_powers_of_ten(30)[:, None]
-        assert bench._fmt_rows(rows, ",") == _per_value(rows, ",")
+        assert "".join(bench._fmt_chunks([rows], ",")) == _per_value(rows, ",")
 
     def test_exact_ties_round_half_even(self):
         ties = _ties(np.random.default_rng(18), per_decade=100)
@@ -465,13 +465,14 @@ class TestFmtRowsExact:
             digits = Decimal(tie).as_tuple().digits  # the exact expansion
             assert len(digits) == 18 and digits[-1] == 5
         rows = ties.reshape(-1, 3)
-        assert bench._fmt_rows(rows, " ") == _per_value(rows, " ")
+        assert "".join(bench._fmt_chunks([rows], " ")) == _per_value(rows, " ")
 
     def test_signed_zeros(self):
-        assert bench._fmt_rows(np.array([[0.0, -0.0], [-0.0, 1.0]]), ",") == "0,-0\n-0,1\n"
+        zeros = np.array([[0.0, -0.0], [-0.0, 1.0]])
+        assert "".join(bench._fmt_chunks([zeros], ",")) == "0,-0\n-0,1\n"
         rows = np.random.default_rng(21).normal(0, 1, (300, 4))
         rows[np.abs(rows) < 0.8] *= 0.0  # +0 and -0 among other values
-        assert bench._fmt_rows(rows, " ") == _per_value(rows, " ")
+        assert "".join(bench._fmt_chunks([rows], " ")) == _per_value(rows, " ")
 
     @pytest.mark.parametrize("sep", [",", " "])
     @pytest.mark.parametrize("n_cols", [1, 3])
@@ -480,20 +481,20 @@ class TestFmtRowsExact:
         per_chunk = bench._FMT_CHUNK // n_cols
         for n_rows in (0, 1, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 1):
             rows = rng.normal(0, 30, (n_rows, n_cols))
-            assert bench._fmt_rows(rows, sep) == _per_value(rows, sep)
+            assert "".join(bench._fmt_chunks([rows], sep)) == _per_value(rows, sep)
 
     def test_no_columns(self):
-        assert bench._fmt_rows(np.empty((3, 0)), ",") == "\n\n\n"
+        assert "".join(bench._fmt_chunks([np.empty((3, 0))], ",")) == "\n\n\n"
 
     def test_peak_memory_is_a_few_times_the_text(self):
         # the size of a cli-pipeline power.csv; chunking keeps the temporaries
         # O(chunk), so the peak is the chunks' texts plus their join
         rng = np.random.default_rng(20)
         rows = np.column_stack([rng.uniform(-25, 25, (20_008, 3)), rng.normal(0, 500, 20_008)])
-        bench._fmt_rows(rows[:1], ",")  # the tables are built on first use
+        "".join(bench._fmt_chunks([rows[:1]], ","))  # the tables are built on first use
         tracemalloc.start()
         try:
-            text = bench._fmt_rows(rows, ",")
+            text = "".join(bench._fmt_chunks([rows], ","))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -605,7 +606,7 @@ class TestConfig:
         bench.check_train_sizes(sorted(set(sizes)))
 
     @pytest.mark.parametrize("text, message", [
-        ("kinds = bogus", "unknown kind 'bogus'"),
+        ("kinds = bogus", "unknown model kind 'bogus'"),
         ("kinds = diag, diag", "kinds repeats a value: diag,diag"),
         ("seeds = 0,0", "seeds repeats a value: 0,0"),
         ("budget = 0", "budget must be >= 1, got 0"),

@@ -139,7 +139,7 @@ def test_empty_config_list_exit_code(tmp_path, key, command, capsys):
 
 
 @pytest.mark.parametrize("key, text, message", [
-    ("kinds", "bogus", "unknown kind 'bogus'"),
+    ("kinds", "bogus", "unknown model kind 'bogus'"),
     ("kinds", "diag,diag", "kinds repeats a value: diag,diag"),
     ("seeds", "0,0", "seeds repeats a value: 0,0"),
     ("budget", "0", "budget must be >= 1, got 0"),
@@ -368,35 +368,24 @@ class TestFit:
         )
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("constrained", [[], ["--constrained"]], ids=["free", "constrained"])
     @pytest.mark.parametrize("kind", ["diag", "full"])
-    @pytest.mark.parametrize("value", ["-100", "nan"])
-    def test_bad_noise_variance_constrained_exit_code(
-        self, tmp_path, cfg_path, kind, value, capsys
+    @pytest.mark.parametrize("value", ["0", "-100", "nan", "inf"])
+    def test_bad_noise_variance_exit_code(
+        self, tmp_path, cfg_path, kind, value, constrained, capsys
     ):
-        # such a noise variance gives a negative or NaN bound factor c, for
-        # which the projection's ulp step-down never ended
+        # fit's rule and message whether or not the bound is computed
         train, val, _ = self._generated(tmp_path, cfg_path)
         code = run_cli(
             "fit", train, "--kind", kind, "--val", val, "--lengthscales", "12",
-            f"--noise-variance={value}", "--constrained", "--budget", "3",
+            f"--noise-variance={value}", *constrained, "--budget", "3",
             "--out", tmp_path / "m.model",
         )
         assert code == cli.EXIT_INPUT
-        assert "noise_variance must be finite and >= 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("kind", ["diag", "full"])
-    def test_zero_noise_variance_constrained_exit_code(self, tmp_path, cfg_path, kind, capsys):
-        # c = 0 admits no positive grid whatever the prior mean
-        train, val, _ = self._generated(tmp_path, cfg_path)
-        code = run_cli(
-            "fit", train, "--kind", kind, "--val", val, "--lengthscales", "12",
-            "--noise-variance=0", "--constrained", "--budget", "3",
-            "--out", tmp_path / "m.model",
+        assert capsys.readouterr().err == (
+            f"error: noise_variance must be finite and > 0, got {float(value)}\n"
         )
-        assert code == cli.EXIT_INFEASIBLE
-        err = capsys.readouterr().err
-        assert "the bound factor c is 0 because the noise variance is 0" in err
-        assert "prior mean too small" not in err
+        assert not (tmp_path / "m.model").exists()
 
     def test_constrained_infeasible_exit_code(self, tmp_path):
         # zero prior mean slope (anti-symmetric data) with nonzero residual
@@ -571,18 +560,14 @@ class TestEfficiency:
         assert rows["true"]["ard"] == rows["false"]["ard"]
         assert rows["true"]["diag"] != rows["false"]["diag"]  # projected
 
-    def test_system_is_built_once(self, tmp_path, cfg_path, monkeypatch):
-        # the default lengthscales are read without building the system again
-        built = []
-        get_system = bench.get_system
-        monkeypatch.setattr(bench, "get_system",
-                            lambda system_id: built.append(system_id) or get_system(system_id))
+    def test_default_lengthscales_are_the_systems(self, tmp_path, cfg_path):
+        # a config without lengthscales fits and records the system's defaults
         cfg_path.write_text(SMALL_CFG.replace("lengthscales = 12\n", ""))
         assert run_cli("--config", cfg_path, "--out-dir", tmp_path / "eff",
                        "efficiency", "--sizes", "10") == 0
-        assert built == ["linear1"]
         manifest = json.loads((tmp_path / "eff" / "efficiency_manifest.json").read_text())
-        assert manifest["config"]["lengthscales"] == [12.0]
+        defaults = bench.get_system("linear1").default_lengthscales.tolist()
+        assert manifest["config"]["lengthscales"] == defaults == [12.0]
 
     def test_streams_of_different_sizes_never_share_a_seed(self, monkeypatch):
         # sizes 100 apart: the per-size velocity and noise tags must still never meet
@@ -655,7 +640,8 @@ def blocked_sweep_mismatches(out_dir) -> list:
                 code = cli.main(["--out-dir", str(out), "power", str(model_path), domain,
                                  "--samples", str(samples), "--seed", str(samples)])
             assert code == 0
-            csv = "qd_1,qd_2,qd_3,power\n" + bench._fmt_rows(np.column_stack([points, powers]), ",")
+            rows = np.column_stack([points, powers])
+            csv = "qd_1,qd_2,qd_3,power\n" + "".join(bench._fmt_chunks([rows], ","))
             charts.histogram(out / "reference.svg", powers,
                              title=f"Dissipated power distribution ({label})",
                              xlabel="dissipated power")

@@ -479,6 +479,22 @@ class TestOptimizeHypervariances:
             models.optimize_hypervariances(
                 "diag", train, val, np.ones(2), 0.5, budget=0, prior_mean=prior)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kinds", "bogus"), ("budget", 0), ("noise_variance", 0.0), ("noise_variance", np.nan),
+    ])
+    def test_rejects_what_the_config_rejects_with_its_message(self, field, value):
+        rng = np.random.default_rng(19)
+        _, train, _ = random_instance(rng, "diag", n=2, d=6)
+        args = {"kind": "diag", "budget": 1, "noise_variance": 0.5}
+        args["kind" if field == "kinds" else field] = value
+        with pytest.raises(InputError) as search:
+            models.optimize_hypervariances(
+                args["kind"], train, train, np.ones(2), args["noise_variance"],
+                budget=args["budget"])
+        with pytest.raises(InputError) as config:
+            bench.ExperimentConfig(**{field: (value,) if field == "kinds" else value})
+        assert str(search.value) == str(config.value)
+
     def test_monotone_improvement(self):
         rng = np.random.default_rng(18)
         system = bench.get_system("diag3")

@@ -114,12 +114,12 @@ class TestComputeBound:
             compute_bound(Dataset(q, 2.0 * q), PriorMean(np.ones(2)), 1.0, np.ones(3))
 
 
-    @pytest.mark.parametrize("nv", [-100.0, -math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize("nv", [-100.0, -math.inf, math.inf, math.nan, 0.0])
     def test_bad_noise_variance_rejected(self, nv):
-        # a negative or NaN c has no feasible scale; zero stays the
-        # documented infeasible case
+        # fit's rule: a negative or NaN c has no feasible scale, and c = 0
+        # none but the zero grid
         data = Dataset(np.ones((1, 1)), 2.0 * np.ones((1, 1)))
-        with pytest.raises(InputError, match="noise_variance"):
+        with pytest.raises(InputError, match="noise_variance must be finite and > 0"):
             compute_bound(data, PriorMean(np.array([1.0])), nv, np.array([1.0]))
 
     def test_with_grid_is_compute_bound_on_the_new_grid(self):
@@ -220,12 +220,11 @@ class TestEnforceBound:
         with pytest.raises(InfeasibilityError):
             enforce_bound(bound)
 
-    def test_zero_noise_variance_infeasible(self):
-        # c = 0 leaves only the zero grid, and alpha must be positive
-        data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
-        bound = compute_bound(data, PriorMean(np.array([1.0])), 0.0, np.array([4.0]))
-        assert bound.c == 0.0
-        with pytest.raises(InfeasibilityError, match="c is 0 because the noise variance is 0"):
+    @pytest.mark.parametrize("grid", [np.array([4.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    def test_zero_c_rejects_a_nonzero_grid(self, grid):
+        # c = 0 leaves only the zero grid: alpha = c / c* = 0, with no branch of its own
+        bound = bound_with_c(0.0, [1.0, 2.0], grid)
+        with pytest.raises(InfeasibilityError, match="prior mean too small"):
             enforce_bound(bound)
 
     def test_zero_c_keeps_a_zero_grid(self):
