@@ -19,7 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, ParseError
-from .models import Dataset, _check_budget, _check_kind, _check_noise_variance
+from .kernels import _validate_lengthscales
+from .models import (_INTP_MAX, Dataset, _check_box, _check_count, _check_kind, _check_noise_std,
+                     _check_noise_variance)
 
 PSD_SWEEP_POINTS = 10_000
 PSD_SWEEP_BLOCK = 1_000
@@ -106,7 +108,8 @@ def _psd_construction_sweep(system: GroundTruthSystem) -> None:
 
 
 def _system(name, damping_fn, domain, ell) -> GroundTruthSystem:
-    return GroundTruthSystem(name, damping_fn, np.asarray(domain, float), np.asarray(ell, float))
+    box = _check_box(domain)
+    return GroundTruthSystem(name, damping_fn, box, _validate_lengthscales(ell, len(box)))
 
 
 def make_system(name, damping_fn, domain, default_lengthscales) -> GroundTruthSystem:
@@ -195,8 +198,7 @@ def sample_trajectory(
     and half-width give offset and amplitude, so every sample stays inside
     the domain.
     """
-    if count < 1:
-        raise InputError("count must be >= 1")
+    count = _check_count("count", count, 1, _INTP_MAX // (8 * system.n_dim))
     lo, hi = system.domain[:, 0], system.domain[:, 1]
     if waveform == "uniform":
         rng = np.random.default_rng(seed)
@@ -222,8 +224,7 @@ def generate_dataset(
     seed: int = 0,
 ) -> Dataset:
     """Noisy torque observations y_i = D(qd_i) qd_i + N(0, noise_std^2 I)."""
-    if not (math.isfinite(noise_std) and noise_std >= 0):
-        raise InputError(f"noise_std must be finite and >= 0, got {noise_std}")
+    _check_noise_std(noise_std)
     Q = np.atleast_2d(np.asarray(velocities, dtype=float))
     Y = system.torque_batch(Q)
     if noise_std > 0:
@@ -241,6 +242,8 @@ def adversarial_dataset(size: int = 60, seed: int = 0, noise_std: float = 0.5) -
     chases those points; a constrained fit cannot.
     """
     system = get_system("diag3")
+    size = _check_count("size", size, 1, _INTP_MAX // (8 * system.n_dim))
+    _check_noise_std(noise_std)
     rng = np.random.default_rng(seed)
     lo, hi = system.domain[:, 0], system.domain[:, 1]
     n_bad = max(1, int(round(size * 0.15)))
@@ -527,8 +530,10 @@ def read_dataset(path) -> Dataset:
 
 def check_train_sizes(sizes) -> None:
     """The training-size rule: a non-empty, strictly ascending list of
-    integers >= 1, so no size is fitted, or written, twice."""
-    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+    counts >= 1, so no size is fitted, or written, twice."""
+    for size in sizes:
+        _check_count("training size", size, 1)
+    if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise InputError(
             "training sizes must be a non-empty, strictly ascending list of "
             f"integers >= 1, got {','.join(map(str, sizes))}"
@@ -562,11 +567,9 @@ class ExperimentConfig:
                 raise InputError(f"{key} repeats a value: {','.join(map(str, values))}")
         for kind in self.kinds:
             _check_kind(kind)
-        if self.val_size < 1 or self.test_size < 1:
-            raise InputError("val_size and test_size must be >= 1")
-        _check_budget(self.budget)
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        for key in ("val_size", "test_size", "budget"):
+            _check_count(key, getattr(self, key), 1)
+        _check_noise_std(self.noise_std)
         _check_noise_variance(self.noise_variance)
 
     def resolved_lengthscales(self) -> np.ndarray:

@@ -82,7 +82,6 @@ def cmd_generate(args) -> int:
     (train_size,) = cfg.train_sizes
     out_dir = args.out_dir
     system = bench.get_system(cfg.system)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     for seed in cfg.seeds:
         splits = {
@@ -94,6 +93,7 @@ def cmd_generate(args) -> int:
                 system, cfg.test_size, seed=_sub_seed(seed, 2), waveform="uniform"
             ),
         }
+        out_dir.mkdir(parents=True, exist_ok=True)  # after the draws: a rejected count leaves none
         for tag, (name, velocities) in enumerate(splits.items()):
             data = bench.generate_dataset(
                 system, velocities, cfg.noise_std, seed=_sub_seed(seed, 10 + tag)

@@ -16,8 +16,11 @@ import numpy as np
 from .errors import InputError
 
 
-def _validate_lengthscales(ell: np.ndarray) -> np.ndarray:
+def _validate_lengthscales(ell, n: int | None = None) -> np.ndarray:
+    """``ell`` as a vector of finite lengthscales > 0, ``n`` of them when given."""
     ell = np.asarray(ell, dtype=float)
+    if n is not None and ell.size != n:
+        raise InputError(f"got {ell.size} lengthscales for {n}-dimensional data")
     if ell.ndim != 1 or ell.size < 1:
         raise InputError("lengthscales must be a nonempty vector")
     if not (np.isfinite(ell) & (ell > 0)).all():

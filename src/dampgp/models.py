@@ -20,6 +20,7 @@ Estimator kinds:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .kernels import (
     DiagTorqueKernel,
     FullTorqueKernel,
     SeArdKernelBank,
+    _validate_lengthscales,
     se_correlation,
 )
 
@@ -68,9 +70,58 @@ def _check_noise_variance(noise_variance: float) -> None:
         raise InputError(f"noise_variance must be finite and > 0, got {noise_variance}")
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise InputError(f"budget must be >= 1, got {budget}")
+# numpy's largest array length; an (M, N) float64 array needs M <= _INTP_MAX // (8 * N)
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+def _check_count(name: str, value, minimum: int, maximum: int = _INTP_MAX) -> int:
+    """``value`` as an int in [minimum, maximum], by default numpy's largest length."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if not minimum <= value <= maximum:
+        bound = f">= {minimum}" if value < minimum else f"<= {maximum}"
+        raise InputError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _check_box(domain, n: int | None = None) -> np.ndarray:
+    """``domain`` as an (N, 2) array of finite lo <= hi velocity bounds with
+    finite widths hi - lo, N = ``n`` when given."""
+    box = np.asarray(domain, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2 or len(box) < 1 or n not in (None, len(box)):
+        raise InputError(f"domain must have shape ({'N' if n is None else n}, 2)")
+    if not np.all(np.isfinite(box)):
+        raise InputError("domain bounds must be finite")
+    if np.any(box[:, 0] > box[:, 1]):
+        raise InputError(f"domain lower bounds must not exceed upper bounds, got {box.tolist()}")
+    with np.errstate(over="ignore"):  # numpy's uniform raises OverflowError on an inf width
+        if not np.isfinite(np.diff(box)).all():
+            raise InputError(f"domain widths must be finite, got {box.tolist()}")
+    return box
+
+
+def _check_noise_std(noise_std: float) -> None:
+    if not 0 <= noise_std < np.inf:
+        raise InputError(f"noise_std must be finite and >= 0, got {noise_std}")
+
+
+def _check_velocities(qd_stars, n: int) -> np.ndarray:
+    """``qd_stars`` as an (M, N) array of finite test velocities."""
+    qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
+    if qs.ndim != 2 or qs.shape[1] != n:
+        raise InputError(f"test velocities must have shape (M, {n}), got {qs.shape}")
+    if not np.isfinite(qs).all():
+        raise InputError("test velocities must be finite")
+    return qs
+
+
+def _check_velocity(qd_star, n: int) -> np.ndarray:
+    """One test velocity, an N-vector, as a one-row batch of ``_check_velocities``."""
+    if np.shape(qd_star) != (n,):
+        raise InputError(f"qd_star must have shape ({n},)")
+    return _check_velocities([qd_star], n)
 
 
 @dataclass(frozen=True)
@@ -136,13 +187,20 @@ def fit_prior_mean(data: Dataset) -> PriorMean:
     """Per-dimension least-squares damping coefficient, clamped nonnegative.
 
     Degenerate columns (all velocities essentially zero) get coefficient 0.
+    The sums are formed on each column scaled by 2^-e, e the exponent of
+    its max |.|, so that they cannot overflow; scaling by a power of two is
+    exact, so the coefficients and the degenerate verdicts are those of the
+    unscaled sums wherever those are finite.
     """
-    q = data.velocities
-    y = data.torques
+    eq = np.frexp(np.abs(data.velocities).max(axis=0))[1]
+    ey = np.frexp(np.abs(data.torques).max(axis=0))[1]
+    q = np.ldexp(data.velocities, -eq)
+    y = np.ldexp(data.torques, -ey)
     denom = np.sum(q * q, axis=0)
     coeffs = np.zeros(data.n_dim)
-    ok = denom >= 1e-12 * data.n_samples
-    coeffs[ok] = np.maximum(0.0, np.sum(y * q, axis=0)[ok] / denom[ok])
+    with np.errstate(over="ignore"):  # a tiny column's threshold, a huge coefficient: inf
+        ok = denom >= np.ldexp(1e-12 * data.n_samples, -2 * eq)
+        coeffs[ok] = np.maximum(0.0, np.ldexp(np.sum(y * q, axis=0)[ok] / denom[ok], (ey - eq)[ok]))
     return PriorMean(coeffs)
 
 
@@ -244,13 +302,7 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
     structured kinds predict through the damping matrix, G from one weight
     matrix W per call; ``ard`` builds one cross-covariance per output.
     """
-    qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
-    if qs.ndim != 2 or qs.shape[1] != model.n_dim:
-        raise InputError(
-            f"test velocities must have shape (M, {model.n_dim}), got {qs.shape}"
-        )
-    if not np.isfinite(qs).all():
-        raise InputError("test velocities must be finite")
+    qs = _check_velocities(qd_stars, model.n_dim)
     out = model.prior_mean.torque(qs)
     q_train = model.train.velocities
     ell = model.kernel.lengthscales
@@ -283,10 +335,7 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
 
 def predict_torque(model: FittedModel, qd_star) -> np.ndarray:
     """Posterior mean torque vector at a single test velocity."""
-    qs = np.asarray(qd_star, dtype=float)
-    if qs.ndim != 1:
-        raise InputError("qd_star must be a single velocity vector")
-    return predict_torque_batch(model, qs[None, :])[0]
+    return predict_torque_batch(model, _check_velocity(qd_star, model.n_dim))[0]
 
 
 def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
@@ -302,12 +351,8 @@ def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
         raise UnsupportedModelError(
             "the ard baseline estimates torques only, not a damping matrix"
         )
-    qs = np.asarray(qd_star, dtype=float)
-    if qs.shape != (model.n_dim,):
-        raise InputError(f"qd_star must have shape ({model.n_dim},)")
-    if not np.all(np.isfinite(qs)):
-        raise InputError("test velocities must be finite")
-    corr = se_correlation(model.kernel.lengthscales, model.train.velocities, qs[None, :])
+    qs = _check_velocity(qd_star, model.n_dim)
+    corr = se_correlation(model.kernel.lengthscales, model.train.velocities, qs)
     damping = _data_damping(model, _damping_weights(model), corr)[:, :, 0]
     return np.diag(model.prior_mean.coefficients) + damping
 
@@ -371,15 +416,14 @@ def optimize_hypervariances(
     from . import passivity  # local import to avoid a module cycle
 
     kind = _check_kind(kind)
-    _check_budget(budget)
+    budget = _check_count("budget", budget, 1)
     _check_noise_variance(noise_variance)
     if data_val.n_dim != data_train.n_dim:
         raise InputError("train/validation dimension mismatch")
     if constrained and kind == "ard":
         raise InputError("the ard baseline has no passivity bound to constrain")
     n = data_train.n_dim
-    if np.size(lengthscales) != n:
-        raise InputError(f"got {np.size(lengthscales)} lengthscales for {n}-dimensional data")
+    ell = _validate_lengthscales(lengthscales, n)
 
     if prior_mean is None:
         prior_mean = (
@@ -388,8 +432,6 @@ def optimize_hypervariances(
     prior_mean.check_dim(n)
 
     init = _initial_hypervariances(kind, data_train, prior_mean)
-    # the starting kernel validates the lengthscales before they are used
-    ell = KERNEL_TYPES[kind](lengthscales, init).lengthscales
     q_train = data_train.velocities
     corr_train = se_correlation(ell, q_train, q_train)
     corr_val = se_correlation(ell, q_train, data_val.velocities)

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._lapack import dsygvd
 from .errors import InfeasibilityError, InputError, NumericalError
-from .models import (_PIECE, Dataset, FittedModel, PriorMean, _check_noise_variance, _pieces,
-                     predict_torque_batch)
+from .models import (_INTP_MAX, _PIECE, Dataset, FittedModel, PriorMean, _check_box, _check_count,
+                     _check_noise_variance, _pieces, predict_torque_batch)
 
 
 @dataclass(frozen=True)
@@ -221,13 +220,6 @@ class SweepResult:
     powers: np.ndarray  # dissipated power per point
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
-
-
 def passivity_sweep(
     model: FittedModel,
     domain: np.ndarray,
@@ -242,27 +234,13 @@ def passivity_sweep(
     The samples are drawn and the powers computed in blocks of
     ``_SWEEP_BLOCK`` points, with the bits of one draw and one prediction.
     """
-    box = np.asarray(domain, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] != model.n_dim:
-        raise InputError(f"domain must have shape ({model.n_dim}, 2)")
-    if not np.all(np.isfinite(box)):
-        raise InputError("domain bounds must be finite")
+    box = _check_box(domain, model.n_dim)
     lo, hi = box[:, 0], box[:, 1]
-    if np.any(lo > hi):
-        raise InputError(f"domain lower bounds must not exceed upper bounds, got {box.tolist()}")
-    with np.errstate(over="ignore"):
-        if not np.isfinite(hi - lo).all():  # numpy's uniform raises OverflowError
-            raise InputError(f"domain widths must be finite, got {box.tolist()}")
-    samples, seed = _integer("samples", samples), _integer("seed", seed)
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-
-    rng = np.random.default_rng(seed)
     corners = [*itertools.product(*box)]
     if np.all(lo <= 0) and np.all(hi >= 0):
         corners.append((0.0,) * model.n_dim)  # the origin
+    samples = _check_count("samples", samples, 1, _INTP_MAX // (8 * model.n_dim) - len(corners))
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     points = np.empty((samples + len(corners), model.n_dim))
     points[samples:] = corners
     powers = np.empty(len(points))

@@ -86,6 +86,23 @@ class TestBuiltinSystems:
                 f"expected ({bench.PSD_SWEEP_BLOCK}, 1, 1)")):
             bench.make_system("odd", field, [[-1.0, 1.0]], [1.0])
 
+    @pytest.mark.parametrize("domain, ell, message", [
+        # numpy's ValueError and OverflowError escaped from the sweep's draw
+        ([[1.0, -1.0]], [1.0], "domain lower bounds must not exceed upper bounds"),
+        ([[-np.inf, 1.0]], [1.0], "domain bounds must be finite"),
+        ([[-1e308, 1e308]], [1.0], "domain widths must be finite"),
+        ([], [1.0], "domain must have shape (N, 2)"),
+        ([1.0, 2.0], [1.0], "domain must have shape (N, 2)"),
+        # these lengthscales were accepted
+        ([[-1.0, 1.0]], [np.nan], "lengthscales must be finite and strictly positive"),
+        ([[-1.0, 1.0]], [0.0], "lengthscales must be finite and strictly positive"),
+        ([[-1.0, 1.0]], [1.0, 1.0], "got 2 lengthscales for 1-dimensional data"),
+    ], ids=["inverted", "infinite-bound", "overflowing-width", "empty", "vector",
+            "nan-lengthscale", "zero-lengthscale", "lengthscale-count"])
+    def test_make_system_checks_the_box_and_lengthscales(self, domain, ell, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            bench.make_system("user", lambda Q: np.ones((len(Q), 1, 1)), domain, ell)
+
     @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 1, 1)])
     def test_wrong_velocity_width_rejected(self, shape):
         system = bench.get_system("linear1")
@@ -233,6 +250,18 @@ class TestSampleTrajectory:
         with pytest.raises(InputError):
             bench.sample_trajectory(system, 5, waveform="chirp")
 
+    @pytest.mark.parametrize("count, message", [
+        (2.5, "count must be an integer, got 2.5"),  # numpy's TypeError escaped
+        # an (M, 1) float64 array holds at most (2^63 - 1) // 8 rows: numpy's
+        # "array is too big" and "Maximum allowed dimension exceeded" escaped
+        (2**60, f"count must be <= {2**60 - 1}, got {2**60}"),
+        (10**30, f"count must be <= {2**60 - 1}, got {10**30}"),
+    ])
+    @pytest.mark.parametrize("waveform", ["periodic", "uniform"])
+    def test_counts_numpy_cannot_hold_rejected(self, count, message, waveform):
+        with pytest.raises(InputError, match=re.escape(message)):
+            bench.sample_trajectory(bench.get_system("linear1"), count, waveform=waveform)
+
 
 class TestGenerateDataset:
     def test_noise_free_matches_truth(self):
@@ -284,6 +313,14 @@ class TestAdversarialDataset:
         n_bad = max(1, round(60 * 0.15))
         assert np.all(powers[-n_bad:] < 0)
         assert np.all(powers[:-n_bad] >= 0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"size": 0}, "size must be >= 1, got 0"),  # numpy's negative-dimension ValueError
+        ({"noise_std": -1.0}, "noise_std must be finite and >= 0, got -1.0"),  # numpy's "scale < 0"
+    ])
+    def test_bad_arguments_rejected(self, kwargs, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            bench.adversarial_dataset(**kwargs)
 
 
 class TestNmse:
@@ -611,6 +648,10 @@ class TestConfig:
         ("seeds = 0,0", "seeds repeats a value: 0,0"),
         ("budget = 0", "budget must be >= 1, got 0"),
         ("budget = -3", "budget must be >= 1, got -3"),
+        ("val_size = 0", "val_size must be >= 1, got 0"),
+        ("test_size = -2", "test_size must be >= 1, got -2"),
+        ("train_sizes = 0,5", "training size must be >= 1, got 0"),
+        (f"train_sizes = {10**30}", f"training size must be <= {2**63 - 1}, got {10**30}"),
     ])
     def test_bad_config_value_rejected_on_read(self, tmp_path, text, message):
         path = tmp_path / "bad.cfg"

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -143,6 +144,12 @@ def test_empty_config_list_exit_code(tmp_path, key, command, capsys):
     ("kinds", "diag,diag", "kinds repeats a value: diag,diag"),
     ("seeds", "0,0", "seeds repeats a value: 0,0"),
     ("budget", "0", "budget must be >= 1, got 0"),
+    # numpy's "Maximum allowed dimension exceeded" escaped with exit code 1
+    ("val_size", "1" + "0" * 30, f"val_size must be <= {2**63 - 1}, got 1{'0' * 30}"),
+    ("test_size", str(2**63), f"test_size must be <= {2**63 - 1}, got {2**63}"),
+    # fits int64, but not as rows of a 1-D float64 array; generate made its
+    # output directory before it drew the first split
+    ("val_size", str(2 * 10**18), f"count must be <= {(2**63 - 1) // 8}, got {2 * 10**18}"),
 ])
 @pytest.mark.parametrize("command", [["generate"], ["efficiency", "--sizes", "10"]])
 def test_bad_config_value_writes_nothing(tmp_path, key, text, message, command, capsys):
@@ -293,6 +300,86 @@ def test_readme_names_every_cli_flag():
     documented, accepted = _readme_harness_flags(), _parser_long_options(cli.build_parser())
     assert sorted(documented - accepted) == [], "named in README but not accepted"
     assert sorted(accepted - documented) == [], "accepted but not named in README"
+
+
+FUZZ_CFG = """\
+system = full3
+train_sizes = 12
+val_size = 8
+test_size = 6
+noise_std = 0.5
+seeds = 0
+kinds = full
+lengthscales = 12,12,12
+noise_variance = 1.0
+budget = 3
+"""
+# Values a mutation puts in place of a number: signs, zero, fractions,
+# non-finite and extreme floats, and integers at and beyond numpy's limits.
+FUZZ_VALUES = ["0", "-1", "1", "2", "2.5", "-2.5", "nan", "inf", "-inf", "1e308", "-1e308",
+               "1e-320", "1e200", "-1e200", "", "x", "1,2", str(2**63 - 1), str(2**63),
+               str(10**18), str(10**16), str(10**30), str(-10**30)]
+
+
+def _mutated(text, rng):
+    """``text`` with one line deleted or repeated, cut at a random byte, or
+    (7 times in 10) one number replaced by a ``FUZZ_VALUES`` entry."""
+    lines = text.split("\n")
+    op, i = rng.random(), int(rng.integers(len(lines)))
+    if op < 0.1:
+        del lines[i]
+    elif op < 0.2:
+        lines.insert(i, lines[i])
+    elif op < 0.3:
+        return text[: int(rng.integers(len(text)))]
+    else:
+        numbers = [m.span() for m in re.finditer(r"[-+.\w]+", text)
+                   if re.fullmatch(r"[-+]?\d[-+.\de]*", m.group())]
+        a, b = numbers[int(rng.integers(len(numbers)))]
+        return text[:a] + FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))] + text[b:]
+    return "\n".join(lines)
+
+
+def test_mutated_files_exit_with_a_documented_code(tmp_path, monkeypatch):
+    """300 seeded mutations of a config, a training set and a model file,
+    each run through two commands in-process: every exit code is 0, 2, 3
+    or 4.  Warnings are recorded, as the command line prints them, not
+    raised."""
+    monkeypatch.chdir(tmp_path)
+    Path("exp.cfg").write_text(FUZZ_CFG)
+    assert run_cli("--config", "exp.cfg", "--out-dir", "data", "generate") == 0
+    assert run_cli("fit", "data/seed0_train.csv", "--kind", "full", "--val", "data/seed0_val.csv",
+                   "--lengthscales", "12,12,12", "--budget", "3", "--out", "full.model") == 0
+    bases = {"cfg": FUZZ_CFG, "csv": Path("data/seed0_train.csv").read_text(),
+             "model": Path("full.model").read_text()}
+    rng = np.random.default_rng(0)
+    failures = []
+    for k in range(300):
+        suffix = ("cfg", "csv", "model")[k % 3]
+        path = Path(f"m{k}.{suffix}")
+        path.write_text(_mutated(bases[suffix], rng))
+        commands = {
+            "cfg": [("--config", path, "--out-dir", f"g{k}", "generate"),
+                    ("--config", path, "--out-dir", f"e{k}", "efficiency", "--sizes", "5,9")],
+            "csv": [("fit", path, "--kind", models.KINDS[k % 9 // 3], "--val",
+                     "data/seed0_val.csv", "--lengthscales", "12,12,12", "--budget", "3",
+                     "--out", f"f{k}.model", *(["--constrained"] if k % 9 == 7 else [])),
+                    ("evaluate", "full.model", path, "--out", f"x{k}.csv")],
+            "model": [("evaluate", path, "data/seed0_test.csv", "--out", f"x{k}.csv"),
+                      ("--out-dir", f"p{k}", "power", path, "--domain=-25:25,-25:25,40:90",
+                       "--samples", "20")],
+        }[suffix]
+        for argv in commands:
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings(record=True)):
+                warnings.simplefilter("always")
+                try:
+                    code = run_cli(*argv)
+                except Exception as exc:
+                    code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3, 4):
+                failures.append((path.name, argv[:5], code))
+    assert failures == []
 
 
 class TestFit:
@@ -543,6 +630,19 @@ class TestEfficiency:
                        "efficiency", "--sizes", sizes)
         assert code == cli.EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes, message", [
+        ("1" + "0" * 30, f"training size must be <= {2**63 - 1}, got 1{'0' * 30}"),
+        # fits int64, but not as rows of a 1-D float64 array
+        (str(2 * 10**18), f"count must be <= {(2**63 - 1) // 8}, got {2 * 10**18}"),
+    ], ids=["beyond-int64", "beyond-numpy-arrays"])
+    def test_sizes_numpy_cannot_hold_exit_code(self, tmp_path, cfg_path, sizes, message, capsys):
+        # numpy's ValueError escaped with a traceback and exit code 1
+        out = tmp_path / "eff"
+        assert run_cli("--config", cfg_path, "--out-dir", out,
+                       "efficiency", "--sizes", sizes) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_constrained_run_leaves_ard_unconstrained(self, tmp_path):
         rows = {}
@@ -806,8 +906,16 @@ class TestPower:
         # MemoryError escaped with a traceback and exit code 1
         (("--domain=-5:5", "--samples", "30000000000000"),
          r"^error: out of memory: Unable to allocate 218\. TiB"),
+        # numpy's ValueError ("array is too big", "Maximum allowed dimension
+        # exceeded") escaped with a traceback and exit code 1: the points
+        # array of a 1-D model holds at most (2^63 - 1) // 8 rows, 3 of
+        # them corners and origin
+        *((("--domain=-5:5", "--samples", str(samples)),
+           rf"^error: samples must be <= {(2**63 - 1) // 8 - 3}, got {samples}\n$")
+          for samples in ((2**63 - 1) // 8 - 2, 2 * 10**18, 2**63 - 1, 10**30)),
     ], ids=["zero-samples", "domain-dimension", "overflowing-power", "overflowing-width",
-            "unallocatable-samples"])
+            "unallocatable-samples", "samples-one-past-numpy", "samples-2e18",
+            "samples-int64-max", "samples-1e30"])
     def test_rejected_sweep_creates_no_directory(self, tmp_path, capsys, args, message):
         model_path = self._model(tmp_path)
         out = tmp_path / "pow"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -75,6 +76,41 @@ class TestFitPriorMean:
         q = np.zeros((5, 1))
         data = Dataset(q, np.ones((5, 1)))
         assert fit_prior_mean(data).coefficients[0] == 0.0
+
+    def test_overflowing_sums_fit(self):
+        # the plain sums of q * q and y * q overflowed: RuntimeWarnings, NaN
+        # coefficients, and PriorMean rejected the function's own output
+        q = np.random.default_rng(3).uniform(-1e200, 1e200, (20, 2))
+        coefficients = fit_prior_mean(Dataset(q, 2.0 * q)).coefficients
+        assert np.allclose(coefficients, 2.0, rtol=1e-15, atol=0)
+
+    def test_bits_of_the_plain_sums_where_they_are_finite(self):
+        # columns scaled by powers of two give the coefficients, and the
+        # degenerate verdicts, of the unscaled sums bit for bit
+        def plain(q, y):
+            denom = np.sum(q * q, axis=0)
+            coeffs = np.zeros(q.shape[1])
+            ok = denom >= 1e-12 * len(q)
+            coeffs[ok] = np.maximum(0.0, np.sum(y * q, axis=0)[ok] / denom[ok])
+            return coeffs
+
+        rng = np.random.default_rng(4)
+        checked = 0
+        for _ in range(2000):
+            d, n = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+            q, noise = rng.standard_normal((2, d, n)) * 10.0 ** rng.uniform(-160, 150, (2, 1, n))
+            if rng.random() < 0.3:
+                q *= 10.0 ** rng.uniform(-30, 30, (d, n))
+            y = q * rng.uniform(-1, 3, n) + noise
+            q[:, 0] *= rng.random() < 0.9  # a zero column, one time in ten
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not (np.isfinite(np.sum(q * q, axis=0)).all()
+                        and np.isfinite(np.sum(y * q, axis=0)).all()):
+                    continue
+                expected = plain(q, y)
+            assert fit_prior_mean(Dataset(q, y)).coefficients.tobytes() == expected.tobytes()
+            checked += 1
+        assert checked > 1500
 
 
 class TestFit:
@@ -330,13 +366,16 @@ class TestPredictionInputChecks:
         with pytest.raises(InputError, match="test velocities must be finite"):
             entry(model, qd if entry is predict_damping else qd[None, :])
 
-    def test_wrong_shapes_rejected(self):
+    @pytest.mark.parametrize("shape", [(1, 3), (2,), (4,), ()])
+    @pytest.mark.parametrize("entry", [predict_torque, predict_damping])
+    def test_wrong_shapes_rejected(self, entry, shape):
+        # one rule for a single velocity: predict_torque used to say "a
+        # single velocity vector" for (1, 3) and give the batch's message
+        # for (2,) and (4,)
         kernel, data, prior = random_instance(np.random.default_rng(46), "full", n=3, d=8)
         model = fit("full", kernel, prior, data, 0.4)
-        with pytest.raises(InputError, match="single velocity vector"):
-            predict_torque(model, np.zeros((1, 3)))
-        with pytest.raises(InputError, match=r"qd_star must have shape \(3,\)"):
-            predict_damping(model, np.zeros(2))
+        with pytest.raises(InputError, match=re.escape("qd_star must have shape (3,)")):
+            entry(model, np.zeros(shape))
 
 
 class TestBlockedPrediction:
@@ -481,6 +520,8 @@ class TestOptimizeHypervariances:
 
     @pytest.mark.parametrize("field, value", [
         ("kinds", "bogus"), ("budget", 0), ("noise_variance", 0.0), ("noise_variance", np.nan),
+        # a search with budget 2.5 ran 3 evaluations; int64 bounds the count
+        ("budget", 2.5), ("budget", 2**63),
     ])
     def test_rejects_what_the_config_rejects_with_its_message(self, field, value):
         rng = np.random.default_rng(19)

@@ -684,8 +684,13 @@ class TestPassivitySweep:
     @pytest.mark.parametrize("args, message", [
         ((2.5, 0), "samples must be an integer, got 2.5"),
         ((10, 1.5), "seed must be an integer, got 1.5"),
-    ], ids=["samples", "seed"])
-    def test_non_integer_samples_or_seed_rejected(self, args, message):
+        # the points array of a 2-D model holds at most (2^63 - 1) // 16
+        # rows, 5 of them corners and origin: numpy's ValueError escaped
+        (((2**63 - 1) // 16 - 4, 0), f"samples must be <= {(2**63 - 1) // 16 - 5}, got "),
+        ((10**30, 0), f"samples must be <= {(2**63 - 1) // 16 - 5}, got {10**30}"),
+        ((10, 2**63), f"seed must be <= {2**63 - 1}, got {2**63}"),
+    ], ids=["samples", "seed", "samples-one-past-numpy", "samples-1e30", "seed-beyond-int64"])
+    def test_samples_and_seed_follow_the_count_rule(self, args, message):
         # numpy's TypeError used to escape: from the draw's size for samples,
         # from SeedSequence for seed
         model = self._toy_model()
