@@ -27,7 +27,7 @@ ORACLE_SIZE_CAP = 2000
 
 @dataclass(frozen=True)
 class GramFactorization:
-    """Cholesky factorization of (sym(gram) + noise_variance*I + jitter*I).
+    """Cholesky factorization of (S + noise_variance*I + jitter*I), S as in ``factorize``.
 
     ``factor`` is exactly lower triangular; ``jitter_used`` is 0 unless the
     plain factorization failed and the jitter ladder had to be climbed.
@@ -41,7 +41,7 @@ class GramFactorization:
         return self.factor.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (sym(gram) + noise_variance*I + jitter*I) x = rhs with LAPACK
+        """Solve (S + noise_variance*I + jitter*I) x = rhs with LAPACK
         ``dpotrs``, the routine ``scipy.linalg.cho_solve`` wraps."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_train:
@@ -63,7 +63,7 @@ class PosteriorResult:
 
 def assemble_gram(kernel, X: np.ndarray) -> np.ndarray:
     """Kernel matrix over all pairs of rows of the (D, N) array ``X``;
-    ``factorize`` symmetrizes it.
+    ``factorize`` reads its upper triangle.
 
     ``kernel`` is a scalar kernel exposing ``pairwise(X, X2)``.
     """
@@ -74,25 +74,25 @@ def assemble_gram(kernel, X: np.ndarray) -> np.ndarray:
 
 
 def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:
-    """Factorize sym(gram) + noise_variance*I, escalating jitter on failure.
-
-    Each rung factors a fresh working array in place; ``gram`` is unchanged.
+    """Factorize S + noise_variance*I, escalating jitter on failure; S is the
+    symmetric matrix of gram's upper triangle (``gram[i, j]``, i <= j), and
+    the rest of ``gram`` is only checked to be finite.  Each rung factors a
+    fresh working array in place; ``gram`` is unchanged.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InputError(f"gram must be square, got shape {gram.shape}")
     if not 0 <= noise_variance < np.inf:
         raise InputError(f"noise_variance must be finite and >= 0, got {noise_variance}")
+    if not np.isfinite(gram).all():
+        raise InputError("gram contains non-finite entries")
     rungs = (0.0, *JITTER_LADDER)
     for jitter in rungs:
         # C order for any layout of gram, so that ravel() is a view
-        work = np.add(gram, gram.T, order="C")
-        work *= 0.5
-        if jitter == 0.0 and not np.isfinite(work).all():
-            raise InputError("gram contains non-finite entries")
+        work = np.array(gram, order="C")
         work.ravel()[:: len(work) + 1] += noise_variance + jitter
-        # work is symmetric, so its transpose is the same matrix in the
-        # column-major order LAPACK factors in place
+        # in place on the column-major transpose: its lower triangle, all
+        # that dpotrf reads, is gram's upper one
         factor, info = dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return GramFactorization(jitter_used=jitter, factor=factor)

@@ -39,6 +39,24 @@ def _inputs(X, X2, n: int) -> tuple[np.ndarray, np.ndarray]:
     return X, X2
 
 
+def _check_velocities(qd_stars, n: int) -> np.ndarray:
+    """``qd_stars`` as an (M, N) array of finite test velocities."""
+    qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
+    if qs.ndim != 2 or qs.shape[1] != n:
+        raise InputError(f"test velocities must have shape (M, {n}), got {qs.shape}")
+    if not np.isfinite(qs).all():
+        raise InputError("test velocities must be finite")
+    return qs
+
+
+def _check_velocity(qd, n: int, name: str = "qd_star") -> np.ndarray:
+    """One velocity ``name``, an N-vector, as a one-row batch of ``_check_velocities``."""
+    qd = np.asarray(qd, dtype=float)
+    if qd.shape != (n,):
+        raise InputError(f"{name} must have shape ({n},)")
+    return _check_velocities(qd[None, :], n)
+
+
 def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray, out=None) -> np.ndarray:
     """Unit-amplitude SE-ARD correlation over all row pairs of X, X2,
     written into ``out`` (a float (D, M) array) when it is given.
@@ -87,13 +105,8 @@ class SeArdKernel:
         return self.lengthscales.size
 
     def __call__(self, x, xp) -> float:
-        x = np.asarray(x, dtype=float)
-        xp = np.asarray(xp, dtype=float)
-        if x.shape != (self.dim,) or xp.shape != (self.dim,):
-            raise InputError(
-                f"inputs must have dimension {self.dim}, got {x.shape} and {xp.shape}"
-            )
-        return float(self.pairwise(x[None, :], xp[None, :])[0, 0])
+        X, X2 = _check_velocity(x, self.dim, "x"), _check_velocity(xp, self.dim, "xp")
+        return float(self.pairwise(X, X2)[0, 0])
 
     def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
         """Kernel matrix over all row pairs; ``corr`` is the shared
@@ -179,12 +192,9 @@ class _TorqueKernel(_KernelCore):
         object.__setattr__(self, "grid", np.diag(hyp) if hyp.ndim == 1 else hyp)
 
     def __call__(self, qd, qd2) -> np.ndarray:
-        qd = np.asarray(qd, dtype=float)
-        qd2 = np.asarray(qd2, dtype=float)
-        if qd.shape != (self.dim,) or qd2.shape != (self.dim,):
-            raise InputError(f"velocities must have dimension {self.dim}")
-        corr = se_correlation(self.lengthscales, qd[None, :], qd2[None, :])[0, 0]
-        return np.diag(corr * (self.grid @ (qd * qd2)))
+        Q, Q2 = _check_velocity(qd, self.dim, "qd"), _check_velocity(qd2, self.dim, "qd2")
+        corr = se_correlation(self.lengthscales, Q, Q2)[0, 0]
+        return np.diag(corr * (self.grid @ (Q[0] * Q2[0])))
 
     def _output_kernel(self, m: int) -> _PerOutputKernel:
         return _PerOutputKernel(self.lengthscales, self.grid[m].copy())

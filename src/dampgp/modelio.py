@@ -12,7 +12,7 @@ import numpy as np
 
 from . import models
 from .bench import _fmt, _fmt_chunks, _read_lines
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .models import Dataset, FittedModel, PriorMean
 
 MAGIC = "dampgp-model 1"
@@ -86,12 +86,10 @@ def load_model(path) -> FittedModel:
         if any(len(row) != len(rows[0]) for row in rows):
             raise ParseError(f"{path}: block [{name}] has rows of unequal length")
 
-    kind = meta["kind"]
-    if kind not in models.KERNEL_TYPES:
-        raise ParseError(f"{path}: unknown model kind {kind!r}")
     try:
+        kind = models._check_kind(meta["kind"])
         noise_variance = float(meta["noise_variance"])
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         raise ParseError(f"{path}: bad header value: {exc}") from exc
 
     kernel_type = models.KERNEL_TYPES[kind]

@@ -31,6 +31,8 @@ from .kernels import (
     DiagTorqueKernel,
     FullTorqueKernel,
     SeArdKernelBank,
+    _check_velocities,
+    _check_velocity,
     _validate_lengthscales,
     se_correlation,
 )
@@ -105,23 +107,6 @@ def _check_box(domain, n: int | None = None) -> np.ndarray:
 def _check_noise_std(noise_std: float) -> None:
     if not 0 <= noise_std < np.inf:
         raise InputError(f"noise_std must be finite and >= 0, got {noise_std}")
-
-
-def _check_velocities(qd_stars, n: int) -> np.ndarray:
-    """``qd_stars`` as an (M, N) array of finite test velocities."""
-    qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
-    if qs.ndim != 2 or qs.shape[1] != n:
-        raise InputError(f"test velocities must have shape (M, {n}), got {qs.shape}")
-    if not np.isfinite(qs).all():
-        raise InputError("test velocities must be finite")
-    return qs
-
-
-def _check_velocity(qd_star, n: int) -> np.ndarray:
-    """One test velocity, an N-vector, as a one-row batch of ``_check_velocities``."""
-    if np.shape(qd_star) != (n,):
-        raise InputError(f"qd_star must have shape ({n},)")
-    return _check_velocities([qd_star], n)
 
 
 @dataclass(frozen=True)

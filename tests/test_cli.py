@@ -1052,6 +1052,22 @@ class TestModelIo:
         with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
             modelio.load_model(path)
 
+    def test_unknown_kind_rejected_with_the_path(self, tmp_path, capsys):
+        # the kind goes through models' one kind rule, as a ParseError
+        model = self._model("diag", np.random.default_rng(2))
+        path = tmp_path / "m.model"
+        modelio.save_model(path, model)
+        path.write_text(path.read_text().replace("kind: diag", "kind: bogus"))
+        message = (f"{path}: bad header value: unknown model kind 'bogus', "
+                   "expected one of ('ard', 'diag', 'full')")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            modelio.load_model(path)
+        test = tmp_path / "test.csv"
+        bench.write_dataset(test, Dataset(np.ones((3, 2)), np.ones((3, 2))))
+        assert run_cli("evaluate", path, test, "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
+        assert run_cli("--out-dir", tmp_path, "power", path, "--domain=-5:5,-5:5") == cli.EXIT_INPUT
+        assert capsys.readouterr().err.count(message) == 2
+
     def test_missing_block(self, tmp_path):
         model = self._model("diag", np.random.default_rng(3))
         path = tmp_path / "m.model"

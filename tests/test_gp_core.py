@@ -88,10 +88,15 @@ class TestAssembleGram:
             assert np.linalg.eigvalsh(K)[0] >= -1e-10 * np.trace(K)
 
 
+def upper_symmetric(gram):
+    """The symmetric matrix given by ``gram``'s upper triangle."""
+    return np.triu(gram) + np.triu(gram, 1).T
+
+
 def copy_path_factorize(gram, noise_variance):
-    """Reference: symmetrize once, then factor a fresh copy on every rung."""
-    sym = gram + gram.T
-    sym *= 0.5
+    """Reference: mirror the upper triangle once, then factor a fresh copy
+    on every rung."""
+    sym = upper_symmetric(gram)
     for jitter in (0.0, *gp_core.JITTER_LADDER):
         work = sym.copy()
         work.flat[:: len(work) + 1] += noise_variance + jitter
@@ -151,13 +156,39 @@ class TestFactorize:
         gp_core.factorize(gram, 0.3)
         assert np.array_equal(gram, before)
 
-    def test_non_symmetric_gram_factors_its_symmetric_part(self):
+    def test_non_symmetric_gram_factors_its_upper_triangle(self):
         rng = np.random.default_rng(6)
         A = rng.normal(0, 1, (5, 5))
         gram = A @ A.T + 1e-3 * rng.normal(0, 1, (5, 5))
-        sym = 0.5 * (gram + gram.T)
         fact = gp_core.factorize(gram, 0.2)
-        assert np.array_equal(fact.factor, gp_core.factorize(sym, 0.2).factor)
+        assert np.array_equal(fact.factor, gp_core.factorize(upper_symmetric(gram), 0.2).factor)
+
+    @pytest.mark.parametrize("case", ["rank-deficient", "plain"])
+    def test_entries_below_the_diagonal_are_never_read(self, case):
+        # "rank-deficient" needs a jittered rung, "plain" passes on rung 0
+        rng = np.random.default_rng(14)
+        B = rng.normal(0, 1, (20, 4))
+        gram = B @ B.T + (np.eye(20) if case == "plain" else -1e-7 * np.eye(20))
+        expected = gp_core.factorize(gram, 0.0)
+        assert (expected.jitter_used > 0.0) == (case == "rank-deficient")
+        below = np.tril_indices(20, -1)
+        for draw in range(3):
+            other = gram.copy()
+            other[below] = rng.normal(0, 10.0 ** (3 * draw), len(below[0]))
+            strided = np.zeros((40, 60))
+            strided[::2, ::3] = other
+            for layout in (other, np.asfortranarray(other), strided[::2, ::3]):
+                fact = gp_core.factorize(layout, 0.0)
+                assert fact.jitter_used == expected.jitter_used
+                assert np.array_equal(fact.factor, expected.factor)
+
+    @pytest.mark.parametrize("where", [(2, 0), (1, 1), (0, 2)], ids=["below", "on", "above"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere_rejected(self, where, bad):
+        gram = 3.0 * np.eye(3)
+        gram[where] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            gp_core.factorize(gram, 0.1)
 
     def test_jitter_ladder_rung_is_deterministic(self):
         # minimum eigenvalue -1e-9: rungs up to 1e-9 fail, 1e-8 is the first to pass
@@ -166,6 +197,16 @@ class TestFactorize:
         assert [f.jitter_used for f in facts] == [1e-8, 1e-8]
         assert np.array_equal(facts[0].factor, facts[1].factor)
         assert np.array_equal(np.triu(facts[0].factor, 1), np.zeros((2, 2)))
+
+    def test_absolute_rungs_cannot_lift_rounding_beyond_the_top_rung(self):
+        # minimum eigenvalue -0.25, an ulp of the diagonal 2^50: sigma^2 =
+        # 1e-3 and every rung round away, while the same matrix and sigma^2
+        # scaled by 2^-50 pass on the first rung
+        big = 2.0**50
+        gram = np.array([[big, big + 0.25], [big + 0.25, big]])
+        with pytest.raises(NumericalError, match="every jitter level"):
+            gp_core.factorize(gram, 1e-3)
+        assert gp_core.factorize(gram / big, 1e-3 / big).jitter_used == 1e-12
 
     @pytest.mark.parametrize("case", ["2x2", "rank-deficient", "non-symmetric", "plain"])
     def test_matches_copy_path_bitwise(self, case):

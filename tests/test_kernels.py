@@ -192,6 +192,33 @@ class TestGrid:
             type(kernel)(values["lengthscales"], values["hypervariances"])
 
 
+class TestVelocityChecks:
+    @pytest.mark.parametrize("make", [
+        lambda: SeArdKernel(np.ones(2), 1.0),
+        lambda: DiagTorqueKernel(np.ones(2), np.ones(2)),
+        lambda: FullTorqueKernel(np.ones(2), np.ones((2, 2))),
+    ], ids=["se-ard", "diag", "full"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_velocity_rejected(self, make, bad, side):
+        # the SE-ARD kernel used to return nan, a torque kernel to warn on inf
+        args = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
+        args[side][0] = bad
+        with pytest.raises(InputError, match="test velocities must be finite"):
+            make()(*args)
+
+    @pytest.mark.parametrize("make, names", [
+        (lambda: SeArdKernel(np.ones(2), 1.0), ("x", "xp")),
+        (lambda: FullTorqueKernel(np.ones(2), np.ones((2, 2))), ("qd", "qd2")),
+    ], ids=["se-ard", "full"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_wrong_shape_names_the_argument(self, make, names, side):
+        args = [np.zeros(2), np.zeros(2)]
+        args[side] = np.zeros((1, 2))
+        with pytest.raises(InputError, match=re.escape(f"{names[side]} must have shape (2,)")):
+            make()(*args)
+
+
 class TestMatrixKernelSymmetry:
     @pytest.mark.parametrize("make", [
         lambda rng: FullTorqueKernel(rng.uniform(0.5, 2, 3), rng.uniform(0.1, 2, (3, 3))),
