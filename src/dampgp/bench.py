@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, ParseError
-from .kernels import _validate_lengthscales
+from .kernels import _check_batch, _validate_lengthscales
 from .models import (_INTP_MAX, Dataset, _check_box, _check_count, _check_kind, _check_noise_std,
                      _check_noise_variance)
 
@@ -54,12 +54,7 @@ class GroundTruthSystem:
     def damping_batch(self, Q) -> np.ndarray:
         """Damping matrices (M, N, N) at the rows of ``Q`` (M, N); a
         non-finite matrix raises ``InputError`` naming its velocity."""
-        Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[1] != self.n_dim:
-            raise InputError(
-                f"system {self.name!r} takes (M, {self.n_dim}) velocities, "
-                f"got shape {Q.shape}"
-            )
+        Q = _check_batch(Q, self.n_dim, "Q")
         d = np.asarray(self.damping_fn(Q), dtype=float)
         expected = (Q.shape[0], self.n_dim, self.n_dim)
         if d.shape != expected:
@@ -199,6 +194,7 @@ def sample_trajectory(
     the domain.
     """
     count = _check_count("count", count, 1, _INTP_MAX // (8 * system.n_dim))
+    seed = _check_count("seed", seed, 0)
     lo, hi = system.domain[:, 0], system.domain[:, 1]
     if waveform == "uniform":
         rng = np.random.default_rng(seed)
@@ -225,6 +221,7 @@ def generate_dataset(
 ) -> Dataset:
     """Noisy torque observations y_i = D(qd_i) qd_i + N(0, noise_std^2 I)."""
     _check_noise_std(noise_std)
+    seed = _check_count("seed", seed, 0)
     Q = np.atleast_2d(np.asarray(velocities, dtype=float))
     Y = system.torque_batch(Q)
     if noise_std > 0:
@@ -244,7 +241,7 @@ def adversarial_dataset(size: int = 60, seed: int = 0, noise_std: float = 0.5) -
     system = get_system("diag3")
     size = _check_count("size", size, 1, _INTP_MAX // (8 * system.n_dim))
     _check_noise_std(noise_std)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     lo, hi = system.domain[:, 0], system.domain[:, 1]
     n_bad = max(1, int(round(size * 0.15)))
     n_good = size - n_bad
@@ -569,6 +566,8 @@ class ExperimentConfig:
             _check_kind(kind)
         for key in ("val_size", "test_size", "budget"):
             _check_count(key, getattr(self, key), 1)
+        for seed in self.seeds:
+            _check_count("seed", seed, 0)
         _check_noise_std(self.noise_std)
         _check_noise_variance(self.noise_variance)
 

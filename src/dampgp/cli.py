@@ -146,10 +146,6 @@ def cmd_fit(args) -> int:
 def cmd_evaluate(args) -> int:
     model = modelio.load_model(args.model)
     test = bench.read_dataset(args.test)
-    if test.n_dim != model.n_dim:
-        raise InputError(
-            f"test data dimension {test.n_dim} != model dimension {model.n_dim}"
-        )
     if args.system is not None:
         truth = bench.get_system(args.system).torque_batch(test.velocities)
     else:

@@ -65,11 +65,11 @@ def assemble_gram(kernel, X: np.ndarray) -> np.ndarray:
     """Kernel matrix over all pairs of rows of the (D, N) array ``X``;
     ``factorize`` reads its upper triangle.
 
-    ``kernel`` is a scalar kernel exposing ``pairwise(X, X2)``.
+    ``kernel`` is a scalar kernel exposing ``pairwise(X, X2)``, which checks X's shape.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise InputError(f"need a (D, N) array of at least one input point, got shape {X.shape}")
+    if X.shape[:1] == (0,):
+        raise InputError(f"need at least one input point, got shape {X.shape}")
     return np.asarray(kernel.pairwise(X, X), dtype=float)
 
 

@@ -28,22 +28,18 @@ def _validate_lengthscales(ell, n: int | None = None) -> np.ndarray:
     return ell
 
 
-def _inputs(X, X2, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` and ``X2`` as float arrays, each checked to have shape (·, n)."""
+def _check_batch(X, n: int, name: str) -> np.ndarray:
+    """The velocity batch ``name`` as a float (M, n) array, one velocity per row."""
     X = np.asarray(X, dtype=float)
-    X2 = np.asarray(X2, dtype=float)
-    if X.ndim != 2 or X2.ndim != 2 or X.shape[1] != n or X2.shape[1] != n:
-        raise InputError(
-            f"inputs must have dimension {n}, shape (·, {n}); got {X.shape} and {X2.shape}"
-        )
-    return X, X2
+    if X.ndim != 2 or X.shape[1] != n:
+        raise InputError(f"{name} must have shape (M, {n}), got {X.shape}")
+    return X
 
 
 def _check_velocities(qd_stars, n: int) -> np.ndarray:
-    """``qd_stars`` as an (M, N) array of finite test velocities."""
-    qs = np.atleast_2d(np.asarray(qd_stars, dtype=float))
-    if qs.ndim != 2 or qs.shape[1] != n:
-        raise InputError(f"test velocities must have shape (M, {n}), got {qs.shape}")
+    """``qd_stars`` as an (M, N) array of finite test velocities; a single
+    velocity is read as one row."""
+    qs = _check_batch(np.atleast_2d(qd_stars), n, "qd_stars")
     if not np.isfinite(qs).all():
         raise InputError("test velocities must be finite")
     return qs
@@ -111,7 +107,7 @@ class SeArdKernel:
     def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
         """Kernel matrix over all row pairs; ``corr`` is the shared
         ``se_correlation(lengthscales, X, X2)`` when the caller has it."""
-        X, X2 = _inputs(X, X2, self.dim)
+        X, X2 = _check_batch(X, self.dim, "X"), _check_batch(X2, self.dim, "X2")
         if corr is None:
             corr = se_correlation(self.lengthscales, X, X2)
         return self.hypervariance * corr
@@ -137,7 +133,7 @@ class _PerOutputKernel:
     def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
         """Kernel matrix over all row pairs; ``corr`` is the shared
         ``se_correlation(lengthscales, X, X2)`` when the caller has it."""
-        X, X2 = _inputs(X, X2, self.dim)
+        X, X2 = _check_batch(X, self.dim, "X"), _check_batch(X2, self.dim, "X2")
         if corr is None:
             corr = se_correlation(self.lengthscales, X, X2)
         out = (X * self.row_variances) @ X2.T

@@ -31,6 +31,7 @@ from .kernels import (
     DiagTorqueKernel,
     FullTorqueKernel,
     SeArdKernelBank,
+    _check_batch,
     _check_velocities,
     _check_velocity,
     _validate_lengthscales,
@@ -171,11 +172,13 @@ class PriorMean:
 def fit_prior_mean(data: Dataset) -> PriorMean:
     """Per-dimension least-squares damping coefficient, clamped nonnegative.
 
-    Degenerate columns (all velocities essentially zero) get coefficient 0.
-    The sums are formed on each column scaled by 2^-e, e the exponent of
-    its max |.|, so that they cannot overflow; scaling by a power of two is
-    exact, so the coefficients and the degenerate verdicts are those of the
-    unscaled sums wherever those are finite.
+    A column of zero velocities gets coefficient 0, any other column its
+    coefficient, however small the velocities (one that overflows makes
+    ``PriorMean`` raise ``InputError``).  The sums are formed on each
+    column scaled by 2^-e, e the exponent of its max |.|, so that they
+    cannot overflow; scaling by a power of two is exact, so the
+    coefficients are those of the unscaled sums wherever those are finite
+    and not subnormal.
     """
     eq = np.frexp(np.abs(data.velocities).max(axis=0))[1]
     ey = np.frexp(np.abs(data.torques).max(axis=0))[1]
@@ -183,8 +186,8 @@ def fit_prior_mean(data: Dataset) -> PriorMean:
     y = np.ldexp(data.torques, -ey)
     denom = np.sum(q * q, axis=0)
     coeffs = np.zeros(data.n_dim)
-    with np.errstate(over="ignore"):  # a tiny column's threshold, a huge coefficient: inf
-        ok = denom >= np.ldexp(1e-12 * data.n_samples, -2 * eq)
+    ok = denom > 0
+    with np.errstate(over="ignore"):  # a huge coefficient: inf, which PriorMean rejects
         coeffs[ok] = np.maximum(0.0, np.ldexp(np.sum(y * q, axis=0)[ok] / denom[ok], (ey - eq)[ok]))
     return PriorMean(coeffs)
 
@@ -403,11 +406,10 @@ def optimize_hypervariances(
     kind = _check_kind(kind)
     budget = _check_count("budget", budget, 1)
     _check_noise_variance(noise_variance)
-    if data_val.n_dim != data_train.n_dim:
-        raise InputError("train/validation dimension mismatch")
+    n = data_train.n_dim
+    _check_batch(data_val.velocities, n, "data_val.velocities")
     if constrained and kind == "ard":
         raise InputError("the ard baseline has no passivity bound to constrain")
-    n = data_train.n_dim
     ell = _validate_lengthscales(lengthscales, n)
 
     if prior_mean is None:

@@ -228,8 +228,9 @@ def passivity_sweep(
 ) -> SweepResult:
     """Dissipated power over seeded uniform samples, box corners, and origin.
 
-    Violations are powers below -1e-9 times the observed power scale
-    (floating-point slack on the exact-arithmetic guarantee).  A power that
+    Violations are powers below -1e-9 times the sweep's largest |power|
+    (floating-point slack on the exact-arithmetic guarantee), with no
+    absolute floor, so the count does not depend on units.  A power that
     is not finite (the box is too large for the model) raises InputError.
     The samples are drawn and the powers computed in blocks of
     ``_SWEEP_BLOCK`` points, with the bits of one draw and one prediction.
@@ -256,10 +257,9 @@ def passivity_sweep(
     nonfinite = np.flatnonzero(~np.isfinite(powers))
     if nonfinite.size:
         raise InputError(f"dissipated power not finite at velocity {points[nonfinite[0]]}")
-    scale = max(1.0, float(np.max(np.abs(powers))))
     return SweepResult(
         min_power=float(np.min(powers)),
-        violation_count=int(np.count_nonzero(powers < -1e-9 * scale)),
+        violation_count=int(np.count_nonzero(powers < -1e-9 * np.max(np.abs(powers)))),
         points=points,
         powers=powers,
     )

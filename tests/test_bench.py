@@ -106,7 +106,7 @@ class TestBuiltinSystems:
     @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 1, 1)])
     def test_wrong_velocity_width_rejected(self, shape):
         system = bench.get_system("linear1")
-        with pytest.raises(InputError, match=re.escape("takes (M, 1) velocities")):
+        with pytest.raises(InputError, match=re.escape("Q must have shape (M, 1), got")):
             system.torque_batch(np.ones(shape))
 
     def test_diag3_squares_as_python_floats(self, monkeypatch):
@@ -321,6 +321,24 @@ class TestAdversarialDataset:
     def test_bad_arguments_rejected(self, kwargs, message):
         with pytest.raises(InputError, match=re.escape(message)):
             bench.adversarial_dataset(**kwargs)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: bench.sample_trajectory(bench.get_system("linear1"), 5, seed=seed),
+    lambda seed: bench.sample_trajectory(bench.get_system("linear1"), 5, seed=seed,
+                                         waveform="uniform"),
+    lambda seed: bench.generate_dataset(bench.get_system("linear1"), np.ones((5, 1)), 1.0,
+                                        seed=seed),
+    lambda seed: bench.adversarial_dataset(seed=seed),
+], ids=["periodic", "uniform", "generate_dataset", "adversarial_dataset"])
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),  # numpy's ValueError, or a periodic draw
+    (1.5, "seed must be an integer, got 1.5"),
+    (2**63, f"seed must be <= {2**63 - 1}, got {2**63}"),
+])
+def test_seeds_follow_the_count_rule(draw, seed, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        draw(seed)
 
 
 class TestNmse:
@@ -646,6 +664,7 @@ class TestConfig:
         ("kinds = bogus", "unknown model kind 'bogus'"),
         ("kinds = diag, diag", "kinds repeats a value: diag,diag"),
         ("seeds = 0,0", "seeds repeats a value: 0,0"),
+        ("seeds = 0,-1", "seed must be >= 0, got -1"),
         ("budget = 0", "budget must be >= 1, got 0"),
         ("budget = -3", "budget must be >= 1, got -3"),
         ("val_size = 0", "val_size must be >= 1, got 0"),

@@ -143,6 +143,8 @@ def test_empty_config_list_exit_code(tmp_path, key, command, capsys):
     ("kinds", "bogus", "unknown model kind 'bogus'"),
     ("kinds", "diag,diag", "kinds repeats a value: diag,diag"),
     ("seeds", "0,0", "seeds repeats a value: 0,0"),
+    # generate used to exit 0 and write seed-1_*.csv
+    ("seeds", "-1", "seed must be >= 0, got -1"),
     ("budget", "0", "budget must be >= 1, got 0"),
     # numpy's "Maximum allowed dimension exceeded" escaped with exit code 1
     ("val_size", "1" + "0" * 30, f"val_size must be <= {2**63 - 1}, got 1{'0' * 30}"),
@@ -515,12 +517,15 @@ class TestEvaluate:
         baseline_nmse = float(rows[2][2])
         assert model_nmse < baseline_nmse  # the GP must beat the mean predictor
 
-    def test_dimension_mismatch(self, tmp_path, cfg_path):
+    def test_dimension_mismatch(self, tmp_path, cfg_path, capsys):
         model_path, _ = self._fitted(tmp_path, cfg_path)
         other = tmp_path / "other.csv"
         bench.write_dataset(other, Dataset(np.ones((2, 2)), np.ones((2, 2))))
+        capsys.readouterr()
         assert run_cli("evaluate", model_path, other,
                        "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: qd_stars must have shape (M, 1), got (2, 2)\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_system_of_other_dimension_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "full3.cfg"
@@ -536,7 +541,7 @@ class TestEvaluate:
         ) == 0
         assert run_cli("evaluate", model_path, data / "seed0_test.csv",
                        "--out", tmp_path / "x.csv", "--system", "linear1") == cli.EXIT_INPUT
-        assert "takes (M, 1) velocities" in capsys.readouterr().err
+        assert "Q must have shape (M, 1), got (25, 3)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pattern, value", [
         (r"noise_variance: (\S+)", "three"),

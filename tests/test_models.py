@@ -77,6 +77,20 @@ class TestFitPriorMean:
         data = Dataset(q, np.ones((5, 1)))
         assert fit_prior_mean(data).coefficients[0] == 0.0
 
+    def test_tiny_column_gets_its_coefficient(self):
+        # a column of velocities near 1e-200 was degenerate by the absolute
+        # threshold sum(q^2) < 1e-12 * D and got 0
+        q = np.random.default_rng(5).uniform(-1.0, 1.0, (20, 2)) * [1e-200, 1.0]
+        coefficients = fit_prior_mean(Dataset(q, 3.0 * q)).coefficients
+        assert np.allclose(coefficients, 3.0, rtol=1e-15, atol=0)
+
+    def test_tiny_column_whose_coefficient_overflows_raises(self):
+        # the least-squares coefficient 1e300 / 1e-200 is not a float; it
+        # used to be 0 by the absolute threshold
+        q = np.random.default_rng(6).uniform(0.5, 1.0, (10, 1))
+        with pytest.raises(InputError, match="prior mean coefficients must be finite and >= 0"):
+            fit_prior_mean(Dataset(q * 1e-200, q * 1e300))
+
     def test_overflowing_sums_fit(self):
         # the plain sums of q * q and y * q overflowed: RuntimeWarnings, NaN
         # coefficients, and PriorMean rejected the function's own output
@@ -86,11 +100,14 @@ class TestFitPriorMean:
 
     def test_bits_of_the_plain_sums_where_they_are_finite(self):
         # columns scaled by powers of two give the coefficients, and the
-        # degenerate verdicts, of the unscaled sums bit for bit
+        # degenerate verdicts, of the unscaled sums bit for bit; a draw whose
+        # plain sum of squares underflows (the square of a nonzero velocity
+        # is subnormal or zero) has lost bits the scaled sums keep, so it is
+        # skipped
         def plain(q, y):
             denom = np.sum(q * q, axis=0)
             coeffs = np.zeros(q.shape[1])
-            ok = denom >= 1e-12 * len(q)
+            ok = denom > 0
             coeffs[ok] = np.maximum(0.0, np.sum(y * q, axis=0)[ok] / denom[ok])
             return coeffs
 
@@ -106,6 +123,8 @@ class TestFitPriorMean:
             with np.errstate(over="ignore", invalid="ignore"):
                 if not (np.isfinite(np.sum(q * q, axis=0)).all()
                         and np.isfinite(np.sum(y * q, axis=0)).all()):
+                    continue
+                if ((q * q < np.finfo(float).tiny) & (q != 0)).any():
                     continue
                 expected = plain(q, y)
             assert fit_prior_mean(Dataset(q, y)).coefficients.tobytes() == expected.tobytes()
@@ -589,7 +608,7 @@ class TestOptimizeHypervariances:
     def test_validation_of_another_dimension_rejected(self):
         rng = np.random.default_rng(20)
         _, train, prior = random_instance(rng, "diag", n=2, d=6)
-        with pytest.raises(InputError, match="train/validation dimension mismatch"):
+        with pytest.raises(InputError, match=re.escape("data_val.velocities must have shape (M, 2), got (1, 3)")):
             models.optimize_hypervariances(
                 "diag", train, Dataset(np.zeros((1, 3)), np.zeros((1, 3))),
                 np.ones(2), 0.5, budget=5, prior_mean=prior,
@@ -773,3 +792,35 @@ class TestOptimizeHypervariances:
                 kind, train, train, [1.0], 1e300, constrained=constrained, budget=10,
                 prior_mean=PriorMean([1.0]),
             )
+
+
+def _batch_entry_points():
+    """name -> (call of a bad (M, 3) velocity batch ``Q`` on a 2-dimensional
+    model, data or system, the argument name its message gives)."""
+    kernel, data, prior = random_instance(np.random.default_rng(46), "full", n=2, d=6)
+    model = fit("full", kernel, prior, data, 0.4)
+    system = bench.make_system("two", lambda Q: np.ones((len(Q), 2, 2)),
+                               [[-1.0, 1.0]] * 2, [1.0, 1.0])
+    scalar = SeArdKernel(np.ones(2), 1.0)
+    output = kernel.output_kernel(0)
+    return {
+        "SeArdKernel.pairwise-X": (lambda Q: scalar.pairwise(Q, data.velocities), "X"),
+        "SeArdKernel.pairwise-X2": (lambda Q: scalar.pairwise(data.velocities, Q), "X2"),
+        "output_kernel.pairwise": (lambda Q: output.pairwise(data.velocities, Q), "X2"),
+        "assemble_gram": (lambda Q: gp_core.assemble_gram(output, Q), "X"),
+        "predict_torque_batch": (lambda Q: models.predict_torque_batch(model, Q), "qd_stars"),
+        "damping_batch": (system.damping_batch, "Q"),
+        "torque_batch": (system.torque_batch, "Q"),
+        "generate_dataset": (lambda Q: bench.generate_dataset(system, Q, 0.0), "Q"),
+        "optimize_hypervariances": (lambda Q: models.optimize_hypervariances(
+            "full", data, Dataset(Q, Q), np.ones(2), 0.4, budget=2), "data_val.velocities"),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_batch_entry_points()))
+def test_every_velocity_batch_entry_point_has_one_message(entry):
+    # six copies of the (M, N) rule gave five messages; kernels._check_batch
+    # now gives one, naming the argument
+    call, name = _batch_entry_points()[entry]
+    with pytest.raises(InputError, match=re.escape(f"{name} must have shape (M, 2), got (4, 3)")):
+        call(np.ones((4, 3)))

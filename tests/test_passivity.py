@@ -660,6 +660,12 @@ class TestPassivitySweep:
         s2 = passivity_sweep(model, box, 50, seed=3)
         assert np.array_equal(s1.powers, s2.powers)
 
+    def test_all_zero_powers_are_no_violation(self):
+        # the relative rule's threshold is -1e-9 * 0 = -0.0, which 0 is not below
+        sweep = passivity_sweep(self._toy_model(), np.zeros((2, 2)), 5)
+        assert not sweep.powers.any()
+        assert sweep.violation_count == 0
+
     def test_non_finite_power_rejected(self):
         # q * tau(q) overflows; no RuntimeWarning may escape the sweep
         model = self._toy_model()
@@ -697,3 +703,64 @@ class TestPassivitySweep:
         samples, seed = args
         with pytest.raises(InputError, match=re.escape(message)):
             passivity_sweep(model, np.array([[-1.0, 1.0], [-1.0, 1.0]]), samples, seed=seed)
+
+
+def test_power_of_two_rescaling_keeps_the_bits():
+    """Velocities times 2^k and torques times 2^j, with the model moved
+    along (lengthscales and box times 2^k, prior mean times 2^(j-k),
+    hypervariances times 4^(j-k), noise variance times 4^j), are the same
+    problem in other units; every step is exact in binary floating point,
+    so the results keep their bits after unscaling.
+
+    alpha and the bound margin are not compared: LAPACK's eigensolvers
+    move them.  Over 808 rescalings of the two free grids below (404
+    seeded (k, j) pairs, |k|, |j| <= 100) alpha moved in 182, by at most
+    3 ulps; the free grids' margins kept their bits, and the margin of the
+    projected full grid, -1.3e-20, moved once, by 0.85 of an ulp of its
+    matrix's largest entry (1.4e-4).
+    """
+    # criterion 06's adversarial free diag model: 83 violations in 2,000 samples
+    system = bench.get_system("diag3")
+    ell = system.default_lengthscales
+    data = bench.adversarial_dataset(seed=0)
+    prior = fit_prior_mean(data)
+    free = [models.optimize_hypervariances(kind, data, data, ell, 100.0, budget=budget,
+                                           prior_mean=prior).kernel.hypervariances
+            for kind, budget in (("diag", 20), ("full", 10))]
+    # a free grid is infeasible, half its projection feasible
+    grids = free + [0.5 * enforce_bound(compute_bound(data, prior, 100.0, g)).hypervariances
+                    for g in free]
+    verdicts = [check_bound(compute_bound(data, prior, 100.0, g)).feasible for g in grids]
+    assert verdicts == [False, False, True, True]
+    c = compute_bound(data, prior, 100.0, free[0]).c
+    diag, full = (fit(kind, kernel(ell, g), prior, data, 100.0)
+                  for kind, kernel, g in (("diag", DiagTorqueKernel, free[0]),
+                                          ("full", FullTorqueKernel, free[1])))
+    preds = [models.predict_torque_batch(model, data.velocities) for model in (diag, full)]
+    sweep = passivity_sweep(diag, system.domain, 2000, seed=0)
+    assert sweep.violation_count == 83
+
+    rng = np.random.default_rng(28)
+    pairs = [(-100, -100), (-100, 100), (100, -100), (100, 100), (-40, -40)]
+    pairs += [(int(k), int(j)) for k, j in rng.integers(-100, 101, (35, 2))]
+    for k, j in pairs:
+        scaled = Dataset(np.ldexp(data.velocities, k), np.ldexp(data.torques, j))
+        scaled_prior = fit_prior_mean(scaled)
+        assert np.array_equal(scaled_prior.coefficients,
+                              np.ldexp(prior.coefficients, j - k)), (k, j)
+        nv = math.ldexp(100.0, 2 * j)
+        scaled_grids = [np.ldexp(g, 2 * (j - k)) for g in grids]
+        assert compute_bound(scaled, scaled_prior, nv, scaled_grids[0]).c == math.ldexp(c, j - k)
+        assert [check_bound(compute_bound(scaled, scaled_prior, nv, g)).feasible
+                for g in scaled_grids] == verdicts, (k, j)
+        scaled_ell = np.ldexp(ell, k)
+        scaled_models = [fit(kind, kernel(scaled_ell, g), scaled_prior, scaled, nv)
+                   for kind, kernel, g in (("diag", DiagTorqueKernel, scaled_grids[0]),
+                                           ("full", FullTorqueKernel, scaled_grids[1]))]
+        for model, pred in zip(scaled_models, preds):
+            assert np.array_equal(models.predict_torque_batch(model, scaled.velocities),
+                                  np.ldexp(pred, j)), (k, j)
+        scaled_sweep = passivity_sweep(scaled_models[0], np.ldexp(system.domain, k), 2000)
+        assert np.array_equal(scaled_sweep.points, np.ldexp(sweep.points, k)), (k, j)
+        assert np.array_equal(scaled_sweep.powers, np.ldexp(sweep.powers, k + j)), (k, j)
+        assert scaled_sweep.violation_count == 83, (k, j)
