@@ -19,9 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, ParseError
-from .kernels import _check_batch, _validate_lengthscales
-from .models import (_INTP_MAX, Dataset, _check_box, _check_count, _check_kind, _check_noise_std,
-                     _check_noise_variance)
+from .kernels import _check_batch, _check_number, _validate_lengthscales
+from .models import _INTP_MAX, Dataset, _check_box, _check_count, _check_kind
 
 PSD_SWEEP_POINTS = 10_000
 PSD_SWEEP_BLOCK = 1_000
@@ -54,7 +53,7 @@ class GroundTruthSystem:
     def damping_batch(self, Q) -> np.ndarray:
         """Damping matrices (M, N, N) at the rows of ``Q`` (M, N); a
         non-finite matrix raises ``InputError`` naming its velocity."""
-        Q = _check_batch(Q, self.n_dim, "Q")
+        Q = _check_batch(Q, self.n_dim, f"system {self.name!r} velocities")
         d = np.asarray(self.damping_fn(Q), dtype=float)
         expected = (Q.shape[0], self.n_dim, self.n_dim)
         if d.shape != expected:
@@ -220,7 +219,7 @@ def generate_dataset(
     seed: int = 0,
 ) -> Dataset:
     """Noisy torque observations y_i = D(qd_i) qd_i + N(0, noise_std^2 I)."""
-    _check_noise_std(noise_std)
+    _check_number("noise_std", noise_std, zero_ok=True)
     seed = _check_count("seed", seed, 0)
     Q = np.atleast_2d(np.asarray(velocities, dtype=float))
     Y = system.torque_batch(Q)
@@ -240,7 +239,7 @@ def adversarial_dataset(size: int = 60, seed: int = 0, noise_std: float = 0.5) -
     """
     system = get_system("diag3")
     size = _check_count("size", size, 1, _INTP_MAX // (8 * system.n_dim))
-    _check_noise_std(noise_std)
+    _check_number("noise_std", noise_std, zero_ok=True)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     lo, hi = system.domain[:, 0], system.domain[:, 1]
     n_bad = max(1, int(round(size * 0.15)))
@@ -273,12 +272,8 @@ def nmse(predictions: np.ndarray, truth: np.ndarray) -> NmseResult:
         raise InputError(f"shape mismatch: {pred.shape} vs {y.shape}")
     num = np.sum((pred - y) ** 2, axis=0)
     den = np.sum((y - y.mean(axis=0)) ** 2, axis=0)
-    per = np.empty(y.shape[1])
-    for n in range(y.shape[1]):
-        if den[n] == 0.0:
-            per[n] = 0.0 if num[n] == 0.0 else math.inf
-        else:
-            per[n] = num[n] / den[n]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x/0, 0/0: unused where den == 0
+        per = np.where(den == 0.0, np.where(num == 0.0, 0.0, math.inf), num / den)
     return NmseResult(per_output=per, aggregate=float(np.mean(per)))
 
 
@@ -290,8 +285,7 @@ class RelativeErrorResult:
 
 def relative_error(predictions, truth, normalizer: float) -> RelativeErrorResult:
     """Elementwise (prediction - truth) / normalizer with per-output stats."""
-    if not (math.isfinite(normalizer) and normalizer > 0):
-        raise InputError(f"normalizer must be finite and > 0, got {normalizer}")
+    _check_number("normalizer", normalizer)
     pred = np.atleast_2d(np.asarray(predictions, dtype=float))
     y = np.atleast_2d(np.asarray(truth, dtype=float))
     if pred.shape != y.shape:
@@ -568,8 +562,10 @@ class ExperimentConfig:
             _check_count(key, getattr(self, key), 1)
         for seed in self.seeds:
             _check_count("seed", seed, 0)
-        _check_noise_std(self.noise_std)
-        _check_noise_variance(self.noise_variance)
+        if self.lengthscales is not None:
+            _validate_lengthscales(self.lengthscales)
+        _check_number("noise_std", self.noise_std, zero_ok=True)
+        _check_number("noise_variance", self.noise_variance)
 
     def resolved_lengthscales(self) -> np.ndarray:
         if self.lengthscales is not None:

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._lapack import dpotrf, dpotrs
 from .errors import InputError, NumericalError
+from .kernels import _check_number
 
 # Diagonal inflation attempted after a failed factorization at jitter 0,
 # growing by decades.  Beyond the last rung we give up.
@@ -82,8 +83,7 @@ def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InputError(f"gram must be square, got shape {gram.shape}")
-    if not 0 <= noise_variance < np.inf:
-        raise InputError(f"noise_variance must be finite and >= 0, got {noise_variance}")
+    _check_number("noise_variance", noise_variance, zero_ok=True)
     if not np.isfinite(gram).all():
         raise InputError("gram contains non-finite entries")
     rungs = (0.0, *JITTER_LADDER)

@@ -16,6 +16,22 @@ import numpy as np
 from .errors import InputError
 
 
+def _check_number(name: str, value, zero_ok: bool = False) -> None:
+    """The real number ``value`` is finite and > 0 (>= 0 when ``zero_ok``).
+    A plain comparison, not numpy: ``factorize`` checks its noise variance
+    once per output of every fit."""
+    if not (0 <= value < np.inf if zero_ok else 0 < value < np.inf):
+        raise InputError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
+
+
+def _check_numbers(name: str, values, zero_ok: bool = False) -> np.ndarray:
+    """``values`` as a float array of ``_check_number``'s numbers, printed on one line."""
+    a = np.asarray(values, dtype=float)
+    if not (np.isfinite(a) & ((a >= 0) if zero_ok else (a > 0))).all():
+        raise InputError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {a.tolist()}")
+    return a
+
+
 def _validate_lengthscales(ell, n: int | None = None) -> np.ndarray:
     """``ell`` as a vector of finite lengthscales > 0, ``n`` of them when given."""
     ell = np.asarray(ell, dtype=float)
@@ -23,9 +39,7 @@ def _validate_lengthscales(ell, n: int | None = None) -> np.ndarray:
         raise InputError(f"got {ell.size} lengthscales for {n}-dimensional data")
     if ell.ndim != 1 or ell.size < 1:
         raise InputError("lengthscales must be a nonempty vector")
-    if not (np.isfinite(ell) & (ell > 0)).all():
-        raise InputError(f"lengthscales must be finite and strictly positive, got {ell}")
-    return ell
+    return _check_numbers("lengthscales", ell)
 
 
 def _check_batch(X, n: int, name: str) -> np.ndarray:
@@ -36,21 +50,21 @@ def _check_batch(X, n: int, name: str) -> np.ndarray:
     return X
 
 
-def _check_velocities(qd_stars, n: int) -> np.ndarray:
-    """``qd_stars`` as an (M, N) array of finite test velocities; a single
+def _check_velocities(X, n: int, name: str) -> np.ndarray:
+    """The batch ``name`` as an (M, N) array of finite velocities; a single
     velocity is read as one row."""
-    qs = _check_batch(np.atleast_2d(qd_stars), n, "qd_stars")
+    qs = _check_batch(np.atleast_2d(X), n, name)
     if not np.isfinite(qs).all():
-        raise InputError("test velocities must be finite")
+        raise InputError(f"{name} must be finite")
     return qs
 
 
-def _check_velocity(qd, n: int, name: str = "qd_star") -> np.ndarray:
+def _check_velocity(qd, n: int, name: str) -> np.ndarray:
     """One velocity ``name``, an N-vector, as a one-row batch of ``_check_velocities``."""
     qd = np.asarray(qd, dtype=float)
     if qd.shape != (n,):
-        raise InputError(f"{name} must have shape ({n},)")
-    return _check_velocities(qd[None, :], n)
+        raise InputError(f"{name} must have shape ({n},), got {qd.shape}")
+    return _check_velocities(qd[None, :], n, name)
 
 
 def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray, out=None) -> np.ndarray:
@@ -93,8 +107,7 @@ class SeArdKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "lengthscales", _validate_lengthscales(self.lengthscales))
-        if not (np.isfinite(self.hypervariance) and self.hypervariance > 0):
-            raise InputError(f"hypervariance must be finite and > 0, got {self.hypervariance}")
+        _check_number("hypervariance", self.hypervariance)
 
     @property
     def dim(self) -> int:
@@ -158,9 +171,7 @@ class _KernelCore:
         shape = (ell.size,) * self.hyp_ndim
         if hyp.shape != shape:
             raise InputError(f"hypervariances must have shape {shape}, got {hyp.shape}")
-        if not (np.isfinite(hyp) & (hyp > 0)).all():
-            raise InputError("hypervariances must be finite and strictly positive")
-        object.__setattr__(self, "hypervariances", hyp)
+        object.__setattr__(self, "hypervariances", _check_numbers("hypervariances", hyp))
 
     @property
     def dim(self) -> int:

@@ -32,6 +32,8 @@ from .kernels import (
     FullTorqueKernel,
     SeArdKernelBank,
     _check_batch,
+    _check_number,
+    _check_numbers,
     _check_velocities,
     _check_velocity,
     _validate_lengthscales,
@@ -66,13 +68,6 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def _check_noise_variance(noise_variance: float) -> None:
-    """A model's noise variance is finite and > 0: the bound factor c and
-    the passivity guarantee (K + sigma^2 I)^-1 <= I / sigma^2 need it."""
-    if not 0 < noise_variance < np.inf:
-        raise InputError(f"noise_variance must be finite and > 0, got {noise_variance}")
-
-
 # numpy's largest array length; an (M, N) float64 array needs M <= _INTP_MAX // (8 * N)
 _INTP_MAX = int(np.iinfo(np.intp).max)
 
@@ -103,11 +98,6 @@ def _check_box(domain, n: int | None = None) -> np.ndarray:
         if not np.isfinite(np.diff(box)).all():
             raise InputError(f"domain widths must be finite, got {box.tolist()}")
     return box
-
-
-def _check_noise_std(noise_std: float) -> None:
-    if not 0 <= noise_std < np.inf:
-        raise InputError(f"noise_std must be finite and >= 0, got {noise_std}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +140,7 @@ class PriorMean:
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
         if c.ndim != 1:
             raise InputError("prior mean coefficients must be a vector")
-        if not np.all(np.isfinite(c) & (c >= 0)):
-            raise InputError(f"prior mean coefficients must be finite and >= 0, got {c}")
+        c = _check_numbers("prior mean coefficients", c, zero_ok=True)
         object.__setattr__(self, "coefficients", c)
 
     def torque(self, qd: np.ndarray) -> np.ndarray:
@@ -232,7 +221,7 @@ def fit(
     their residual solves.  Their Gram matrices share one SE correlation;
     ``corr`` is that (D, D) matrix when the caller already has it."""
     kind = _check_kind(kind)
-    _check_noise_variance(noise_variance)
+    _check_number("noise_variance", noise_variance)
     expected = KERNEL_TYPES[kind]
     if type(kernel) is not expected:
         raise InputError(
@@ -290,7 +279,7 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
     structured kinds predict through the damping matrix, G from one weight
     matrix W per call; ``ard`` builds one cross-covariance per output.
     """
-    qs = _check_velocities(qd_stars, model.n_dim)
+    qs = _check_velocities(qd_stars, model.n_dim, "test velocities")
     out = model.prior_mean.torque(qs)
     q_train = model.train.velocities
     ell = model.kernel.lengthscales
@@ -323,7 +312,7 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
 
 def predict_torque(model: FittedModel, qd_star) -> np.ndarray:
     """Posterior mean torque vector at a single test velocity."""
-    return predict_torque_batch(model, _check_velocity(qd_star, model.n_dim))[0]
+    return predict_torque_batch(model, _check_velocity(qd_star, model.n_dim, "test velocity"))[0]
 
 
 def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
@@ -339,7 +328,7 @@ def predict_damping(model: FittedModel, qd_star) -> np.ndarray:
         raise UnsupportedModelError(
             "the ard baseline estimates torques only, not a damping matrix"
         )
-    qs = _check_velocity(qd_star, model.n_dim)
+    qs = _check_velocity(qd_star, model.n_dim, "test velocity")
     corr = se_correlation(model.kernel.lengthscales, model.train.velocities, qs)
     damping = _data_damping(model, _damping_weights(model), corr)[:, :, 0]
     return np.diag(model.prior_mean.coefficients) + damping
@@ -405,9 +394,9 @@ def optimize_hypervariances(
 
     kind = _check_kind(kind)
     budget = _check_count("budget", budget, 1)
-    _check_noise_variance(noise_variance)
+    _check_number("noise_variance", noise_variance)
     n = data_train.n_dim
-    _check_batch(data_val.velocities, n, "data_val.velocities")
+    _check_batch(data_val.velocities, n, "validation velocities")
     if constrained and kind == "ard":
         raise InputError("the ard baseline has no passivity bound to constrain")
     ell = _validate_lengthscales(lengthscales, n)

@@ -27,8 +27,9 @@ import numpy as np
 
 from ._lapack import dsygvd
 from .errors import InfeasibilityError, InputError, NumericalError
+from .kernels import _check_number, _check_numbers
 from .models import (_INTP_MAX, _PIECE, Dataset, FittedModel, PriorMean, _check_box, _check_count,
-                     _check_noise_variance, _pieces, predict_torque_batch)
+                     _pieces, predict_torque_batch)
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,7 @@ class PassivityBound:
 def _grid(hypervariances, n: int) -> tuple[np.ndarray, bool]:
     """The N x N grid of ``hypervariances`` for N = ``n`` dimensions, and
     whether it came from an N-vector."""
-    hyp = np.asarray(hypervariances, dtype=float)
-    if not (np.isfinite(hyp) & (hyp >= 0)).all():
-        raise InputError("hypervariances must be finite and nonnegative")
+    hyp = _check_numbers("hypervariances", hypervariances, zero_ok=True)
     if hyp.shape not in ((n,), (n, n)):
         raise InputError(
             f"hypervariances must be a {n}-vector or {n} x {n} matrix for "
@@ -78,7 +77,7 @@ def compute_bound(
     it for another grid.  The noise variance must be finite and > 0, as
     for ``fit``.
     """
-    _check_noise_variance(noise_variance)
+    _check_number("noise_variance", noise_variance)
     prior_mean.check_dim(data.n_dim)
     grid, diagonal = _grid(hypervariances, data.n_dim)
     q = data.velocities

@@ -94,8 +94,8 @@ class TestBuiltinSystems:
         ([], [1.0], "domain must have shape (N, 2)"),
         ([1.0, 2.0], [1.0], "domain must have shape (N, 2)"),
         # these lengthscales were accepted
-        ([[-1.0, 1.0]], [np.nan], "lengthscales must be finite and strictly positive"),
-        ([[-1.0, 1.0]], [0.0], "lengthscales must be finite and strictly positive"),
+        ([[-1.0, 1.0]], [np.nan], "lengthscales must be finite and > 0, got [nan]"),
+        ([[-1.0, 1.0]], [0.0], "lengthscales must be finite and > 0, got [0.0]"),
         ([[-1.0, 1.0]], [1.0, 1.0], "got 2 lengthscales for 1-dimensional data"),
     ], ids=["inverted", "infinite-bound", "overflowing-width", "empty", "vector",
             "nan-lengthscale", "zero-lengthscale", "lengthscale-count"])
@@ -106,7 +106,8 @@ class TestBuiltinSystems:
     @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 1, 1)])
     def test_wrong_velocity_width_rejected(self, shape):
         system = bench.get_system("linear1")
-        with pytest.raises(InputError, match=re.escape("Q must have shape (M, 1), got")):
+        message = "system 'linear1' velocities must have shape (M, 1), got"
+        with pytest.raises(InputError, match=re.escape(message)):
             system.torque_batch(np.ones(shape))
 
     def test_diag3_squares_as_python_floats(self, monkeypatch):
@@ -363,6 +364,21 @@ class TestNmse:
         y = np.full((4, 1), 2.0)
         assert bench.nmse(y, y).per_output[0] == 0.0
         assert math.isinf(bench.nmse(y + 1.0, y).per_output[0])
+
+    def test_matches_the_per_output_rule_bit_for_bit(self):
+        # one np.where replaced a loop over the outputs: num / den, 0/0 -> 0,
+        # x/0 -> inf, also for a NaN x
+        rng = np.random.default_rng(8)
+        y = rng.normal(0, 3, (20, 5))
+        pred = y + rng.normal(0, 1, y.shape)
+        y[:, 1:3] = 2.0  # constant truth: den = 0
+        pred[:, 1] = 2.0  # 0/0
+        pred[4, 2] = np.nan  # NaN/0
+        pred[7, 3] = np.nan  # NaN/den
+        num = ((pred - y) ** 2).sum(axis=0)
+        den = ((y - y.mean(axis=0)) ** 2).sum(axis=0)
+        expected = [(0.0 if n == 0 else math.inf) if d == 0 else n / d for n, d in zip(num, den)]
+        assert bench.nmse(pred, y).per_output.tobytes() == np.array(expected).tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(InputError):

@@ -152,6 +152,10 @@ def test_empty_config_list_exit_code(tmp_path, key, command, capsys):
     # fits int64, but not as rows of a 1-D float64 array; generate made its
     # output directory before it drew the first split
     ("val_size", str(2 * 10**18), f"count must be <= {(2**63 - 1) // 8}, got {2 * 10**18}"),
+    # generate used to exit 0 and write NaN, which is not JSON, into its manifest
+    ("lengthscales", "-1", "lengthscales must be finite and > 0, got [-1.0]"),
+    ("lengthscales", "0", "lengthscales must be finite and > 0, got [0.0]"),
+    ("lengthscales", "-1,0,nan", "lengthscales must be finite and > 0, got [-1.0, 0.0, nan]"),
 ])
 @pytest.mark.parametrize("command", [["generate"], ["efficiency", "--sizes", "10"]])
 def test_bad_config_value_writes_nothing(tmp_path, key, text, message, command, capsys):
@@ -524,7 +528,7 @@ class TestEvaluate:
         capsys.readouterr()
         assert run_cli("evaluate", model_path, other,
                        "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
-        assert capsys.readouterr().err == "error: qd_stars must have shape (M, 1), got (2, 2)\n"
+        assert capsys.readouterr().err == "error: test velocities must have shape (M, 1), got (2, 2)\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_system_of_other_dimension_exit_code(self, tmp_path, capsys):
@@ -541,7 +545,8 @@ class TestEvaluate:
         ) == 0
         assert run_cli("evaluate", model_path, data / "seed0_test.csv",
                        "--out", tmp_path / "x.csv", "--system", "linear1") == cli.EXIT_INPUT
-        assert "Q must have shape (M, 1), got (25, 3)" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: system 'linear1' velocities must have shape (M, 1), got (25, 3)\n")
 
     @pytest.mark.parametrize("pattern, value", [
         (r"noise_variance: (\S+)", "three"),

@@ -193,18 +193,19 @@ class TestGrid:
 
 
 class TestVelocityChecks:
-    @pytest.mark.parametrize("make", [
-        lambda: SeArdKernel(np.ones(2), 1.0),
-        lambda: DiagTorqueKernel(np.ones(2), np.ones(2)),
-        lambda: FullTorqueKernel(np.ones(2), np.ones((2, 2))),
+    @pytest.mark.parametrize("make, names", [
+        (lambda: SeArdKernel(np.ones(2), 1.0), ("x", "xp")),
+        (lambda: DiagTorqueKernel(np.ones(2), np.ones(2)), ("qd", "qd2")),
+        (lambda: FullTorqueKernel(np.ones(2), np.ones((2, 2))), ("qd", "qd2")),
     ], ids=["se-ard", "diag", "full"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", [0, 1])
-    def test_non_finite_velocity_rejected(self, make, bad, side):
-        # the SE-ARD kernel used to return nan, a torque kernel to warn on inf
+    def test_non_finite_velocity_rejected(self, make, names, bad, side):
+        # the SE-ARD kernel used to return nan, a torque kernel to warn on
+        # inf; the message names the argument, not "test velocities"
         args = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
         args[side][0] = bad
-        with pytest.raises(InputError, match="test velocities must be finite"):
+        with pytest.raises(InputError, match=f"^{names[side]} must be finite$"):
             make()(*args)
 
     @pytest.mark.parametrize("make, names", [
@@ -215,7 +216,8 @@ class TestVelocityChecks:
     def test_wrong_shape_names_the_argument(self, make, names, side):
         args = [np.zeros(2), np.zeros(2)]
         args[side] = np.zeros((1, 2))
-        with pytest.raises(InputError, match=re.escape(f"{names[side]} must have shape (2,)")):
+        message = f"{names[side]} must have shape (2,), got (1, 2)"
+        with pytest.raises(InputError, match=re.escape(message)):
             make()(*args)
 
 

@@ -382,7 +382,8 @@ class TestPredictionInputChecks:
         kernel, data, prior = random_instance(np.random.default_rng(45), "full", n=3, d=8)
         model = fit("full", kernel, prior, data, 0.4)
         qd = np.array([bad, 0.0, 50.0])
-        with pytest.raises(InputError, match="test velocities must be finite"):
+        name = "test velocity" if entry is predict_damping else "test velocities"
+        with pytest.raises(InputError, match=f"^{name} must be finite$"):
             entry(model, qd if entry is predict_damping else qd[None, :])
 
     @pytest.mark.parametrize("shape", [(1, 3), (2,), (4,), ()])
@@ -393,7 +394,8 @@ class TestPredictionInputChecks:
         # for (2,) and (4,)
         kernel, data, prior = random_instance(np.random.default_rng(46), "full", n=3, d=8)
         model = fit("full", kernel, prior, data, 0.4)
-        with pytest.raises(InputError, match=re.escape("qd_star must have shape (3,)")):
+        message = f"test velocity must have shape (3,), got {shape}"
+        with pytest.raises(InputError, match=re.escape(message)):
             entry(model, np.zeros(shape))
 
 
@@ -608,7 +610,8 @@ class TestOptimizeHypervariances:
     def test_validation_of_another_dimension_rejected(self):
         rng = np.random.default_rng(20)
         _, train, prior = random_instance(rng, "diag", n=2, d=6)
-        with pytest.raises(InputError, match=re.escape("data_val.velocities must have shape (M, 2), got (1, 3)")):
+        message = "validation velocities must have shape (M, 2), got (1, 3)"
+        with pytest.raises(InputError, match=re.escape(message)):
             models.optimize_hypervariances(
                 "diag", train, Dataset(np.zeros((1, 3)), np.zeros((1, 3))),
                 np.ones(2), 0.5, budget=5, prior_mean=prior,
@@ -796,7 +799,8 @@ class TestOptimizeHypervariances:
 
 def _batch_entry_points():
     """name -> (call of a bad (M, 3) velocity batch ``Q`` on a 2-dimensional
-    model, data or system, the argument name its message gives)."""
+    model, data or system, the name its message gives: the caller's input,
+    or the argument of ``pairwise``)."""
     kernel, data, prior = random_instance(np.random.default_rng(46), "full", n=2, d=6)
     model = fit("full", kernel, prior, data, 0.4)
     system = bench.make_system("two", lambda Q: np.ones((len(Q), 2, 2)),
@@ -808,19 +812,103 @@ def _batch_entry_points():
         "SeArdKernel.pairwise-X2": (lambda Q: scalar.pairwise(data.velocities, Q), "X2"),
         "output_kernel.pairwise": (lambda Q: output.pairwise(data.velocities, Q), "X2"),
         "assemble_gram": (lambda Q: gp_core.assemble_gram(output, Q), "X"),
-        "predict_torque_batch": (lambda Q: models.predict_torque_batch(model, Q), "qd_stars"),
-        "damping_batch": (system.damping_batch, "Q"),
-        "torque_batch": (system.torque_batch, "Q"),
-        "generate_dataset": (lambda Q: bench.generate_dataset(system, Q, 0.0), "Q"),
+        "predict_torque_batch": (lambda Q: models.predict_torque_batch(model, Q), "test velocities"),
+        "damping_batch": (system.damping_batch, "system 'two' velocities"),
+        "torque_batch": (system.torque_batch, "system 'two' velocities"),
+        "generate_dataset": (lambda Q: bench.generate_dataset(system, Q, 0.0),
+                             "system 'two' velocities"),
         "optimize_hypervariances": (lambda Q: models.optimize_hypervariances(
-            "full", data, Dataset(Q, Q), np.ones(2), 0.4, budget=2), "data_val.velocities"),
+            "full", data, Dataset(Q, Q), np.ones(2), 0.4, budget=2), "validation velocities"),
     }
 
 
 @pytest.mark.parametrize("entry", list(_batch_entry_points()))
 def test_every_velocity_batch_entry_point_has_one_message(entry):
     # six copies of the (M, N) rule gave five messages; kernels._check_batch
-    # now gives one, naming the argument
+    # now gives one, naming the input
     call, name = _batch_entry_points()[entry]
     with pytest.raises(InputError, match=re.escape(f"{name} must have shape (M, 2), got (4, 3)")):
         call(np.ones((4, 3)))
+
+
+def _number_entry_points():
+    """name -> (the input's name, whether 0 is allowed, the input that holds
+    one given number, the call that takes that input); one entry per place
+    where a real-number input enters."""
+    kernel, data, prior = random_instance(np.random.default_rng(47), "full", n=2, d=6)
+    bound = passivity.compute_bound(data, prior, 0.4, np.ones(2))
+
+    def scalar(x):
+        return x
+
+    def pair(x):
+        return np.array([1.0, x])
+
+    def grid(x):
+        return np.array([[1.0, 1.0], [1.0, x]])
+
+    def system(ell):
+        return bench.make_system("two", lambda Q: np.ones((len(Q), 2, 2)), [[-1.0, 1.0]] * 2, ell)
+
+    return {
+        "fit": ("noise_variance", False, scalar,
+                lambda v: fit("full", kernel, prior, data, v)),
+        "optimize_hypervariances": ("noise_variance", False, scalar,
+                                    lambda v: models.optimize_hypervariances(
+                                        "full", data, data, np.ones(2), v, budget=2)),
+        "compute_bound": ("noise_variance", False, scalar,
+                          lambda v: passivity.compute_bound(data, prior, v, np.ones(2))),
+        "config-noise_variance": ("noise_variance", False, scalar,
+                                  lambda v: bench.ExperimentConfig(noise_variance=v)),
+        "factorize": ("noise_variance", True, scalar, lambda v: gp_core.factorize(np.eye(2), v)),
+        "generate_dataset": ("noise_std", True, scalar, lambda v: bench.generate_dataset(
+            bench.get_system("linear1"), np.ones((2, 1)), v)),
+        "adversarial_dataset": ("noise_std", True, scalar,
+                                lambda v: bench.adversarial_dataset(size=4, noise_std=v)),
+        "config-noise_std": ("noise_std", True, scalar,
+                             lambda v: bench.ExperimentConfig(noise_std=v)),
+        "relative_error": ("normalizer", False, scalar,
+                           lambda v: bench.relative_error(np.ones((1, 1)), np.ones((1, 1)), v)),
+        "SeArdKernel": ("hypervariance", False, scalar, lambda v: SeArdKernel(np.ones(2), v)),
+        "SeArdKernelBank": ("hypervariances", False, pair,
+                            lambda v: SeArdKernelBank(np.ones(2), v)),
+        "DiagTorqueKernel": ("hypervariances", False, pair,
+                             lambda v: DiagTorqueKernel(np.ones(2), v)),
+        "FullTorqueKernel": ("hypervariances", False, grid,
+                             lambda v: FullTorqueKernel(np.ones(2), v)),
+        "SeArdKernel-lengthscales": ("lengthscales", False, pair, lambda v: SeArdKernel(v, 1.0)),
+        "FullTorqueKernel-lengthscales": ("lengthscales", False, pair,
+                                          lambda v: FullTorqueKernel(v, np.ones((2, 2)))),
+        "optimize_hypervariances-lengthscales": ("lengthscales", False, pair,
+                                                 lambda v: models.optimize_hypervariances(
+                                                     "full", data, data, v, 0.4, budget=2)),
+        "make_system": ("lengthscales", False, pair, system),
+        "config-lengthscales": ("lengthscales", False, pair,
+                                lambda v: bench.ExperimentConfig(lengthscales=tuple(v))),
+        "PriorMean": ("prior mean coefficients", True, pair, PriorMean),
+        "compute_bound-grid": ("hypervariances", True, grid,
+                               lambda v: passivity.compute_bound(data, prior, 0.4, v)),
+        "with_grid": ("hypervariances", True, pair, bound.with_grid),
+    }
+
+
+@pytest.mark.parametrize("bad", ["zero-or-negative", "inf", "nan"])
+@pytest.mark.parametrize("entry", list(_number_entry_points()))
+def test_every_real_number_input_has_one_message(entry, bad):
+    # nine inline "finite and > 0 / >= 0" checks had four wordings, some
+    # without the value and some with numpy's array repr, which wraps long
+    # arrays; kernels._check_number and _check_numbers give one, with the
+    # value on one line
+    name, zero_ok, holding, call = _number_entry_points()[entry]
+    value = holding({"zero-or-negative": -1.0 if zero_ok else 0.0,
+                     "inf": np.inf, "nan": np.nan}[bad])
+    with pytest.raises(InputError) as caught:
+        call(value)
+    got = np.asarray(value).tolist()
+    assert str(caught.value) == f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {got}"
+
+
+@pytest.mark.parametrize("entry", [k for k, v in _number_entry_points().items() if v[1]])
+def test_zero_passes_where_the_rule_allows_it(entry):
+    _, _, holding, call = _number_entry_points()[entry]
+    call(holding(0.0))
