@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, ParseError
-from .kernels import _check_batch, _check_number, _validate_lengthscales
-from .models import _INTP_MAX, Dataset, _check_box, _check_count, _check_kind
+from .errors import (_INTP_MAX, InputError, ParseError, _check_batch, _check_box, _check_count,
+                     _check_number, _check_same_shape, _validate_lengthscales)
+from .models import Dataset, _check_kind
 
 PSD_SWEEP_POINTS = 10_000
 PSD_SWEEP_BLOCK = 1_000
@@ -221,12 +221,11 @@ def generate_dataset(
     """Noisy torque observations y_i = D(qd_i) qd_i + N(0, noise_std^2 I)."""
     _check_number("noise_std", noise_std, zero_ok=True)
     seed = _check_count("seed", seed, 0)
-    Q = np.atleast_2d(np.asarray(velocities, dtype=float))
-    Y = system.torque_batch(Q)
+    Y = system.torque_batch(velocities)
     if noise_std > 0:
         rng = np.random.default_rng(seed)
         Y = Y + rng.normal(0.0, noise_std, size=Y.shape)
-    return Dataset(Q, Y)
+    return Dataset(velocities, Y)
 
 
 def adversarial_dataset(size: int = 60, seed: int = 0, noise_std: float = 0.5) -> Dataset:
@@ -266,10 +265,7 @@ class NmseResult:
 
 def nmse(predictions: np.ndarray, truth: np.ndarray) -> NmseResult:
     """Normalized mean squared error per output and averaged over outputs."""
-    pred = np.atleast_2d(np.asarray(predictions, dtype=float))
-    y = np.atleast_2d(np.asarray(truth, dtype=float))
-    if pred.shape != y.shape:
-        raise InputError(f"shape mismatch: {pred.shape} vs {y.shape}")
+    pred, y = _check_same_shape(predictions, truth, "shape mismatch: {} vs {}")
     num = np.sum((pred - y) ** 2, axis=0)
     den = np.sum((y - y.mean(axis=0)) ** 2, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):  # x/0, 0/0: unused where den == 0
@@ -286,10 +282,7 @@ class RelativeErrorResult:
 def relative_error(predictions, truth, normalizer: float) -> RelativeErrorResult:
     """Elementwise (prediction - truth) / normalizer with per-output stats."""
     _check_number("normalizer", normalizer)
-    pred = np.atleast_2d(np.asarray(predictions, dtype=float))
-    y = np.atleast_2d(np.asarray(truth, dtype=float))
-    if pred.shape != y.shape:
-        raise InputError(f"shape mismatch: {pred.shape} vs {y.shape}")
+    pred, y = _check_same_shape(predictions, truth, "shape mismatch: {} vs {}")
     err = (pred - y) / normalizer
     return RelativeErrorResult(mean=err.mean(axis=0), variance=err.var(axis=0))
 
@@ -489,6 +482,23 @@ def _read_lines(path, encoding: str = "ascii") -> list[str]:
         raise ParseError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not {encoding} text") from exc
 
 
+def _float_row(fields, path, lineno: int, width: int | None = None) -> list[float]:
+    """The ``fields`` of line ``lineno`` as floats, ``width`` of them when
+    given, else ``ParseError`` naming the line."""
+    if width is not None and len(fields) != width:
+        raise ParseError(f"{path}:{lineno}: expected {width} columns, found {len(fields)}")
+    try:
+        return [float(v) for v in fields]
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _first_use(first_line: dict, key: str, path, lineno: int) -> None:
+    """Record ``key``'s first line; a repeat raises ``ParseError`` naming both lines."""
+    if first_line.setdefault(key, lineno) != lineno:
+        raise ParseError(f"{path}:{lineno}: {key} repeats line {first_line[key]}")
+
+
 def read_dataset(path) -> Dataset:
     """Inverse of ``write_dataset``; errors carry the offending line number."""
     lines = _read_lines(path)
@@ -503,15 +513,7 @@ def read_dataset(path) -> Dataset:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 2 * n:
-            raise ParseError(
-                f"{path}:{lineno}: expected {2 * n} columns, found {len(parts)}"
-            )
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        vals = _float_row(line.split(","), path, lineno, 2 * n)
         velocities.append(vals[:n])
         torques.append(vals[n:])
     if not velocities:
@@ -563,7 +565,7 @@ class ExperimentConfig:
         for seed in self.seeds:
             _check_count("seed", seed, 0)
         if self.lengthscales is not None:
-            _validate_lengthscales(self.lengthscales)
+            _validate_lengthscales(self.lengthscales, get_system(self.system).n_dim)
         _check_number("noise_std", self.noise_std, zero_ok=True)
         _check_number("noise_variance", self.noise_variance)
 
@@ -616,9 +618,7 @@ def read_config(path) -> ExperimentConfig:
                 f"{path}:{lineno}: unknown config key {key!r}; "
                 f"known keys: {sorted(_CONFIG_PARSERS)}"
             )
-        if key in first_line:
-            raise ParseError(f"{path}:{lineno}: {key} repeats line {first_line[key]}")
-        first_line[key] = lineno
+        _first_use(first_line, key, path, lineno)
         try:
             values[key] = _CONFIG_PARSERS[key](value)
         except ValueError as exc:

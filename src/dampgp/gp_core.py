@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dpotrf, dpotrs
-from .errors import InputError, NumericalError
-from .kernels import _check_number
+from .errors import InputError, NumericalError, _check_number
 
 # Diagonal inflation attempted after a failed factorization at jitter 0,
 # growing by decades.  Beyond the last rung we give up.
@@ -62,16 +61,17 @@ class PosteriorResult:
     mean: np.ndarray
 
 
-def assemble_gram(kernel, X: np.ndarray) -> np.ndarray:
+def assemble_gram(kernel, X: np.ndarray, corr=None) -> np.ndarray:
     """Kernel matrix over all pairs of rows of the (D, N) array ``X``;
     ``factorize`` reads its upper triangle.
 
-    ``kernel`` is a scalar kernel exposing ``pairwise(X, X2)``, which checks X's shape.
+    ``kernel`` is a scalar kernel exposing ``pairwise(X, X2, corr)``, which
+    checks X's shape and takes the shared SE correlation ``corr`` if given.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[:1] == (0,):
         raise InputError(f"need at least one input point, got shape {X.shape}")
-    return np.asarray(kernel.pairwise(X, X), dtype=float)
+    return np.asarray(kernel.pairwise(X, X, corr), dtype=float)
 
 
 def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:

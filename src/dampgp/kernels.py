@@ -13,58 +13,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InputError
-
-
-def _check_number(name: str, value, zero_ok: bool = False) -> None:
-    """The real number ``value`` is finite and > 0 (>= 0 when ``zero_ok``).
-    A plain comparison, not numpy: ``factorize`` checks its noise variance
-    once per output of every fit."""
-    if not (0 <= value < np.inf if zero_ok else 0 < value < np.inf):
-        raise InputError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
-
-
-def _check_numbers(name: str, values, zero_ok: bool = False) -> np.ndarray:
-    """``values`` as a float array of ``_check_number``'s numbers, printed on one line."""
-    a = np.asarray(values, dtype=float)
-    if not (np.isfinite(a) & ((a >= 0) if zero_ok else (a > 0))).all():
-        raise InputError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {a.tolist()}")
-    return a
-
-
-def _validate_lengthscales(ell, n: int | None = None) -> np.ndarray:
-    """``ell`` as a vector of finite lengthscales > 0, ``n`` of them when given."""
-    ell = np.asarray(ell, dtype=float)
-    if n is not None and ell.size != n:
-        raise InputError(f"got {ell.size} lengthscales for {n}-dimensional data")
-    if ell.ndim != 1 or ell.size < 1:
-        raise InputError("lengthscales must be a nonempty vector")
-    return _check_numbers("lengthscales", ell)
-
-
-def _check_batch(X, n: int, name: str) -> np.ndarray:
-    """The velocity batch ``name`` as a float (M, n) array, one velocity per row."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != n:
-        raise InputError(f"{name} must have shape (M, {n}), got {X.shape}")
-    return X
-
-
-def _check_velocities(X, n: int, name: str) -> np.ndarray:
-    """The batch ``name`` as an (M, N) array of finite velocities; a single
-    velocity is read as one row."""
-    qs = _check_batch(np.atleast_2d(X), n, name)
-    if not np.isfinite(qs).all():
-        raise InputError(f"{name} must be finite")
-    return qs
-
-
-def _check_velocity(qd, n: int, name: str) -> np.ndarray:
-    """One velocity ``name``, an N-vector, as a one-row batch of ``_check_velocities``."""
-    qd = np.asarray(qd, dtype=float)
-    if qd.shape != (n,):
-        raise InputError(f"{name} must have shape ({n},), got {qd.shape}")
-    return _check_velocities(qd[None, :], n, name)
+from .errors import (InputError, _check_batch, _check_number, _check_numbers, _check_velocity,
+                     _validate_lengthscales)
 
 
 def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray, out=None) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import models
-from .bench import _fmt, _fmt_chunks, _read_lines
+from .bench import _first_use, _float_row, _fmt, _fmt_chunks, _read_lines
 from .errors import InputError, ParseError
 from .models import Dataset, FittedModel, PriorMean
 
@@ -56,14 +56,9 @@ def _parse_blocks(lines: list[str], path) -> tuple[dict, dict]:
             name, value = (part.strip() for part in line.split(":", 1))
             meta[name] = value
         else:
-            try:
-                blocks[current].append([float(v) for v in line.split()])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            blocks[current].append(_float_row(line.split(), path, lineno))
             continue
-        if name in first_line:
-            raise ParseError(f"{path}:{lineno}: {name} repeats line {first_line[name]}")
-        first_line[name] = lineno
+        _first_use(first_line, name, path, lineno)
     return meta, blocks
 
 
@@ -75,27 +70,25 @@ def load_model(path) -> FittedModel:
     if not lines or lines[0].strip() != MAGIC:
         raise ParseError(f"{path}: not a dampgp model file (missing {MAGIC!r} header)")
     meta, blocks = _parse_blocks(lines, path)
-
-    for key in ("kind", "noise_variance"):
-        if key not in meta:
-            raise ParseError(f"{path}: missing header key {key!r}")
-    for name in BLOCKS:
-        rows = blocks.get(name)
-        if not rows:
-            raise ParseError(f"{path}: missing block [{name}]")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ParseError(f"{path}: block [{name}] has rows of unequal length")
-
-    try:
+    try:  # the except clause below puts the path before each of these errors
+        for key in ("kind", "noise_variance"):
+            if key not in meta:
+                raise InputError(f"missing header key {key!r}")
+        for name in BLOCKS:
+            rows = blocks.get(name)
+            if not rows:
+                raise InputError(f"missing block [{name}]")
+            if any(len(row) != len(rows[0]) for row in rows):
+                raise InputError(f"block [{name}] has rows of unequal length")
         kind = models._check_kind(meta["kind"])
         noise_variance = float(meta["noise_variance"])
-    except (InputError, ValueError) as exc:
-        raise ParseError(f"{path}: bad header value: {exc}") from exc
-
-    kernel_type = models.KERNEL_TYPES[kind]
-    for name in (BLOCKS[:3] if kernel_type.hyp_ndim == 1 else BLOCKS[:2]):
-        if len(blocks[name]) != 1:
-            raise ParseError(f"{path}: block [{name}] must be one row, found {len(blocks[name])}")
-    ell, prior, hyp, velocities, torques = (np.array(blocks[name]) for name in BLOCKS)
-    kernel = kernel_type(ell[0], hyp[0] if kernel_type.hyp_ndim == 1 else hyp)
-    return models.fit(kind, kernel, PriorMean(prior[0]), Dataset(velocities, torques), noise_variance)
+        kernel_type = models.KERNEL_TYPES[kind]
+        for name in (BLOCKS[:3] if kernel_type.hyp_ndim == 1 else BLOCKS[:2]):
+            if len(blocks[name]) != 1:
+                raise InputError(f"block [{name}] must be one row, found {len(blocks[name])}")
+        ell, prior, hyp, velocities, torques = (np.array(blocks[name]) for name in BLOCKS)
+        kernel = kernel_type(ell[0], hyp[0] if kernel_type.hyp_ndim == 1 else hyp)
+        return models.fit(kind, kernel, PriorMean(prior[0]), Dataset(velocities, torques),
+                          noise_variance)
+    except (InputError, ValueError) as exc:  # a value rule, or float() of the noise variance
+        raise ParseError(f"{path}: {exc}") from exc

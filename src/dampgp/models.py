@@ -20,25 +20,15 @@ Estimator kinds:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gp_core
-from .errors import InputError, NumericalError, UnsupportedModelError
-from .kernels import (
-    DiagTorqueKernel,
-    FullTorqueKernel,
-    SeArdKernelBank,
-    _check_batch,
-    _check_number,
-    _check_numbers,
-    _check_velocities,
-    _check_velocity,
-    _validate_lengthscales,
-    se_correlation,
-)
+from .errors import (InputError, NumericalError, UnsupportedModelError, _check_batch, _check_count,
+                     _check_number, _check_numbers, _check_same_shape, _check_velocities,
+                     _check_velocity, _validate_lengthscales)
+from .kernels import DiagTorqueKernel, FullTorqueKernel, SeArdKernelBank, se_correlation
 
 KERNEL_TYPES = {"ard": SeArdKernelBank, "diag": DiagTorqueKernel, "full": FullTorqueKernel}
 KINDS = tuple(KERNEL_TYPES)
@@ -68,38 +58,6 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-# numpy's largest array length; an (M, N) float64 array needs M <= _INTP_MAX // (8 * N)
-_INTP_MAX = int(np.iinfo(np.intp).max)
-
-
-def _check_count(name: str, value, minimum: int, maximum: int = _INTP_MAX) -> int:
-    """``value`` as an int in [minimum, maximum], by default numpy's largest length."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
-    if not minimum <= value <= maximum:
-        bound = f">= {minimum}" if value < minimum else f"<= {maximum}"
-        raise InputError(f"{name} must be {bound}, got {value}")
-    return value
-
-
-def _check_box(domain, n: int | None = None) -> np.ndarray:
-    """``domain`` as an (N, 2) array of finite lo <= hi velocity bounds with
-    finite widths hi - lo, N = ``n`` when given."""
-    box = np.asarray(domain, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2 or len(box) < 1 or n not in (None, len(box)):
-        raise InputError(f"domain must have shape ({'N' if n is None else n}, 2)")
-    if not np.all(np.isfinite(box)):
-        raise InputError("domain bounds must be finite")
-    if np.any(box[:, 0] > box[:, 1]):
-        raise InputError(f"domain lower bounds must not exceed upper bounds, got {box.tolist()}")
-    with np.errstate(over="ignore"):  # numpy's uniform raises OverflowError on an inf width
-        if not np.isfinite(np.diff(box)).all():
-            raise InputError(f"domain widths must be finite, got {box.tolist()}")
-    return box
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Paired velocity/torque observations, one sample per row."""
@@ -108,12 +66,8 @@ class Dataset:
     torques: np.ndarray  # (D, N)
 
     def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.velocities, dtype=float))
-        y = np.atleast_2d(np.asarray(self.torques, dtype=float))
-        if q.shape != y.shape:
-            raise InputError(
-                f"velocities {q.shape} and torques {y.shape} must have equal shape"
-            )
+        q, y = _check_same_shape(self.velocities, self.torques,
+                                 "velocities {} and torques {} must have equal shape")
         if q.shape[0] < 1 or q.shape[1] < 1:
             raise InputError("dataset must contain at least one sample and one dimension")
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(y))):
@@ -240,7 +194,7 @@ def fit(
     corr = _correlation(corr, kernel.lengthscales, q, q)
     solves = []
     for m in range(data.n_dim):
-        gram = kernel.output_kernel(m).pairwise(q, q, corr)
+        gram = gp_core.assemble_gram(kernel.output_kernel(m), q, corr)
         solves.append(gp_core.factorize(gram, noise_variance).solve(resid[:, m]))
     return FittedModel(
         kind=kind,

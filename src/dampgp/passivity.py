@@ -26,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dsygvd
-from .errors import InfeasibilityError, InputError, NumericalError
-from .kernels import _check_number, _check_numbers
-from .models import (_INTP_MAX, _PIECE, Dataset, FittedModel, PriorMean, _check_box, _check_count,
-                     _pieces, predict_torque_batch)
+from .errors import (_INTP_MAX, InfeasibilityError, InputError, NumericalError, _check_box,
+                     _check_count, _check_number, _check_numbers)
+from .models import _PIECE, Dataset, FittedModel, PriorMean, _pieces, predict_torque_batch
 
 
 @dataclass(frozen=True)

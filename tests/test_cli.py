@@ -155,7 +155,11 @@ def test_empty_config_list_exit_code(tmp_path, key, command, capsys):
     # generate used to exit 0 and write NaN, which is not JSON, into its manifest
     ("lengthscales", "-1", "lengthscales must be finite and > 0, got [-1.0]"),
     ("lengthscales", "0", "lengthscales must be finite and > 0, got [0.0]"),
-    ("lengthscales", "-1,0,nan", "lengthscales must be finite and > 0, got [-1.0, 0.0, nan]"),
+    ("lengthscales", "nan", "lengthscales must be finite and > 0, got [nan]"),
+    # the count comes first: the config's system is one-dimensional
+    ("lengthscales", "-1,0,nan", "got 3 lengthscales for 1-dimensional data"),
+    # generate used to exit 0 and record the two lengthscales in its manifest
+    ("lengthscales", "1,2", "got 2 lengthscales for 1-dimensional data"),
 ])
 @pytest.mark.parametrize("command", [["generate"], ["efficiency", "--sizes", "10"]])
 def test_bad_config_value_writes_nothing(tmp_path, key, text, message, command, capsys):
@@ -437,21 +441,27 @@ class TestFit:
 
     @pytest.mark.parametrize("command", ["fit", "efficiency"])
     def test_wrong_lengthscale_count(self, tmp_path, command, capsys):
-        # both commands reach the count check inside the hypervariance search
+        # fit reaches the count check inside the hypervariance search,
+        # efficiency the config's own check of its system's dimension
         cfg = tmp_path / "full3.cfg"
-        cfg.write_text("system = full3\ntrain_sizes = 12\nval_size = 8\ntest_size = 4\n"
-                       "seeds = 0\nkinds = diag\nlengthscales = 1,2\nbudget = 3\n")
+        text = ("system = full3\ntrain_sizes = 12\nval_size = 8\ntest_size = 4\n"
+                "seeds = 0\nkinds = diag\nbudget = 3\n")
         if command == "fit":
+            # the data comes from a config without the bad count, which
+            # generate now rejects
             out = tmp_path / "data"
+            cfg.write_text(text)
             assert run_cli("--config", cfg, "--out-dir", out, "generate") == 0
             argv = ["fit", out / "seed0_train.csv", "--kind", "diag",
                     "--val", out / "seed0_val.csv", "--lengthscales", "1,2",
                     "--budget", "3", "--out", tmp_path / "m.model"]
         else:
+            cfg.write_text(text + "lengthscales = 1,2\n")
             argv = ["--config", cfg, "--out-dir", tmp_path / "eff", "efficiency", "--sizes", "10"]
         capsys.readouterr()
         assert run_cli(*argv) == cli.EXIT_INPUT
         assert "got 2 lengthscales for 3-dimensional data" in capsys.readouterr().err
+        assert not (tmp_path / "m.model").exists() and not (tmp_path / "eff").exists()
 
     def test_missing_train_file(self, tmp_path):
         code = run_cli(
@@ -1068,7 +1078,7 @@ class TestModelIo:
         path = tmp_path / "m.model"
         modelio.save_model(path, model)
         path.write_text(path.read_text().replace("kind: diag", "kind: bogus"))
-        message = (f"{path}: bad header value: unknown model kind 'bogus', "
+        message = (f"{path}: unknown model kind 'bogus', "
                    "expected one of ('ard', 'diag', 'full')")
         with pytest.raises(ParseError, match=re.escape(message)):
             modelio.load_model(path)
@@ -1077,6 +1087,33 @@ class TestModelIo:
         assert run_cli("evaluate", path, test, "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
         assert run_cli("--out-dir", tmp_path, "power", path, "--domain=-5:5,-5:5") == cli.EXIT_INPUT
         assert capsys.readouterr().err.count(message) == 2
+
+    @pytest.mark.parametrize("part, value, message", [
+        ("kind", "bogus", "unknown model kind 'bogus', expected one of ('ard', 'diag', 'full')"),
+        ("noise_variance", "x", "could not convert string to float: 'x'"),
+        ("noise_variance", "0", "noise_variance must be finite and > 0, got 0.0"),
+        ("noise_variance", "nan", "noise_variance must be finite and > 0, got nan"),
+        ("lengthscales", "0", "lengthscales must be finite and > 0, got [0.0, 1.0]"),
+        ("prior_mean", "-1", "prior mean coefficients must be finite and >= 0, got [-1.0, "),
+        ("hypervariances", "0", "hypervariances must be finite and > 0, got [0.0, "),
+        ("train_velocities", "nan", "dataset contains non-finite entries"),
+        ("train_torques", "inf", "dataset contains non-finite entries"),
+    ])
+    def test_bad_value_names_the_file(self, tmp_path, part, value, message, capsys):
+        # a bad block value used to reach stderr without the file's path
+        path = tmp_path / "m.model"
+        modelio.save_model(path, self._model("diag", np.random.default_rng(9)))
+        lines = path.read_text().splitlines()
+        if f"[{part}]" in lines:  # the block's first value
+            i = lines.index(f"[{part}]") + 1
+            lines[i] = " ".join([value, *lines[i].split()[1:]])
+        else:
+            lines = [f"{part}: {value}" if line.startswith(f"{part}:") else line for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        test = tmp_path / "test.csv"
+        bench.write_dataset(test, Dataset(np.ones((3, 2)), np.ones((3, 2))))
+        assert run_cli("evaluate", path, test, "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     def test_missing_block(self, tmp_path):
         model = self._model("diag", np.random.default_rng(3))

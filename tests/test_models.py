@@ -824,7 +824,7 @@ def _batch_entry_points():
 
 @pytest.mark.parametrize("entry", list(_batch_entry_points()))
 def test_every_velocity_batch_entry_point_has_one_message(entry):
-    # six copies of the (M, N) rule gave five messages; kernels._check_batch
+    # six copies of the (M, N) rule gave five messages; errors._check_batch
     # now gives one, naming the input
     call, name = _batch_entry_points()[entry]
     with pytest.raises(InputError, match=re.escape(f"{name} must have shape (M, 2), got (4, 3)")):
@@ -883,7 +883,8 @@ def _number_entry_points():
                                                  lambda v: models.optimize_hypervariances(
                                                      "full", data, data, v, 0.4, budget=2)),
         "make_system": ("lengthscales", False, pair, system),
-        "config-lengthscales": ("lengthscales", False, pair,
+        # one per dimension of the config's default system, full3
+        "config-lengthscales": ("lengthscales", False, lambda x: np.array([1.0, 1.0, x]),
                                 lambda v: bench.ExperimentConfig(lengthscales=tuple(v))),
         "PriorMean": ("prior mean coefficients", True, pair, PriorMean),
         "compute_bound-grid": ("hypervariances", True, grid,
@@ -897,7 +898,7 @@ def _number_entry_points():
 def test_every_real_number_input_has_one_message(entry, bad):
     # nine inline "finite and > 0 / >= 0" checks had four wordings, some
     # without the value and some with numpy's array repr, which wraps long
-    # arrays; kernels._check_number and _check_numbers give one, with the
+    # arrays; errors._check_number and _check_numbers give one, with the
     # value on one line
     name, zero_ok, holding, call = _number_entry_points()[entry]
     value = holding({"zero-or-negative": -1.0 if zero_ok else 0.0,
