@@ -500,7 +500,8 @@ def _first_use(first_line: dict, key: str, path, lineno: int) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Inverse of ``write_dataset``; errors carry the offending line number."""
+    """Inverse of ``write_dataset``; errors name the file, and the offending
+    line where there is one."""
     lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file, no data rows")
@@ -518,7 +519,10 @@ def read_dataset(path) -> Dataset:
         torques.append(vals[n:])
     if not velocities:
         raise ParseError(f"{path}: no data rows")
-    return Dataset(np.array(velocities), np.array(torques))
+    try:
+        return Dataset(np.array(velocities), np.array(torques))
+    except InputError as exc:  # Dataset's value rule, as load_model reports it
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def check_train_sizes(sizes) -> None:

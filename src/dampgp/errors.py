@@ -112,6 +112,14 @@ def _check_batch(X, n: int, name: str) -> np.ndarray:
     return X
 
 
+def _check_corr(corr, X, X2):
+    """``corr``, the SE correlation a caller passes for the batches ``X``
+    and ``X2``, has the shape (len(X), len(X2)) of their kernel matrix."""
+    if np.shape(corr) != (len(X), len(X2)):
+        raise InputError(f"corr must have shape {(len(X), len(X2))}, got {np.shape(corr)}")
+    return corr
+
+
 def _check_velocities(X, n: int, name: str) -> np.ndarray:
     """The batch ``name`` as an (M, N) array of finite velocities; a single
     velocity is read as one row."""

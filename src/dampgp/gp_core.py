@@ -29,16 +29,24 @@ ORACLE_SIZE_CAP = 2000
 class GramFactorization:
     """Cholesky factorization of (S + noise_variance*I + jitter*I), S as in ``factorize``.
 
-    ``factor`` is exactly lower triangular; ``jitter_used`` is 0 unless the
-    plain factorization failed and the jitter ladder had to be climbed.
+    ``raw_factor`` is the array ``dpotrf`` returns: the factor in its lower
+    triangle, and above it the entries of ``gram`` below the diagonal,
+    which ``dpotrf`` never touches and ``dpotrs`` never reads.  ``factor``,
+    a fresh copy made from it on each read, is exactly lower triangular;
+    ``jitter_used`` is 0 unless the plain factorization failed and the
+    jitter ladder had to be climbed.
     """
 
     jitter_used: float
-    factor: np.ndarray
+    raw_factor: np.ndarray
+
+    @property
+    def factor(self) -> np.ndarray:
+        return np.tril(self.raw_factor)
 
     @property
     def n_train(self) -> int:
-        return self.factor.shape[0]
+        return self.raw_factor.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (S + noise_variance*I + jitter*I) x = rhs with LAPACK
@@ -48,7 +56,7 @@ class GramFactorization:
             raise InputError(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self.n_train}"
             )
-        x, info = dpotrs(self.factor, rhs, lower=1)
+        x, info = dpotrs(self.raw_factor, rhs, lower=1)
         if info != 0:
             raise NumericalError(f"dpotrs failed with info {info}")
         return x
@@ -78,7 +86,8 @@ def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:
     """Factorize S + noise_variance*I, escalating jitter on failure; S is the
     symmetric matrix of gram's upper triangle (``gram[i, j]``, i <= j), and
     the rest of ``gram`` is only checked to be finite.  Each rung factors a
-    fresh working array in place; ``gram`` is unchanged.
+    fresh working array in place, which the result keeps as it stands, with
+    no pass that zeroes the triangle nothing reads; ``gram`` is unchanged.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -93,9 +102,9 @@ def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:
         work.ravel()[:: len(work) + 1] += noise_variance + jitter
         # in place on the column-major transpose: its lower triangle, all
         # that dpotrf reads, is gram's upper one
-        factor, info = dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
+        raw_factor, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            return GramFactorization(jitter_used=jitter, factor=factor)
+            return GramFactorization(jitter_used=jitter, raw_factor=raw_factor)
     raise NumericalError(f"factorization failed at every jitter level {list(rungs)}")
 
 

@@ -13,8 +13,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (InputError, _check_batch, _check_number, _check_numbers, _check_velocity,
-                     _validate_lengthscales)
+from .errors import (InputError, _check_batch, _check_corr, _check_number, _check_numbers,
+                     _check_velocity, _validate_lengthscales)
 
 
 def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray, out=None) -> np.ndarray:
@@ -69,10 +69,10 @@ class SeArdKernel:
 
     def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
         """Kernel matrix over all row pairs; ``corr`` is the shared
-        ``se_correlation(lengthscales, X, X2)`` when the caller has it."""
+        ``se_correlation(lengthscales, X, X2)`` when the caller has it, and
+        must have that matrix's shape."""
         X, X2 = _check_batch(X, self.dim, "X"), _check_batch(X2, self.dim, "X2")
-        if corr is None:
-            corr = se_correlation(self.lengthscales, X, X2)
+        corr = se_correlation(self.lengthscales, X, X2) if corr is None else _check_corr(corr, X, X2)
         return self.hypervariance * corr
 
 
@@ -95,10 +95,10 @@ class _PerOutputKernel:
 
     def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
         """Kernel matrix over all row pairs; ``corr`` is the shared
-        ``se_correlation(lengthscales, X, X2)`` when the caller has it."""
+        ``se_correlation(lengthscales, X, X2)`` when the caller has it, and
+        must have that matrix's shape."""
         X, X2 = _check_batch(X, self.dim, "X"), _check_batch(X2, self.dim, "X2")
-        if corr is None:
-            corr = se_correlation(self.lengthscales, X, X2)
+        corr = se_correlation(self.lengthscales, X, X2) if corr is None else _check_corr(corr, X, X2)
         out = (X * self.row_variances) @ X2.T
         out *= corr
         return out

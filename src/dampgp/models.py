@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp_core
-from .errors import (InputError, NumericalError, UnsupportedModelError, _check_batch, _check_count,
-                     _check_number, _check_numbers, _check_same_shape, _check_velocities,
-                     _check_velocity, _validate_lengthscales)
+from .errors import (InputError, NumericalError, UnsupportedModelError, _check_batch, _check_corr,
+                     _check_count, _check_number, _check_numbers, _check_same_shape,
+                     _check_velocities, _check_velocity, _validate_lengthscales)
 from .kernels import DiagTorqueKernel, FullTorqueKernel, SeArdKernelBank, se_correlation
 
 KERNEL_TYPES = {"ard": SeArdKernelBank, "diag": DiagTorqueKernel, "full": FullTorqueKernel}
@@ -153,15 +153,6 @@ class FittedModel:
         return self.train.n_dim
 
 
-def _correlation(corr, ell: np.ndarray, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """``se_correlation(ell, X, X2)``, or the caller's ``corr`` of that shape."""
-    if corr is None:
-        return se_correlation(ell, X, X2)
-    if np.shape(corr) != (len(X), len(X2)):
-        raise InputError(f"corr must have shape {(len(X), len(X2))}, got {np.shape(corr)}")
-    return corr
-
-
 def fit(
     kind: str,
     kernel,
@@ -191,7 +182,8 @@ def fit(
 
     q = data.velocities
     resid = data.torques - prior_mean.torque(q)
-    corr = _correlation(corr, kernel.lengthscales, q, q)
+    if corr is None:  # else each output's pairwise checks its shape
+        corr = se_correlation(kernel.lengthscales, q, q)
     solves = []
     for m in range(data.n_dim):
         gram = gp_core.assemble_gram(kernel.output_kernel(m), q, corr)
@@ -238,7 +230,7 @@ def predict_torque_batch(model: FittedModel, qd_stars: np.ndarray, *, corr=None)
     q_train = model.train.velocities
     ell = model.kernel.lengthscales
     if corr is not None:
-        corr = _correlation(corr, ell, q_train, qs)
+        _check_corr(corr, q_train, qs)
     if model.kind == "ard":
         output_kernels = [model.kernel.output_kernel(m) for m in range(model.n_dim)]
     else:

@@ -471,6 +471,17 @@ class TestFit:
         )
         assert code == cli.EXIT_INPUT
 
+    def test_non_finite_validation_file_is_named(self, tmp_path, capsys):
+        # Dataset's rule used to reach stderr without the file's path
+        train, val = tmp_path / "t.csv", tmp_path / "v.csv"
+        bench.write_dataset(train, Dataset(np.ones((4, 1)), np.ones((4, 1))))
+        val.write_text("qd_1,tau_1\n1,2\nnan,3\n")
+        code = run_cli("fit", train, "--kind", "diag", "--val", val, "--lengthscales", "12",
+                       "--budget", "3", "--out", tmp_path / "m.model")
+        assert code == cli.EXIT_INPUT == 2
+        assert capsys.readouterr().err == f"error: {val}: dataset contains non-finite entries\n"
+        assert not (tmp_path / "m.model").exists()
+
     @pytest.mark.parametrize("constrained", [[], ["--constrained"]], ids=["free", "constrained"])
     @pytest.mark.parametrize("kind", ["diag", "full"])
     @pytest.mark.parametrize("value", ["0", "-100", "nan", "inf"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 import dampgp
 from dampgp import _lapack, gp_core, models, passivity
@@ -198,6 +198,19 @@ class TestFactorize:
         assert np.array_equal(facts[0].factor, facts[1].factor)
         assert np.array_equal(np.triu(facts[0].factor, 1), np.zeros((2, 2)))
 
+    def test_jittered_rung_solves_as_cho_solve_on_its_factor(self):
+        # the array handed to dpotrs keeps gram's entry below the diagonal
+        # above the factor; dpotrs must read the factor alone, as cho_solve
+        # on the exactly triangular factor does
+        gram = np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]])
+        fact = gp_core.factorize(gram, 0.0)
+        assert fact.jitter_used == 1e-8
+        assert fact.raw_factor[0, 1] == gram[1, 0]
+        assert np.array_equal(np.triu(fact.factor, 1), np.zeros((2, 2)))
+        rhs = np.random.default_rng(15).normal(0, 1, (2, 3))
+        for b in (rhs, rhs[:, 0]):
+            assert np.array_equal(fact.solve(b), cho_solve((fact.factor, True), b))
+
     def test_absolute_rungs_cannot_lift_rounding_beyond_the_top_rung(self):
         # minimum eigenvalue -0.25, an ulp of the diagonal 2^50: sigma^2 =
         # 1e-3 and every rung round away, while the same matrix and sigma^2
@@ -268,6 +281,25 @@ class TestFactorize:
             gp_core.factorize(gram, 0.1)
         with pytest.raises(InputError, match="finite"):
             gp_core.factorize(np.eye(2), bad)
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_fit_solves_match_copy_path_and_dpotrs_bitwise(kind):
+    # per output at D=50: the copy path's exactly triangular factor, then
+    # the dpotrs call of cho_solve
+    rng = np.random.default_rng(16)
+    ell, hyp = rng.uniform(0.5, 2.0, 3), rng.uniform(0.2, 2.0, 3)
+    kernel = models.KERNEL_TYPES[kind](ell, np.outer(hyp, hyp) if kind == "full" else hyp)
+    prior = models.PriorMean.zero(3) if kind == "ard" else models.PriorMean(rng.uniform(0, 1, 3))
+    data = models.Dataset(rng.uniform(-2, 2, (50, 3)), rng.normal(0, 1, (50, 3)))
+    model = models.fit(kind, kernel, prior, data, 0.4)
+    resid = data.torques - prior.torque(data.velocities)
+    for m, solve in enumerate(model.residual_solves):
+        gram = kernel.output_kernel(m).pairwise(data.velocities, data.velocities)
+        _, factor = copy_path_factorize(gram, 0.4)
+        expected, info = dpotrs(factor, resid[:, m], lower=1)
+        assert info == 0
+        assert np.array_equal(solve, expected)
 
 
 class TestPosterior:

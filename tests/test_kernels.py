@@ -332,6 +332,22 @@ class TestPerOutputScalarKernel:
         with pytest.raises(InputError, match=r"^X2? must have shape \(M, 3\), got"):
             kernel.pairwise(X, X2, corr)
 
+    @pytest.mark.parametrize("kind", KERNEL_MAKERS)
+    @pytest.mark.parametrize("corr_shape", [(4, 1), (1, 5), (), (5, 4), (20,), (4, 5, 1)])
+    def test_pairwise_rejects_corr_of_another_shape(self, kind, corr_shape):
+        # SeArdKernel (ard) and the structured outputs (diag, full): numpy
+        # used to broadcast a (4, 1), (1, 5) or scalar corr to (4, 5)
+        kernel = KERNEL_MAKERS[kind](np.random.default_rng(10)).output_kernel(0)
+        message = re.escape(f"corr must have shape (4, 5), got {corr_shape}")
+        with pytest.raises(InputError, match=message):
+            kernel.pairwise(np.ones((4, 3)), np.ones((5, 3)), np.ones(corr_shape))
+
+    def test_assemble_gram_rejects_a_corr_it_would_broadcast(self):
+        # used to return a (3, 3) "Gram" from a (3, 1) correlation
+        kernel = DiagTorqueKernel(np.ones(2), np.ones(2)).output_kernel(0)
+        with pytest.raises(InputError, match=re.escape("corr must have shape (3, 3), got (3, 1)")):
+            gp_core.assemble_gram(kernel, np.ones((3, 2)), np.ones((3, 1)))
+
     def test_index_out_of_range(self):
         k = DiagTorqueKernel(np.ones(2), np.ones(2))
         with pytest.raises(InputError):
