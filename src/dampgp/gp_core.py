@@ -31,10 +31,11 @@ class GramFactorization:
 
     ``raw_factor`` is the array ``dpotrf`` returns: the factor in its lower
     triangle, and above it the entries of ``gram`` below the diagonal,
-    which ``dpotrf`` never touches and ``dpotrs`` never reads.  ``factor``,
-    a fresh copy made from it on each read, is exactly lower triangular;
-    ``jitter_used`` is 0 unless the plain factorization failed and the
-    jitter ladder had to be climbed.
+    which ``dpotrf`` never touches and ``dpotrs`` never reads.  It may be
+    the caller's ``gram`` memory itself, when ``factorize`` was given
+    ``rebuild``.  ``factor``, a fresh copy made from it on each read, is
+    exactly lower triangular; ``jitter_used`` is 0 unless the plain
+    factorization failed and the jitter ladder had to be climbed.
     """
 
     jitter_used: float
@@ -52,10 +53,9 @@ class GramFactorization:
         """Solve (S + noise_variance*I + jitter*I) x = rhs with LAPACK
         ``dpotrs``, the routine ``scipy.linalg.cho_solve`` wraps."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.n_train:
-            raise InputError(
-                f"rhs has leading dimension {rhs.shape[0]}, expected {self.n_train}"
-            )
+        d = self.n_train
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != d:
+            raise InputError(f"rhs must have shape ({d},) or ({d}, K), got {rhs.shape}")
         x, info = dpotrs(self.raw_factor, rhs, lower=1)
         if info != 0:
             raise NumericalError(f"dpotrs failed with info {info}")
@@ -82,12 +82,20 @@ def assemble_gram(kernel, X: np.ndarray, corr=None) -> np.ndarray:
     return np.asarray(kernel.pairwise(X, X, corr), dtype=float)
 
 
-def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:
+def factorize(gram: np.ndarray, noise_variance: float, rebuild=None) -> GramFactorization:
     """Factorize S + noise_variance*I, escalating jitter on failure; S is the
     symmetric matrix of gram's upper triangle (``gram[i, j]``, i <= j), and
     the rest of ``gram`` is only checked to be finite.  Each rung factors a
-    fresh working array in place, which the result keeps as it stands, with
-    no pass that zeroes the triangle nothing reads; ``gram`` is unchanged.
+    working array in place, which the result keeps as it stands, with no
+    pass that zeroes the triangle nothing reads.
+
+    Without ``rebuild`` every rung's working array is a fresh copy and
+    ``gram`` is unchanged.  ``rebuild`` is a function of no arguments that
+    returns a new array equal to ``gram``; with it, ``gram`` is consumed:
+    rung 0 factors ``np.ascontiguousarray(gram)``, which is ``gram`` itself
+    when it is a C-ordered float array, and each jittered rung a fresh
+    ``rebuild()``, so a caller that can remake its Gram saves a D x D copy
+    per factorization.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -98,7 +106,10 @@ def factorize(gram: np.ndarray, noise_variance: float) -> GramFactorization:
     rungs = (0.0, *JITTER_LADDER)
     for jitter in rungs:
         # C order for any layout of gram, so that ravel() is a view
-        work = np.array(gram, order="C")
+        if rebuild is None:
+            work = np.array(gram, order="C")
+        else:
+            work = np.ascontiguousarray(gram if jitter == 0.0 else rebuild(), dtype=float)
         work.ravel()[:: len(work) + 1] += noise_variance + jitter
         # in place on the column-major transpose: its lower triangle, all
         # that dpotrf reads, is gram's upper one

@@ -48,6 +48,13 @@ def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray, out=None) -> 
     return np.exp(t, out=t)
 
 
+def _check_pair(X, X2, n: int):
+    """The batches ``X`` and ``X2`` of ``pairwise``, each checked once: a
+    Gram passes one array as both."""
+    X_checked = _check_batch(X, n, "X")
+    return X_checked, X_checked if X2 is X else _check_batch(X2, n, "X2")
+
+
 @dataclass(frozen=True)
 class SeArdKernel:
     """SE-ARD kernel: sigma_f^2 * exp(-0.5 * sum_n ((x_n - x'_n)/ell_n)^2)."""
@@ -71,7 +78,7 @@ class SeArdKernel:
         """Kernel matrix over all row pairs; ``corr`` is the shared
         ``se_correlation(lengthscales, X, X2)`` when the caller has it, and
         must have that matrix's shape."""
-        X, X2 = _check_batch(X, self.dim, "X"), _check_batch(X2, self.dim, "X2")
+        X, X2 = _check_pair(X, X2, self.dim)
         corr = se_correlation(self.lengthscales, X, X2) if corr is None else _check_corr(corr, X, X2)
         return self.hypervariance * corr
 
@@ -97,7 +104,7 @@ class _PerOutputKernel:
         """Kernel matrix over all row pairs; ``corr`` is the shared
         ``se_correlation(lengthscales, X, X2)`` when the caller has it, and
         must have that matrix's shape."""
-        X, X2 = _check_batch(X, self.dim, "X"), _check_batch(X2, self.dim, "X2")
+        X, X2 = _check_pair(X, X2, self.dim)
         corr = se_correlation(self.lengthscales, X, X2) if corr is None else _check_corr(corr, X, X2)
         out = (X * self.row_variances) @ X2.T
         out *= corr

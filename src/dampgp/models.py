@@ -20,6 +20,7 @@ Estimator kinds:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +165,10 @@ def fit(
 ) -> FittedModel:
     """Assemble and factorize the N per-output training systems and keep
     their residual solves.  Their Gram matrices share one SE correlation;
-    ``corr`` is that (D, D) matrix when the caller already has it."""
+    ``corr`` is that (D, D) matrix when the caller already has it.  Each
+    Gram is factored in the array it was assembled in, with no copy, and
+    assembled again for each rung of the jitter ladder it climbs, so a fit
+    holds one D x D Gram at a time."""
     kind = _check_kind(kind)
     _check_number("noise_variance", noise_variance)
     expected = KERNEL_TYPES[kind]
@@ -186,8 +190,10 @@ def fit(
         corr = se_correlation(kernel.lengthscales, q, q)
     solves = []
     for m in range(data.n_dim):
-        gram = gp_core.assemble_gram(kernel.output_kernel(m), q, corr)
-        solves.append(gp_core.factorize(gram, noise_variance).solve(resid[:, m]))
+        rebuild = functools.partial(gp_core.assemble_gram, kernel.output_kernel(m), q, corr)
+        # no name keeps this factor alive while the next output's Gram is built
+        solves.append(gp_core.factorize(rebuild(), noise_variance, rebuild=rebuild)
+                      .solve(resid[:, m]))
     return FittedModel(
         kind=kind,
         kernel=kernel,

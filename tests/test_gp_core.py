@@ -106,6 +106,18 @@ def copy_path_factorize(gram, noise_variance):
     raise AssertionError("every rung failed")
 
 
+def counting_rebuild(make):
+    """A ``rebuild`` for ``factorize`` that returns ``make()``, and the list
+    it appends to on each call."""
+    calls = []
+
+    def rebuild():
+        calls.append(None)
+        return make()
+
+    return rebuild, calls
+
+
 class TestFactorize:
     def test_scalar(self):
         fact = gp_core.factorize(np.array([[1.0]]), 1.0)
@@ -238,6 +250,14 @@ class TestFactorize:
         assert fact.jitter_used == jitter
         assert np.array_equal(fact.factor, factor)
         assert np.array_equal(gram, before)
+        # with rebuild: the same rung and factor, one rebuild per failed rung
+        rebuild, calls = counting_rebuild(before.copy)
+        fact = gp_core.factorize(before.copy(), 0.0, rebuild=rebuild)
+        assert fact.jitter_used == jitter
+        assert np.array_equal(fact.factor, factor)
+        assert len(calls) == (0.0, *gp_core.JITTER_LADDER).index(jitter)
+        if case == "2x2":
+            assert len(calls) == 5  # rungs 0 to 1e-9 fail, 1e-8 passes
 
     @pytest.mark.parametrize("case", ["rank-deficient", "plain"])
     def test_memory_layout_does_not_change_the_factor(self, case):
@@ -261,6 +281,40 @@ class TestFactorize:
             assert fact.jitter_used == jitter
             assert np.array_equal(fact.factor, factor)
 
+        def in_layout(i):
+            """A fresh copy of gram in the layout of layouts[i]."""
+            if i < 2:
+                return np.array(layouts[i], order="K")
+            fresh = np.zeros((60, 90))
+            fresh[::2, ::3] = gram
+            return fresh[::2, ::3]
+
+        for i in range(3):
+            assert in_layout(i).strides == layouts[i].strides
+            fact = gp_core.factorize(in_layout(i), 0.25, rebuild=lambda: in_layout(i))
+            assert fact.jitter_used == jitter
+            assert np.array_equal(fact.factor, factor)
+
+    def test_rebuild_factors_a_c_ordered_gram_in_place(self):
+        A = np.random.default_rng(17).normal(0, 1, (6, 6))
+        gram = A @ A.T
+        expected = gp_core.factorize(gram, 0.3)
+        assert not np.shares_memory(expected.raw_factor, gram)
+        rebuild, calls = counting_rebuild(lambda: A @ A.T)
+        fact = gp_core.factorize(gram, 0.3, rebuild=rebuild)
+        assert np.shares_memory(fact.raw_factor, gram)
+        assert calls == []
+        assert np.array_equal(fact.factor, expected.factor)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gram_rejected_before_rebuild(self, bad):
+        gram = 3.0 * np.eye(3)
+        gram[2, 0] = bad
+        rebuild, calls = counting_rebuild(lambda: 3.0 * np.eye(3))
+        with pytest.raises(InputError, match="non-finite"):
+            gp_core.factorize(gram, 0.1, rebuild=rebuild)
+        assert calls == []
+
     @pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)])
     def test_solve_matches_cho_solve_bitwise(self, rhs_shape):
         rng = np.random.default_rng(11)
@@ -268,6 +322,15 @@ class TestFactorize:
         fact = gp_core.factorize(A @ A.T, 0.3)
         rhs = rng.normal(0, 1, rhs_shape)
         assert np.array_equal(fact.solve(rhs), cho_solve((fact.factor, True), rhs))
+
+    @pytest.mark.parametrize("rhs", [3.0, np.ones((2, 1, 3)), np.ones(3), np.ones((3, 2))],
+                             ids=["0-D", "3-D", "short", "short-2-D"])
+    def test_solve_rejects_rhs_of_another_shape(self, rhs):
+        # a 0-D rhs used to raise a bare IndexError, a 3-D one reached dpotrs
+        fact = gp_core.factorize(np.eye(2), 0.1)
+        message = re.escape(f"rhs must have shape (2,) or (2, K), got {np.shape(rhs)}")
+        with pytest.raises(InputError, match=message):
+            fact.solve(rhs)
 
     def test_every_rung_failing_raises(self):
         with pytest.raises(NumericalError, match="every jitter level"):

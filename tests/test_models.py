@@ -218,6 +218,22 @@ class TestFit:
         with pytest.raises(InputError, match="corr must have shape"):
             models.predict_torque_batch(model, np.ones((5, 2)), corr=np.ones(shape))
 
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_fit_holds_one_gram_at_a_time(self, kind):
+        # numpy reports its buffers to tracemalloc; a fit that factored a
+        # copy of each Gram would hold two D x D arrays at once
+        rng = np.random.default_rng(45)
+        d = 400
+        kernel, data, prior = random_instance(rng, kind, n=3, d=d)
+        corr = se_correlation(kernel.lengthscales, data.velocities, data.velocities)
+        tracemalloc.start()
+        try:
+            model = fit(kind, kernel, prior, data, 0.4, corr=corr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d * d * 8 + sum(s.nbytes for s in model.residual_solves)
+
     def test_residual_solve_invariant(self):
         rng = np.random.default_rng(5)
         kernel, data, prior = random_instance(rng, "diag")
