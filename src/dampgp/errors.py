@@ -57,7 +57,11 @@ def _check_number(name: str, value, zero_ok: bool = False) -> None:
     """The real number ``value`` is finite and > 0 (>= 0 when ``zero_ok``).
     A plain comparison, not numpy: ``factorize`` checks its noise variance
     once per output of every fit."""
-    if not (0 <= value < np.inf if zero_ok else 0 < value < np.inf):
+    try:
+        ok = 0 <= value < np.inf if zero_ok else 0 < value < np.inf
+    except (TypeError, ValueError):  # a str, None, a complex or a many-entry array
+        raise InputError(f"{name} must be a real number, got {value!r}") from None
+    if not ok:
         raise InputError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
 
 

@@ -33,17 +33,13 @@ class GramFactorization:
     triangle, and above it the entries of ``gram`` below the diagonal,
     which ``dpotrf`` never touches and ``dpotrs`` never reads.  It may be
     the caller's ``gram`` memory itself, when ``factorize`` was given
-    ``rebuild``.  ``factor``, a fresh copy made from it on each read, is
-    exactly lower triangular; ``jitter_used`` is 0 unless the plain
-    factorization failed and the jitter ladder had to be climbed.
+    ``rebuild``.  ``np.tril(raw_factor)`` is the exactly lower-triangular
+    factor; ``jitter_used`` is 0 unless the plain factorization failed and
+    the jitter ladder had to be climbed.
     """
 
     jitter_used: float
     raw_factor: np.ndarray
-
-    @property
-    def factor(self) -> np.ndarray:
-        return np.tril(self.raw_factor)
 
     @property
     def n_train(self) -> int:
@@ -73,8 +69,8 @@ def assemble_gram(kernel, X: np.ndarray, corr=None) -> np.ndarray:
     """Kernel matrix over all pairs of rows of the (D, N) array ``X``;
     ``factorize`` reads its upper triangle.
 
-    ``kernel`` is a scalar kernel exposing ``pairwise(X, X2, corr)``, which
-    checks X's shape and takes the shared SE correlation ``corr`` if given.
+    ``kernel`` is a scalar ``kernels._OutputKernel``: its ``pairwise`` checks
+    X's shape once and takes the shared SE correlation ``corr`` if given.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[:1] == (0,):

@@ -13,8 +13,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (InputError, _check_batch, _check_corr, _check_number, _check_numbers,
-                     _check_velocity, _validate_lengthscales)
+from .errors import (InputError, _check_batch, _check_corr, _check_count, _check_number,
+                     _check_numbers, _check_velocity, _validate_lengthscales)
 
 
 def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray, out=None) -> np.ndarray:
@@ -48,43 +48,48 @@ def se_correlation(ell: np.ndarray, X: np.ndarray, X2: np.ndarray, out=None) -> 
     return np.exp(t, out=t)
 
 
-def _check_pair(X, X2, n: int):
-    """The batches ``X`` and ``X2`` of ``pairwise``, each checked once: a
-    Gram passes one array as both."""
-    X_checked = _check_batch(X, n, "X")
-    return X_checked, X_checked if X2 is X else _check_batch(X2, n, "X2")
+@dataclass(frozen=True)
+class _OutputKernel:
+    """Scalar kernel of one output: the SE-ARD correlation of
+    ``lengthscales`` times the scale that its ``_times`` applies."""
+
+    lengthscales: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.lengthscales.size
+
+    def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
+        """Kernel matrix over all row pairs; ``corr`` is the shared
+        ``se_correlation(lengthscales, X, X2)`` when the caller has it, and
+        must have that matrix's shape.  A Gram passes X as both, checked once."""
+        same = X2 is X
+        X = _check_batch(X, self.dim, "X")
+        X2 = X if same else _check_batch(X2, self.dim, "X2")
+        corr = se_correlation(self.lengthscales, X, X2) if corr is None else _check_corr(corr, X, X2)
+        return self._times(corr, X, X2)
 
 
 @dataclass(frozen=True)
-class SeArdKernel:
+class SeArdKernel(_OutputKernel):
     """SE-ARD kernel: sigma_f^2 * exp(-0.5 * sum_n ((x_n - x'_n)/ell_n)^2)."""
 
-    lengthscales: np.ndarray
     hypervariance: float  # sigma_f^2
 
     def __post_init__(self):
         object.__setattr__(self, "lengthscales", _validate_lengthscales(self.lengthscales))
         _check_number("hypervariance", self.hypervariance)
 
-    @property
-    def dim(self) -> int:
-        return self.lengthscales.size
-
     def __call__(self, x, xp) -> float:
         X, X2 = _check_velocity(x, self.dim, "x"), _check_velocity(xp, self.dim, "xp")
         return float(self.pairwise(X, X2)[0, 0])
 
-    def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
-        """Kernel matrix over all row pairs; ``corr`` is the shared
-        ``se_correlation(lengthscales, X, X2)`` when the caller has it, and
-        must have that matrix's shape."""
-        X, X2 = _check_pair(X, X2, self.dim)
-        corr = se_correlation(self.lengthscales, X, X2) if corr is None else _check_corr(corr, X, X2)
+    def _times(self, corr, X, X2) -> np.ndarray:
         return self.hypervariance * corr
 
 
 @dataclass(frozen=True)
-class _PerOutputKernel:
+class _PerOutputKernel(_OutputKernel):
     """Scalar kernel for one output of a structured torque kernel.
 
     Full grid: k_m(q, q') = sum_n q_n q'_n k_{mn}(q, q'); diagonal:
@@ -93,19 +98,9 @@ class _PerOutputKernel:
     the diagonal case).
     """
 
-    lengthscales: np.ndarray
     row_variances: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.lengthscales.size
-
-    def pairwise(self, X: np.ndarray, X2: np.ndarray, corr=None) -> np.ndarray:
-        """Kernel matrix over all row pairs; ``corr`` is the shared
-        ``se_correlation(lengthscales, X, X2)`` when the caller has it, and
-        must have that matrix's shape."""
-        X, X2 = _check_pair(X, X2, self.dim)
-        corr = se_correlation(self.lengthscales, X, X2) if corr is None else _check_corr(corr, X, X2)
+    def _times(self, corr, X, X2) -> np.ndarray:
         out = (X * self.row_variances) @ X2.T
         out *= corr
         return out
@@ -136,9 +131,7 @@ class _KernelCore:
 
     def output_kernel(self, m: int):
         """Scalar kernel of output m, over velocities."""
-        if not 0 <= m < self.dim:
-            raise InputError(f"output index {m} out of range [0, {self.dim})")
-        return self._output_kernel(m)
+        return self._output_kernel(_check_count("output index", m, 0, self.dim - 1))
 
 
 class _TorqueKernel(_KernelCore):

@@ -122,11 +122,11 @@ class TestFactorize:
     def test_scalar(self):
         fact = gp_core.factorize(np.array([[1.0]]), 1.0)
         assert fact.jitter_used == 0.0
-        assert np.allclose(fact.factor, [[np.sqrt(2.0)]])
+        assert np.allclose(np.tril(fact.raw_factor), [[np.sqrt(2.0)]])
 
     def test_zero_gram_noise_only(self):
         fact = gp_core.factorize(np.zeros((2, 2)), 4.0)
-        assert np.allclose(fact.factor, 2.0 * np.eye(2))
+        assert np.allclose(np.tril(fact.raw_factor), 2.0 * np.eye(2))
 
     def test_singular_gram_engages_jitter_ladder(self):
         fact = gp_core.factorize(np.ones((2, 2)), 0.0)
@@ -138,7 +138,7 @@ class TestFactorize:
         gram = A @ A.T
         fact = gp_core.factorize(gram, 0.5)
         target = 0.5 * (gram + gram.T) + (0.5 + fact.jitter_used) * np.eye(5)
-        rebuilt = fact.factor @ fact.factor.T
+        rebuilt = np.tril(fact.raw_factor) @ np.tril(fact.raw_factor).T
         assert np.linalg.norm(rebuilt - target) <= 1e-8 * np.linalg.norm(target)
 
     def test_negative_noise_rejected(self):
@@ -154,13 +154,13 @@ class TestFactorize:
         gram = np.array([[2.0, 0.3], [0.3, 1.0]])
         f1 = gp_core.factorize(gram, 0.1)
         f2 = gp_core.factorize(gram, 0.1)
-        assert np.array_equal(f1.factor, f2.factor)
+        assert np.array_equal(np.tril(f1.raw_factor), np.tril(f2.raw_factor))
 
     def test_factor_is_exactly_lower_triangular(self):
         A = np.random.default_rng(4).normal(0, 1, (6, 6))
         fact = gp_core.factorize(A @ A.T, 0.3)
-        assert np.array_equal(np.triu(fact.factor, 1), np.zeros((6, 6)))
-        assert np.all(np.diag(fact.factor) > 0)
+        assert np.array_equal(np.triu(np.tril(fact.raw_factor), 1), np.zeros((6, 6)))
+        assert np.all(np.diag(np.tril(fact.raw_factor)) > 0)
 
     def test_input_gram_is_left_unchanged(self):
         gram = np.random.default_rng(5).normal(0, 1, (5, 5)) + 5.0 * np.eye(5)
@@ -173,7 +173,8 @@ class TestFactorize:
         A = rng.normal(0, 1, (5, 5))
         gram = A @ A.T + 1e-3 * rng.normal(0, 1, (5, 5))
         fact = gp_core.factorize(gram, 0.2)
-        assert np.array_equal(fact.factor, gp_core.factorize(upper_symmetric(gram), 0.2).factor)
+        expected = gp_core.factorize(upper_symmetric(gram), 0.2)
+        assert np.array_equal(np.tril(fact.raw_factor), np.tril(expected.raw_factor))
 
     @pytest.mark.parametrize("case", ["rank-deficient", "plain"])
     def test_entries_below_the_diagonal_are_never_read(self, case):
@@ -192,7 +193,7 @@ class TestFactorize:
             for layout in (other, np.asfortranarray(other), strided[::2, ::3]):
                 fact = gp_core.factorize(layout, 0.0)
                 assert fact.jitter_used == expected.jitter_used
-                assert np.array_equal(fact.factor, expected.factor)
+                assert np.array_equal(np.tril(fact.raw_factor), np.tril(expected.raw_factor))
 
     @pytest.mark.parametrize("where", [(2, 0), (1, 1), (0, 2)], ids=["below", "on", "above"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -207,8 +208,8 @@ class TestFactorize:
         gram = np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]])
         facts = [gp_core.factorize(gram, 0.0) for _ in range(2)]
         assert [f.jitter_used for f in facts] == [1e-8, 1e-8]
-        assert np.array_equal(facts[0].factor, facts[1].factor)
-        assert np.array_equal(np.triu(facts[0].factor, 1), np.zeros((2, 2)))
+        assert np.array_equal(np.tril(facts[0].raw_factor), np.tril(facts[1].raw_factor))
+        assert np.array_equal(np.triu(np.tril(facts[0].raw_factor), 1), np.zeros((2, 2)))
 
     def test_jittered_rung_solves_as_cho_solve_on_its_factor(self):
         # the array handed to dpotrs keeps gram's entry below the diagonal
@@ -218,10 +219,10 @@ class TestFactorize:
         fact = gp_core.factorize(gram, 0.0)
         assert fact.jitter_used == 1e-8
         assert fact.raw_factor[0, 1] == gram[1, 0]
-        assert np.array_equal(np.triu(fact.factor, 1), np.zeros((2, 2)))
+        assert np.array_equal(np.triu(np.tril(fact.raw_factor), 1), np.zeros((2, 2)))
         rhs = np.random.default_rng(15).normal(0, 1, (2, 3))
         for b in (rhs, rhs[:, 0]):
-            assert np.array_equal(fact.solve(b), cho_solve((fact.factor, True), b))
+            assert np.array_equal(fact.solve(b), cho_solve((np.tril(fact.raw_factor), True), b))
 
     def test_absolute_rungs_cannot_lift_rounding_beyond_the_top_rung(self):
         # minimum eigenvalue -0.25, an ulp of the diagonal 2^50: sigma^2 =
@@ -248,13 +249,13 @@ class TestFactorize:
         jitter, factor = copy_path_factorize(gram, 0.0)
         assert (fact.jitter_used > 0.0) == (case != "plain")
         assert fact.jitter_used == jitter
-        assert np.array_equal(fact.factor, factor)
+        assert np.array_equal(np.tril(fact.raw_factor), factor)
         assert np.array_equal(gram, before)
         # with rebuild: the same rung and factor, one rebuild per failed rung
         rebuild, calls = counting_rebuild(before.copy)
         fact = gp_core.factorize(before.copy(), 0.0, rebuild=rebuild)
         assert fact.jitter_used == jitter
-        assert np.array_equal(fact.factor, factor)
+        assert np.array_equal(np.tril(fact.raw_factor), factor)
         assert len(calls) == (0.0, *gp_core.JITTER_LADDER).index(jitter)
         if case == "2x2":
             assert len(calls) == 5  # rungs 0 to 1e-9 fail, 1e-8 passes
@@ -279,7 +280,7 @@ class TestFactorize:
         for layout in layouts:
             fact = gp_core.factorize(layout, 0.25)
             assert fact.jitter_used == jitter
-            assert np.array_equal(fact.factor, factor)
+            assert np.array_equal(np.tril(fact.raw_factor), factor)
 
         def in_layout(i):
             """A fresh copy of gram in the layout of layouts[i]."""
@@ -293,7 +294,7 @@ class TestFactorize:
             assert in_layout(i).strides == layouts[i].strides
             fact = gp_core.factorize(in_layout(i), 0.25, rebuild=lambda: in_layout(i))
             assert fact.jitter_used == jitter
-            assert np.array_equal(fact.factor, factor)
+            assert np.array_equal(np.tril(fact.raw_factor), factor)
 
     def test_rebuild_factors_a_c_ordered_gram_in_place(self):
         A = np.random.default_rng(17).normal(0, 1, (6, 6))
@@ -304,7 +305,7 @@ class TestFactorize:
         fact = gp_core.factorize(gram, 0.3, rebuild=rebuild)
         assert np.shares_memory(fact.raw_factor, gram)
         assert calls == []
-        assert np.array_equal(fact.factor, expected.factor)
+        assert np.array_equal(np.tril(fact.raw_factor), np.tril(expected.raw_factor))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gram_rejected_before_rebuild(self, bad):
@@ -321,7 +322,7 @@ class TestFactorize:
         A = rng.normal(0, 1, (7, 7))
         fact = gp_core.factorize(A @ A.T, 0.3)
         rhs = rng.normal(0, 1, rhs_shape)
-        assert np.array_equal(fact.solve(rhs), cho_solve((fact.factor, True), rhs))
+        assert np.array_equal(fact.solve(rhs), cho_solve((np.tril(fact.raw_factor), True), rhs))
 
     @pytest.mark.parametrize("rhs", [3.0, np.ones((2, 1, 3)), np.ones(3), np.ones((3, 2))],
                              ids=["0-D", "3-D", "short", "short-2-D"])

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from dampgp import gp_core
+from dampgp import errors, gp_core, kernels
 from dampgp.errors import InputError
 from dampgp.kernels import (
     DiagTorqueKernel,
@@ -269,15 +269,34 @@ class TestPerOutputScalarKernel:
 
     @pytest.mark.parametrize("kind", KERNEL_MAKERS)
     @pytest.mark.parametrize("same_inputs", [True, False])
-    def test_shared_correlation_is_bitwise_identical(self, kind, same_inputs):
+    def test_shared_correlation_is_bitwise_identical(self, kind, same_inputs, monkeypatch):
+        # both scalar kernels share one pairwise: with or without the
+        # caller's corr it gives their closed form bit for bit, leaves corr
+        # unchanged, and checks a batch passed as both X and X2 once
         rng = np.random.default_rng(8)
         kernel = KERNEL_MAKERS[kind](rng)
         X = rng.normal(0, 2, (9, 3))
         X2 = X if same_inputs else rng.normal(0, 2, (5, 3))
         corr = se_correlation(kernel.lengthscales, X, X2)
+        before = corr.copy()
+        checked = []
+
+        def check_batch(Q, n, name):
+            checked.append(name)
+            return errors._check_batch(Q, n, name)
+
+        monkeypatch.setattr(kernels, "_check_batch", check_batch)
         for m in range(3):
             km = kernel.output_kernel(m)
-            assert np.array_equal(km.pairwise(X, X2, corr), km.pairwise(X, X2))
+            if kind == "ard":
+                expected = kernel.hypervariances[m] * corr
+            else:
+                expected = ((X * kernel.grid[m]) @ X2.T) * corr
+            for given in (corr, None):
+                checked.clear()
+                assert np.array_equal(km.pairwise(X, X2, given), expected)
+                assert checked == (["X"] if same_inputs else ["X", "X2"])
+                assert np.array_equal(corr, before)
 
     @pytest.mark.parametrize("m2, n, scale", _CORRELATION_CASES, ids=[
         f"{m2}" if (n, scale) == (3, 3.0) else f"{m2}-n{n}-scale{scale:g}"
@@ -352,6 +371,19 @@ class TestPerOutputScalarKernel:
         k = DiagTorqueKernel(np.ones(2), np.ones(2))
         with pytest.raises(InputError):
             k.output_kernel(2)
+
+    @pytest.mark.parametrize("kind", KERNEL_MAKERS)
+    @pytest.mark.parametrize("m, message", [
+        (3, "must be <= 2, got 3"), (-1, "must be >= 0, got -1"),
+        (0.5, "must be an integer, got 0.5"), ("1", "must be an integer, got '1'"),
+        (None, "must be an integer, got None"),
+    ], ids=["3", "-1", "half", "str", "None"])
+    def test_output_index_is_a_count(self, kind, m, message):
+        # one past the last output and -1 raised their own range message,
+        # 0.5 a bare IndexError, "1" and None a bare TypeError
+        kernel = KERNEL_MAKERS[kind](np.random.default_rng(11))
+        with pytest.raises(InputError, match=f"^{re.escape(f'output index {message}')}$"):
+            kernel.output_kernel(m)
 
     def test_gram_psd_for_every_kernel_kind(self):
         rng = np.random.default_rng(7)

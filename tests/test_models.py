@@ -929,3 +929,17 @@ def test_every_real_number_input_has_one_message(entry, bad):
 def test_zero_passes_where_the_rule_allows_it(entry):
     _, _, holding, call = _number_entry_points()[entry]
     call(holding(0.0))
+
+
+@pytest.mark.parametrize("bad", ["1", None, 1j, np.array([1.0, 2.0])],
+                         ids=["str", "None", "complex", "two-entry-array"])
+@pytest.mark.parametrize("entry", [k for k, v in _number_entry_points().items()
+                                   if v[2].__name__ == "scalar"])
+def test_a_value_that_is_not_a_real_number_raises_input_error(entry, bad):
+    # the comparison in errors._check_number raised a bare TypeError for a
+    # str, None or a complex, and numpy's ValueError on the truth value of
+    # a two-entry array
+    name, _, _, call = _number_entry_points()[entry]
+    with pytest.raises(InputError) as caught:
+        call(bad)
+    assert str(caught.value) == f"{name} must be a real number, got {bad!r}"
