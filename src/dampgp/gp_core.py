@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dpotrf, dpotrs
-from .errors import InputError, NumericalError, _check_number
+from .errors import InputError, NumericalError, _all, _check_number
 
 # Diagonal inflation attempted after a failed factorization at jitter 0,
 # growing by decades.  Beyond the last rung we give up.
@@ -97,7 +97,7 @@ def factorize(gram: np.ndarray, noise_variance: float, rebuild=None) -> GramFact
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InputError(f"gram must be square, got shape {gram.shape}")
     _check_number("noise_variance", noise_variance, zero_ok=True)
-    if not np.isfinite(gram).all():
+    if not _all(np.isfinite(gram), axis=None):
         raise InputError("gram contains non-finite entries")
     rungs = (0.0, *JITTER_LADDER)
     for jitter in rungs:

@@ -392,7 +392,8 @@ def optimize_hypervariances(
         model = fit(kind, KERNEL_TYPES[kind](ell, hyp), prior_mean, data_train,
                     noise_variance, corr=corr_train)
         pred = predict_torque_batch(model, data_val.velocities, corr=corr_val)
-        mse = float(((pred - data_val.torques) ** 2).mean())
+        err = pred - data_val.torques
+        mse = float(np.add.reduce(err ** 2, axis=None) / err.size)  # what .mean() computes
         if mse < best["mse"]:
             best["mse"] = mse
             best["model"] = model

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dsygvd
-from .errors import (_INTP_MAX, InfeasibilityError, InputError, NumericalError, _check_box,
-                     _check_count, _check_number, _check_numbers)
+from .errors import (_INTP_MAX, InfeasibilityError, InputError, NumericalError, _all, _check_box,
+                     _check_count, _check_number, _check_numbers, _max, _min)
 from .models import _PIECE, Dataset, FittedModel, PriorMean, _pieces, predict_torque_batch
 
 
@@ -125,7 +125,8 @@ def check_bound_diag(bound: PassivityBound) -> BoundCheck:
         return BoundCheck(feasible=True, margin=math.inf)
     hyp = bound.hypervariance_matrix.diagonal()
     limits = bound.c * bound.mean_coefficients
-    return BoundCheck(feasible=bool((hyp <= limits).all()), margin=float((limits - hyp).min()))
+    return BoundCheck(feasible=bool(_all(hyp <= limits, axis=None)),
+                      margin=float(_min(limits - hyp, axis=None)))
 
 
 def check_bound(bound: PassivityBound) -> BoundCheck:
@@ -142,13 +143,13 @@ def _critical_c(bound: PassivityBound) -> float:
     """
     sym = _sym(bound.hypervariance_matrix)
     m = bound.mean_coefficients
-    if not (np.isfinite(sym).all() and np.isfinite(m).all()):
+    if not (_all(np.isfinite(sym), axis=None) and _all(np.isfinite(m), axis=None)):
         raise InputError(
             "the symmetric part of the bound's grid and the prior mean coefficients "
             "must be finite"
         )
     active = m > 0
-    if not active.all():
+    if not _all(active, axis=None):
         if (sym[~active] != 0).any():
             return math.inf
         sym, m = sym[np.ix_(active, active)], m[active]
@@ -157,7 +158,7 @@ def _critical_c(bound: PassivityBound) -> float:
     eigvals, _, info = dsygvd(sym, np.diag(m), uplo="L", jobz="N")
     if info != 0:
         raise NumericalError(f"dsygvd failed on the bound's eigenproblem (info={info})")
-    return float(eigvals.max(initial=0.0))
+    return float(_max(eigvals, axis=None, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,8 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
             "(prior mean too small for the data residual)"
         )
     c, m, grid = bound.c, bound.mean_coefficients, bound.hypervariance_matrix
-    while not check_bound(PassivityBound(c, alpha * grid, m, bound.diagonal)).feasible:
+    while not check_bound(PassivityBound(c, scaled := alpha * grid, m, bound.diagonal)).feasible:
         alpha = np.nextafter(alpha, 0.0)
-    scaled = alpha * grid
     return EnforcementResult(scaled.diagonal() if bound.diagonal else scaled, float(alpha))
 
 

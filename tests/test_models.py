@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dampgp
-from dampgp import bench, gp_core, models, passivity
+from dampgp import bench, errors, gp_core, models, passivity
 from dampgp.errors import InputError, NumericalError, UnsupportedModelError
 from dampgp.kernels import (
     DiagTorqueKernel,
@@ -931,15 +931,66 @@ def test_zero_passes_where_the_rule_allows_it(entry):
     call(holding(0.0))
 
 
-@pytest.mark.parametrize("bad", ["1", None, 1j, np.array([1.0, 2.0])],
-                         ids=["str", "None", "complex", "two-entry-array"])
+@pytest.mark.parametrize("bad", ["1", None, 1j, np.array([1.0, 2.0]), np.array([2.0])],
+                         ids=["str", "None", "complex", "two-entry-array", "one-entry-array"])
 @pytest.mark.parametrize("entry", [k for k, v in _number_entry_points().items()
                                    if v[2].__name__ == "scalar"])
 def test_a_value_that_is_not_a_real_number_raises_input_error(entry, bad):
     # the comparison in errors._check_number raised a bare TypeError for a
     # str, None or a complex, and numpy's ValueError on the truth value of
-    # a two-entry array
+    # a two-entry array; a one-entry array compared as its entry, so a
+    # kernel kept it as its hypervariance and factorize factored with it
     name, _, _, call = _number_entry_points()[entry]
     with pytest.raises(InputError) as caught:
         call(bad)
     assert str(caught.value) == f"{name} must be a real number, got {bad!r}"
+
+
+_BIG = np.finfo(float).max
+_NUMBERS_EDGES = {
+    "empty": np.array([]),
+    "empty-2d": np.empty((0, 3)),
+    "0-d": np.array(2.0),
+    "0-d-zero": np.array(0.0),
+    "0-d-nan": np.array(np.nan),
+    "zero": 0.0,
+    "negative-zero": -0.0,
+    "smallest-subnormal": 5e-324,
+    "negative-subnormal": -5e-324,
+    "largest": _BIG,
+    "inf": np.inf,
+    "-inf": -np.inf,
+    "nan": np.nan,
+    "1d-positive": [5e-324, 1.0, _BIG],
+    "1d-with-zero": [1.0, 0.0, 2.0],
+    "1d-with-negative-zero": [-0.0, 3.0],
+    "1d-with-negative": [1.0, -1e-300],
+    "1d-with-inf": [1.0, np.inf],
+    "1d-with-nan": [np.nan, 1.0],
+    "1d-nan-and-inf": [np.inf, np.nan, 2.0],
+    "1d-negative-and-nan": [-1.0, np.nan],
+    "1d-both-infinities": [-np.inf, np.inf],
+    "2d-positive": [[1.0, 5e-324], [_BIG, 3.0]],
+    "2d-with-zero": [[0.0, 1.0], [1.0, 0.0]],
+    "2d-with-inf": [[1.0, 1.0], [1.0, np.inf]],
+    "2d-with-nan": [[1.0, np.nan], [1.0, 1.0]],
+    "2d-with-negative-inf": [[-np.inf, 1.0], [1.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("zero_ok", [False, True], ids=["positive", "zero-ok"])
+@pytest.mark.parametrize("values", list(_NUMBERS_EDGES.values()), ids=list(_NUMBERS_EDGES))
+def test_check_numbers_accepts_what_the_elementwise_test_accepts(values, zero_ok):
+    # errors._check_numbers tests the minimum and maximum, not every entry;
+    # the elementwise test it replaced is the reference for which arrays pass
+    a = np.asarray(values, dtype=float)
+    expected = bool((np.isfinite(a) & ((a >= 0) if zero_ok else (a > 0))).all())
+    try:
+        checked = errors._check_numbers("values", values, zero_ok=zero_ok)
+    except InputError as caught:
+        assert not expected
+        assert str(caught) == (
+            f"values must be finite and {'>=' if zero_ok else '>'} 0, got {a.tolist()}")
+    else:
+        assert expected
+        np.testing.assert_array_equal(checked, a)
