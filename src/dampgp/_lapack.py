@@ -1,7 +1,8 @@
-"""The three LAPACK routines dampgp calls, bound from SciPy's extension module.
+"""The four LAPACK routines dampgp calls, bound from SciPy's extension module.
 
-``dpotrf`` and ``dpotrs`` (``gp_core``) and ``dsygvd`` (``passivity``) live
-in ``scipy/linalg/_flapack``, the extension ``scipy.linalg.lapack`` exports
+``dpotrf`` and ``dpotrs`` (``gp_core``), and ``dsygvd`` and ``dsyevd`` with
+its workspace query ``dsyevd_lwork`` (``passivity``), live in
+``scipy/linalg/_flapack``, the extension ``scipy.linalg.lapack`` exports
 them from.  Importing the ``scipy.linalg`` package costs about 0.3 s of a
 cold start, most of it in SciPy's array-API shim, so ``load_flapack`` loads
 the extension by file path under its own name instead.  The routines are the
@@ -37,4 +38,5 @@ def load_flapack(folder):
 
 
 _flapack = load_flapack(Path(scipy.__file__).parent / "linalg")
-dpotrf, dpotrs, dsygvd = _flapack.dpotrf, _flapack.dpotrs, _flapack.dsygvd
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+dsygvd, dsyevd, dsyevd_lwork = _flapack.dsygvd, _flapack.dsyevd, _flapack.dsyevd_lwork

@@ -82,6 +82,11 @@ def _psd_construction_sweep(system: GroundTruthSystem) -> None:
     matrices.  A matrix fails when the minimum eigenvalue of its symmetric
     part is below -1e-10 * trace; ``damping_batch`` has already rejected a
     non-finite one, which no comparison would catch.
+
+    The tolerance is not on the safe side of rounding, and it need not be:
+    the sweep samples a user's field at finitely many points, so it can
+    reject a field that is plainly not PSD but certifies nothing.  The
+    passivity certificate rests on the bound's verdicts, not on this sweep.
     """
     rng = np.random.default_rng(0)
     lo, hi = system.domain[:, 0], system.domain[:, 1]

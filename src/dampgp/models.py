@@ -300,17 +300,36 @@ class OptimizationResult:
 
 
 def _initial_hypervariances(kind: str, data: Dataset, prior_mean: PriorMean) -> np.ndarray:
-    """Data-scale starting point: residual variance over velocity power."""
+    """Data-scale starting point: residual variance over velocity power.
+
+    Both are formed on each column scaled by 2^-e, e the exponent of its
+    max |.|, as in ``fit_prior_mean``, and only the quotients are scaled
+    back, so that no product overflows.  Scaling by a power of two is
+    exact, so the start is that of the unscaled formula wherever that is
+    finite and not subnormal; a start beyond the float range is +inf,
+    which the kernel rejects.
+    """
     q = data.velocities
-    resid = data.torques - prior_mean.torque(q)
-    rvar = np.maximum(np.var(resid, axis=0), 1e-12)
-    if kind == "ard":
-        return rvar
-    qpow = np.maximum(np.mean(q * q, axis=0), 1e-12)
-    if kind == "diag":
-        return rvar / qpow
+    rvar, er = _column_moment(data.torques - prior_mean.torque(q), np.var)
+    qpow, eq = _column_moment(q, lambda a, axis: np.mean(a * a, axis=axis))
     n = data.n_dim
-    return np.maximum(rvar[:, None] / (n * qpow[None, :]), 1e-12)
+    with np.errstate(over="ignore"):
+        if kind == "ard":
+            return np.ldexp(rvar, er)
+        if kind == "diag":
+            return np.ldexp(rvar / qpow, er - eq)
+        return np.maximum(
+            np.ldexp(rvar[:, None] / (n * qpow[None, :]), er[:, None] - eq[None, :]), 1e-12)
+
+
+def _column_moment(a: np.ndarray, moment) -> tuple[np.ndarray, np.ndarray]:
+    """``moment`` of each column of ``a``, floored at 1e-12, as (s, k) with
+    the moment s * 2^k: s is the moment of the column scaled by 2^-e."""
+    e = np.frexp(np.abs(a).max(axis=0))[1]
+    s, k = moment(np.ldexp(a, -e), axis=0), 2 * e
+    with np.errstate(over="ignore"):  # inf: far above the floor
+        low = np.ldexp(s, k) < 1e-12
+    return np.where(low, 1e-12, s), np.where(low, 0, k)
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0

@@ -12,9 +12,13 @@ velocity.
 The projection's critical c is one generalized symmetric eigenproblem,
 solved by a direct LAPACK ``dsygvd`` call (eigenvalues only, the routine
 ``scipy.linalg.eigh`` runs for it); the grid and prior mean are checked
-finite first, since LAPACK would not reject a NaN or inf.  ``dsygvd`` comes
-from ``_lapack``, which binds it from SciPy's extension module without
-importing ``scipy.linalg``.
+finite first, since LAPACK would not reject a NaN or inf.  The full
+verdict's minimum eigenvalue is a direct ``dsyevd`` call (eigenvalues only,
+lower triangle, the optimal workspace: what ``numpy.linalg.eigvalsh``
+runs).  Both come from ``_lapack``, which binds them from SciPy's extension
+module without importing ``scipy.linalg``.  What a bound derives from c and
+m_d alone is derived once and shared with every grid ``with_grid`` and the
+projection's step-down bound with them.
 """
 
 from __future__ import annotations
@@ -22,18 +26,64 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._lapack import dsygvd
+from ._lapack import dsyevd, dsyevd_lwork, dsygvd
 from .errors import (_INTP_MAX, InfeasibilityError, InputError, NumericalError, _all, _check_box,
                      _check_count, _check_number, _check_numbers, _max, _min)
 from .models import _PIECE, Dataset, FittedModel, PriorMean, _pieces, predict_torque_batch
 
 
+class _PriorHalf:
+    """The parts of a bound that depend on c and m_d alone, each derived on
+    first use: a verdict on a bound with c = +inf derives none of them."""
+
+    def __init__(self, c: float, m: np.ndarray):
+        self.c, self.m = c, m
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        """c*diag(m_d), the full verdict's residual before the grid."""
+        return self.c * np.diag(self.m)
+
+    @cached_property
+    def limits(self) -> np.ndarray:
+        """c*m_d, the diagonal verdict's per-dimension limits."""
+        return self.c * self.m
+
+    @cached_property
+    def finite(self) -> bool:
+        return bool(_all(np.isfinite(self.m), axis=None))
+
+    @cached_property
+    def active(self) -> np.ndarray | None:
+        """The mask m_d_n > 0, or None when every m_d_n is positive."""
+        active = self.m > 0
+        return None if _all(active, axis=None) else active
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """diag(m_d) on the active dimensions: ``dsygvd``'s B."""
+        return np.diag(self.m if self.active is None else self.m[self.active])
+
+    @cached_property
+    def workspace(self) -> dict:
+        """``dsyevd``'s optimal workspace for the N x N residual, the one
+        ``numpy.linalg.eigvalsh`` queries: for large N the reduction's
+        blocking, and so the eigenvalues' bits, depend on it."""
+        work, iwork, _ = dsyevd_lwork(self.m.size, compute_v=0, lower=1)
+        return {"lwork": int(work), "liwork": iwork}
+
+
 @dataclass(frozen=True)
 class PassivityBound:
-    """The scalar bound factor c, the grid it bounds and the prior mean."""
+    """The scalar bound factor c, the grid it bounds and the prior mean.
+
+    Treat the arrays as read-only: the bound keeps what it derives from c
+    and m_d, outside its fields, so a bound that ``dataclasses.replace``
+    makes derives its own."""
 
     c: float
     hypervariance_matrix: np.ndarray  # the N x N sigma_f^2 grid; need not be symmetric
@@ -44,8 +94,17 @@ class PassivityBound:
         """This bound's c and prior mean on the grid of ``hypervariances``:
         what ``compute_bound`` returns for them on the same data, prior and
         noise variance, with the same validation of the grid."""
-        grid, diagonal = _grid(hypervariances, self.mean_coefficients.size)
-        return PassivityBound(self.c, grid, self.mean_coefficients, diagonal)
+        return self._on(*_grid(hypervariances, self.mean_coefficients.size))
+
+    @cached_property
+    def _prior(self) -> _PriorHalf:
+        return _PriorHalf(self.c, self.mean_coefficients)
+
+    def _on(self, grid: np.ndarray, diagonal: bool) -> "PassivityBound":
+        """This bound's c, prior mean and the parts derived from them, on ``grid``."""
+        bound = PassivityBound(self.c, grid, self.mean_coefficients, diagonal)
+        object.__setattr__(bound, "_prior", self._prior)
+        return bound
 
 
 def _grid(hypervariances, n: int) -> tuple[np.ndarray, bool]:
@@ -111,8 +170,12 @@ def check_bound_full(bound: PassivityBound) -> BoundCheck:
     """PSD test of sym(c*diag(m_d) - grid) (the full-model sufficient condition)."""
     if math.isinf(bound.c):
         return BoundCheck(feasible=True, margin=math.inf)
-    residual = bound.c * np.diag(bound.mean_coefficients) - _sym(bound.hypervariance_matrix)
-    min_eig = float(np.linalg.eigvalsh(residual)[0])
+    prior = bound._prior
+    residual = prior.offset - _sym(bound.hypervariance_matrix)
+    eigvals, _, info = dsyevd(residual, compute_v=0, lower=1, **prior.workspace)
+    if info != 0:
+        raise NumericalError(f"dsyevd failed on the bound's residual (info={info})")
+    min_eig = float(eigvals[0])
     tol = 1e-12 * abs(float(residual.trace()))
     return BoundCheck(feasible=min_eig >= -tol, margin=min_eig)
 
@@ -124,7 +187,7 @@ def check_bound_diag(bound: PassivityBound) -> BoundCheck:
     if math.isinf(bound.c):
         return BoundCheck(feasible=True, margin=math.inf)
     hyp = bound.hypervariance_matrix.diagonal()
-    limits = bound.c * bound.mean_coefficients
+    limits = bound._prior.limits
     return BoundCheck(feasible=bool(_all(hyp <= limits, axis=None)),
                       margin=float(_min(limits - hyp, axis=None)))
 
@@ -141,21 +204,21 @@ def _critical_c(bound: PassivityBound) -> float:
     when a zero m_d_n has a nonzero row of sym grid, 0 when no m_d_n is
     positive and the grid is zero.
     """
+    prior = bound._prior
     sym = _sym(bound.hypervariance_matrix)
-    m = bound.mean_coefficients
-    if not (_all(np.isfinite(sym), axis=None) and _all(np.isfinite(m), axis=None)):
+    if not (_all(np.isfinite(sym), axis=None) and prior.finite):
         raise InputError(
             "the symmetric part of the bound's grid and the prior mean coefficients "
             "must be finite"
         )
-    active = m > 0
-    if not _all(active, axis=None):
+    active = prior.active
+    if active is not None:
         if (sym[~active] != 0).any():
             return math.inf
-        sym, m = sym[np.ix_(active, active)], m[active]
-    if m.size == 0:
+        sym = sym[np.ix_(active, active)]
+    if prior.metric.size == 0:
         return 0.0  # dsygvd rejects n = 0
-    eigvals, _, info = dsygvd(sym, np.diag(m), uplo="L", jobz="N")
+    eigvals, _, info = dsygvd(sym, prior.metric, uplo="L", jobz="N")
     if info != 0:
         raise NumericalError(f"dsygvd failed on the bound's eigenproblem (info={info})")
     return float(_max(eigvals, axis=None, initial=0.0))
@@ -197,8 +260,8 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
             "no positive hypervariance scale is feasible "
             "(prior mean too small for the data residual)"
         )
-    c, m, grid = bound.c, bound.mean_coefficients, bound.hypervariance_matrix
-    while not check_bound(PassivityBound(c, scaled := alpha * grid, m, bound.diagonal)).feasible:
+    grid = bound.hypervariance_matrix
+    while not check_bound(bound._on(scaled := alpha * grid, bound.diagonal)).feasible:
         alpha = np.nextafter(alpha, 0.0)
     return EnforcementResult(scaled.diagonal() if bound.diagonal else scaled, float(alpha))
 

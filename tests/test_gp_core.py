@@ -27,6 +27,8 @@ class TestLapackLoader:
         assert gp_core.dpotrf is scipy.linalg.lapack.dpotrf
         assert gp_core.dpotrs is scipy.linalg.lapack.dpotrs
         assert passivity.dsygvd is scipy.linalg.lapack.dsygvd
+        assert passivity.dsyevd is scipy.linalg.lapack.dsyevd
+        assert passivity.dsyevd_lwork is scipy.linalg.lapack.dsyevd_lwork
 
     def test_cold_import_skips_scipy_linalg_and_xml_sax(self):
         src = str(Path(dampgp.__file__).resolve().parents[1])

@@ -540,6 +540,47 @@ class TestConsistency:
         assert np.all(score.per_output <= 1e-3)
 
 
+class TestInitialHypervariances:
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_start_near_1e200_is_the_native_start(self, kind):
+        # the plain mean of q * q and variance of the residual overflowed
+        # (RuntimeWarnings) on finite velocities and torques near 1e200; the
+        # start is a torque variance over a velocity power, so the same data
+        # scaled by one power of two has the same start, bit for bit
+        rng = np.random.default_rng(8)
+        q = rng.uniform(-1.0, 1.0, (20, 2))
+        data = Dataset(q, 2.0 * q + rng.normal(0.0, 0.1, q.shape))
+        big = Dataset(np.ldexp(data.velocities, 664), np.ldexp(data.torques, 664))
+        assert np.abs(big.velocities).max() > 1e199
+        start = models._initial_hypervariances(kind, data, fit_prior_mean(data))
+        big_start = models._initial_hypervariances(kind, big, fit_prior_mean(big))
+        assert big_start.tobytes() == start.tobytes()
+
+    def test_bits_of_the_plain_formula(self):
+        # the scaled columns give the unscaled formula's start bit for bit
+        def plain(kind, data, prior):
+            q = data.velocities
+            rvar = np.maximum(np.var(data.torques - prior.torque(q), axis=0), 1e-12)
+            if kind == "ard":
+                return rvar
+            qpow = np.maximum(np.mean(q * q, axis=0), 1e-12)
+            if kind == "diag":
+                return rvar / qpow
+            return np.maximum(rvar[:, None] / (data.n_dim * qpow[None, :]), 1e-12)
+
+        rng = np.random.default_rng(9)
+        for trial in range(300):
+            d, n = int(rng.integers(1, 400)), int(rng.integers(1, 4))
+            q = rng.uniform(-1.0, 1.0, (d, n)) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            y = q * rng.uniform(-1.0, 3.0, n) + rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-8, 3)
+            q[:, 0] *= trial % 10 != 0  # a zero column, one time in ten
+            data = Dataset(q, y)
+            for kind in ("ard", "diag", "full"):
+                prior = PriorMean.zero(n) if kind == "ard" else fit_prior_mean(data)
+                got = models._initial_hypervariances(kind, data, prior)
+                assert got.tobytes() == plain(kind, data, prior).tobytes(), (trial, kind)
+
+
 class TestOptimizeHypervariances:
     def test_budget_one_returns_initial_candidate(self):
         rng = np.random.default_rng(17)

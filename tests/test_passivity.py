@@ -479,6 +479,119 @@ class TestDirectLapackProjection:
         with pytest.raises(NumericalError, match="info=3"):
             enforce_bound(bound_with_c(1.0, [1.0, 1.0], np.ones((2, 2))))
 
+    def test_full_margin_bitwise_equal_to_eigvalsh(self):
+        # the full verdict's dsyevd call, with the workspace numpy queries,
+        # is the routine np.linalg.eigvalsh runs: the same minimum
+        # eigenvalue bit for bit at N <= 4, and past N = 32, where the
+        # workspace sets how the tridiagonal reduction blocks
+        rng = np.random.default_rng(23)
+        zero_rows = 0
+        for trial in range(2040):
+            n = int(rng.integers(1, 5)) if trial < 2000 else int(rng.integers(33, 70))
+            m_d = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            grid = rng.uniform(0.0, 3.0, (n, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, n))
+            if rng.uniform() < 0.2:
+                off = rng.uniform(size=n) < 0.5
+                m_d[off], grid[off], grid[:, off] = 0.0, 0.0, 0.0
+                zero_rows += bool(off.any())
+            c = float(10.0 ** rng.uniform(-4.0, 4.0))
+            residual = c * np.diag(m_d) - 0.5 * (grid + grid.T)
+            expected = np.linalg.eigvalsh(residual)[0]
+            margin = check_bound_full(bound_with_c(c, m_d, grid)).margin
+            assert np.float64(margin).tobytes() == expected.tobytes()
+        assert zero_rows > 100
+
+    def test_full_verdict_lapack_failure_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(passivity, "dsyevd", lambda a, **kw: (np.zeros(len(a)), None, 2))
+        with pytest.raises(NumericalError, match=r"dsyevd failed .*\(info=2\)"):
+            check_bound_full(bound_with_c(1.0, [1.0, 1.0], np.ones((2, 2))))
+
+
+def fresh_check(bound):
+    """check_bound's verdict computed from the bound's fields alone."""
+    c, m, grid = bound.c, bound.mean_coefficients, bound.hypervariance_matrix
+    if math.isinf(c):
+        return BoundCheck(feasible=True, margin=math.inf)
+    if bound.diagonal:
+        slack = c * m - grid.diagonal()
+        return BoundCheck(feasible=bool(np.all(slack >= 0)), margin=float(np.min(slack)))
+    residual = c * np.diag(m) - 0.5 * (grid + grid.T)
+    margin = float(np.linalg.eigvalsh(residual)[0])
+    return BoundCheck(feasible=margin >= -1e-12 * abs(float(residual.trace())), margin=margin)
+
+
+class TestPriorPartsPerBound:
+    """A bound derives the parts that depend on c and m_d alone once and
+    shares them with the bounds ``with_grid`` makes; a bound that
+    ``dataclasses.replace`` or the constructor makes derives its own."""
+
+    @pytest.mark.parametrize("layout", ["diag", "sym", "full"])
+    def test_replaced_and_rebuilt_bounds_see_their_own_c_and_prior(self, layout):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            *_, bound = random_bound(rng, layout)
+            n = bound.mean_coefficients.size
+            enforce_bound(bound), check_bound(bound)  # derive the original's parts
+            m_d = rng.uniform(0.3, 3.0, n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+            grid = bound.hypervariance_matrix.copy()
+            if n > 1:
+                off = rng.uniform(size=n) < 0.4
+                off[rng.integers(n)] = False
+                m_d[off], grid[off], grid[:, off] = 0.0, 0.0, 0.0
+            c = float(bound.c * 10.0 ** rng.uniform(-2.0, 2.0))
+            zeroed = replace(bound, hypervariance_matrix=grid)
+            enforce_bound(zeroed), check_bound(zeroed)
+            for moved in (replace(zeroed, c=c),
+                          replace(zeroed, mean_coefficients=m_d),
+                          replace(zeroed, c=math.inf),
+                          passivity.PassivityBound(c, grid, m_d, bound.diagonal)):
+                assert check_bound(moved) == fresh_check(moved)
+                assert enforce_bound(moved).alpha == eigh_reference_alpha(moved)
+                step = moved.with_grid(0.5 * (grid.diagonal() if bound.diagonal else grid))
+                assert check_bound(step) == fresh_check(step)
+
+    @pytest.mark.parametrize("hyp", [np.array([2.0, 0.0, 0.0]), np.diag([2.0, 0.0, 0.0])])
+    def test_vacuous_bound_with_zero_prior_entries(self, hyp):
+        # c = +inf: no c * m_d is formed, so no inf * 0 (an error under the
+        # suite's filterwarnings)
+        bound = bound_with_c(math.inf, [1.0, 0.0, 0.0], np.ones(hyp.shape))
+        for moved in (bound, bound.with_grid(hyp), replace(bound, hypervariance_matrix=hyp)):
+            assert check_bound(moved) == BoundCheck(feasible=True, margin=math.inf)
+        for moved in (bound.with_grid(hyp), replace(bound.with_grid(hyp), c=math.inf)):
+            res = enforce_bound(moved)
+            assert res.alpha == 1.0 and np.array_equal(res.hypervariances, hyp)
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_search_derives_the_parts_once(self, kind, monkeypatch):
+        # one workspace query for the search's one bound, however many
+        # candidates it projects
+        queries = []
+        query = passivity.dsyevd_lwork
+        monkeypatch.setattr(passivity, "dsyevd_lwork",
+                            lambda *a, **kw: queries.append(a) or query(*a, **kw))
+        rng = np.random.default_rng(31)
+        q = rng.uniform(-2.0, 2.0, (15, 2))
+        train = Dataset(q, 1.5 * q + rng.normal(0.0, 0.5, q.shape))
+        models.optimize_hypervariances(kind, train, train, np.ones(2), 0.01,
+                                       constrained=True, budget=12)
+        assert len(queries) == (kind == "full")
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_constrained_search_calls_no_numpy_linalg(self, kind, monkeypatch):
+        # norm is compute_bound's, once per search; the per-candidate
+        # projection and verdicts go to LAPACK directly
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called on the search's path")
+
+        for name in set(np.linalg.__all__) - {"norm", "LinAlgError"}:
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rng = np.random.default_rng(37)
+        q = rng.uniform(-2.0, 2.0, (15, 3))
+        train = Dataset(q, 1.5 * q + rng.normal(0.0, 0.5, q.shape))
+        result = models.optimize_hypervariances(kind, train, train, np.ones(3), 0.01,
+                                                constrained=True, budget=12)
+        assert result.n_evaluations == 12
+
 
 class TestPassivityGuarantee:
     """Constrained hyperparameters must yield globally dissipative estimates."""
