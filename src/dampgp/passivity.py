@@ -12,12 +12,13 @@ velocity.
 The projection's critical c is one generalized symmetric eigenproblem,
 solved by a direct LAPACK ``dsygvd`` call (eigenvalues only, the routine
 ``scipy.linalg.eigh`` runs for it); the grid and prior mean are checked
-finite first, since LAPACK would not reject a NaN or inf.  The full
+finite first, since LAPACK would not reject a NaN or inf, and both verdicts
+check the prior mean before their c = +inf answer.  The full
 verdict's minimum eigenvalue is a direct ``dsyevd`` call (eigenvalues only,
 lower triangle, the optimal workspace: what ``numpy.linalg.eigvalsh``
 runs).  Both come from ``_lapack``, which binds them from SciPy's extension
 module without importing ``scipy.linalg``.  What a bound derives from c and
-m_d alone is derived once and shared with every grid ``with_grid`` and the
+m_d alone is built once and shared with every grid ``with_grid`` and the
 projection's step-down bound with them.
 """
 
@@ -37,36 +38,20 @@ from .models import _PIECE, Dataset, FittedModel, PriorMean, _pieces, predict_to
 
 
 class _PriorHalf:
-    """The parts of a bound that depend on c and m_d alone, each derived on
-    first use: a verdict on a bound with c = +inf derives none of them."""
+    """The parts of a bound that depend on c and m_d alone, built once per
+    bound: the mask m_d_n > 0 (None when all are), ``dsygvd``'s B diag(m_d)
+    on it and, for a finite c and m_d only (no inf * 0), the diagonal
+    verdict's limits c*m_d and the full verdict's offset c*diag(m_d)."""
 
     def __init__(self, c: float, m: np.ndarray):
-        self.c, self.m = c, m
-
-    @cached_property
-    def offset(self) -> np.ndarray:
-        """c*diag(m_d), the full verdict's residual before the grid."""
-        return self.c * np.diag(self.m)
-
-    @cached_property
-    def limits(self) -> np.ndarray:
-        """c*m_d, the diagonal verdict's per-dimension limits."""
-        return self.c * self.m
-
-    @cached_property
-    def finite(self) -> bool:
-        return bool(_all(np.isfinite(self.m), axis=None))
-
-    @cached_property
-    def active(self) -> np.ndarray | None:
-        """The mask m_d_n > 0, or None when every m_d_n is positive."""
-        active = self.m > 0
-        return None if _all(active, axis=None) else active
-
-    @cached_property
-    def metric(self) -> np.ndarray:
-        """diag(m_d) on the active dimensions: ``dsygvd``'s B."""
-        return np.diag(self.m if self.active is None else self.m[self.active])
+        self.m = m
+        self.finite = bool(_all(np.isfinite(m), axis=None))
+        active = m > 0
+        self.active = None if _all(active, axis=None) else active
+        self.metric = np.diag(m if self.active is None else m[active])
+        if self.finite and not math.isinf(c):
+            self.limits = c * m
+            self.offset = c * np.diag(m)
 
     @cached_property
     def workspace(self) -> dict:
@@ -166,11 +151,20 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _finite_prior(bound: PassivityBound) -> _PriorHalf:
+    """``bound``'s prior half, its m_d checked finite first: LAPACK would not
+    reject a NaN or inf, and c * m_d would form inf * 0."""
+    prior = bound._prior
+    if not prior.finite:
+        raise InputError("the prior mean coefficients must be finite")
+    return prior
+
+
 def check_bound_full(bound: PassivityBound) -> BoundCheck:
     """PSD test of sym(c*diag(m_d) - grid) (the full-model sufficient condition)."""
+    prior = _finite_prior(bound)
     if math.isinf(bound.c):
         return BoundCheck(feasible=True, margin=math.inf)
-    prior = bound._prior
     residual = prior.offset - _sym(bound.hypervariance_matrix)
     eigvals, _, info = dsyevd(residual, compute_v=0, lower=1, **prior.workspace)
     if info != 0:
@@ -184,12 +178,12 @@ def check_bound_diag(bound: PassivityBound) -> BoundCheck:
     """Per-dimension test sigma_f_n^2 <= c * m_d_n (the diagonal condition)."""
     if not bound.diagonal:
         raise InputError("check_bound_diag requires a bound built from an N-vector")
+    prior = _finite_prior(bound)
     if math.isinf(bound.c):
         return BoundCheck(feasible=True, margin=math.inf)
-    hyp = bound.hypervariance_matrix.diagonal()
-    limits = bound._prior.limits
-    return BoundCheck(feasible=bool(_all(hyp <= limits, axis=None)),
-                      margin=float(_min(limits - hyp, axis=None)))
+    # b - a >= 0 exactly when a <= b for finite floats (gradual underflow)
+    margin = float(_min(prior.limits - bound.hypervariance_matrix.diagonal(), axis=None))
+    return BoundCheck(feasible=margin >= 0, margin=margin)
 
 
 def check_bound(bound: PassivityBound) -> BoundCheck:
@@ -204,9 +198,9 @@ def _critical_c(bound: PassivityBound) -> float:
     when a zero m_d_n has a nonzero row of sym grid, 0 when no m_d_n is
     positive and the grid is zero.
     """
-    prior = bound._prior
+    prior = _finite_prior(bound)
     sym = _sym(bound.hypervariance_matrix)
-    if not (_all(np.isfinite(sym), axis=None) and prior.finite):
+    if not _all(np.isfinite(sym), axis=None):
         raise InputError(
             "the symmetric part of the bound's grid and the prior mean coefficients "
             "must be finite"
@@ -238,7 +232,9 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
     """Scale the grid onto the feasible set in closed form.
 
     With c* the smallest c at which the unscaled grid is feasible, the
-    scale is alpha = min(1, c / c*).  alpha * grid can round outside the
+    scale is alpha = min(1, c / c*): 1 whenever c >= c*, c = +inf
+    included, so c* = +inf (a zero m_d_n with a nonzero row of sym grid)
+    raises only for a finite c.  alpha * grid can round outside the
     bound, so alpha is stepped down an ulp at a time until the bound on
     alpha * grid passes; ``bound.with_grid(result.hypervariances)``
     rebuilds that bound.  A NaN or negative c is rejected: no alpha
@@ -249,14 +245,12 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
     if not bound.c >= 0:
         raise InputError(f"the bound factor c must be >= 0, got {bound.c}")
     critical = _critical_c(bound)
-    if math.isinf(critical):
-        raise InfeasibilityError(
-            "no positive hypervariance scale satisfies the bound "
-            "(a prior mean coefficient is zero with nonzero hypervariance)"
-        )
     alpha = bound.c / critical if critical > bound.c else 1.0
     if alpha == 0.0:
         raise InfeasibilityError(
+            "no positive hypervariance scale satisfies the bound "
+            "(a prior mean coefficient is zero with nonzero hypervariance)"
+            if math.isinf(critical) else
             "no positive hypervariance scale is feasible "
             "(prior mean too small for the data residual)"
         )

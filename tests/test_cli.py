@@ -515,6 +515,20 @@ class TestFit:
         )
         assert code == cli.EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_constrained_fit_on_a_vacuous_bound(self, tmp_path, kind, capsys):
+        # zero velocities give m_d = 0 and c = +inf: every grid passes
+        train = tmp_path / "t.csv"
+        bench.write_dataset(train, Dataset(np.zeros((10, 2)),
+                                           np.random.default_rng(3).normal(0.0, 1.0, (10, 2))))
+        code = run_cli(
+            "fit", train, "--kind", kind, "--val", train,
+            "--lengthscales", "12,12", "--constrained", "--budget", "3",
+            "--out", tmp_path / "m.model",
+        )
+        assert code == 0
+        assert "passivity bound: c=inf feasible=True margin=inf\n" in capsys.readouterr().out
+
 
 class TestEvaluate:
     def _fitted(self, tmp_path, cfg_path):

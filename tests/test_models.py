@@ -649,6 +649,16 @@ class TestOptimizeHypervariances:
         bound = passivity.compute_bound(train, prior, 1.0, res.kernel.hypervariances)
         assert passivity.check_bound_diag(bound).feasible
 
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_vacuous_bound_leaves_the_search_free(self, kind):
+        # zero velocities give m_d = 0 and c = +inf: every candidate passes
+        # unscaled, so the constrained search is the free one
+        data = Dataset(np.zeros((10, 2)), np.random.default_rng(47).normal(0.0, 1.0, (10, 2)))
+        free, constrained = (models.optimize_hypervariances(
+            kind, data, data, np.ones(2), 1.0, constrained=flag, budget=8) for flag in (False, True))
+        assert np.array_equal(constrained.kernel.hypervariances, free.kernel.hypervariances)
+        assert constrained.val_mse == free.val_mse
+
     def test_constrained_ard_rejected(self):
         rng = np.random.default_rng(12)
         _, data, _ = random_instance(rng, "ard", n=2)

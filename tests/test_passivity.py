@@ -217,8 +217,19 @@ class TestEnforceBound:
 
     def test_scale_infeasible_zero_mean(self):
         bound = bound_with_c(1.0, [0.0], np.array([1.0]))
-        with pytest.raises(InfeasibilityError):
+        with pytest.raises(InfeasibilityError, match="prior mean coefficient is zero"):
             enforce_bound(bound)
+
+    @pytest.mark.parametrize("hyp", [np.array([1.0, 2.0]), np.array([[1.0, 0.5], [0.0, 2.0]])])
+    def test_vacuous_bound_keeps_a_grid_on_zero_prior_entries(self, hyp):
+        # zero velocities give m_d = 0 and c = +inf: c >= c* = +inf, so
+        # alpha = 1, the scale check_bound's vacuous verdict accepts
+        data = Dataset(np.zeros((10, 2)), np.random.default_rng(5).normal(0.0, 1.0, (10, 2)))
+        bound = compute_bound(data, fit_prior_mean(data), 1.0, hyp)
+        assert bound.c == math.inf and not bound.mean_coefficients.any()
+        assert check_bound(bound) == BoundCheck(feasible=True, margin=math.inf)
+        res = enforce_bound(bound)
+        assert res.alpha == 1.0 and np.array_equal(res.hypervariances, hyp)
 
     @pytest.mark.parametrize("grid", [np.array([4.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])])
     def test_zero_c_rejects_a_nonzero_grid(self, grid):
@@ -513,8 +524,8 @@ def fresh_check(bound):
     if math.isinf(c):
         return BoundCheck(feasible=True, margin=math.inf)
     if bound.diagonal:
-        slack = c * m - grid.diagonal()
-        return BoundCheck(feasible=bool(np.all(slack >= 0)), margin=float(np.min(slack)))
+        limits, hyp = c * m, grid.diagonal()
+        return BoundCheck(feasible=bool(np.all(hyp <= limits)), margin=float(np.min(limits - hyp)))
     residual = c * np.diag(m) - 0.5 * (grid + grid.T)
     margin = float(np.linalg.eigvalsh(residual)[0])
     return BoundCheck(feasible=margin >= -1e-12 * abs(float(residual.trace())), margin=margin)
@@ -560,6 +571,60 @@ class TestPriorPartsPerBound:
         for moved in (bound.with_grid(hyp), replace(bound.with_grid(hyp), c=math.inf)):
             res = enforce_bound(moved)
             assert res.alpha == 1.0 and np.array_equal(res.hypervariances, hyp)
+
+    def test_one_pass_diag_verdict_is_the_two_pass_one(self):
+        # feasible = margin >= 0 with margin = min(c*m_d - hyp): for finite
+        # floats b - a >= 0 exactly when a <= b (gradual underflow)
+        rng = np.random.default_rng(41)
+        seen = {True: 0, False: 0}
+        for _ in range(2500):
+            n = int(rng.integers(1, 5))
+            c = float(10.0 ** rng.uniform(-4.0, 4.0))
+            m_d = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            m_d[rng.uniform(size=n) < 0.2] = 0.0
+            limits = c * m_d
+            # each entry at, an ulp above, an ulp below or well off c*m_d
+            hyp = np.choose(rng.integers(0, 4, n), [
+                limits, np.nextafter(limits, np.inf), np.nextafter(limits, 0.0),
+                rng.uniform(0.0, 2.0, n) * limits])
+            bound = bound_with_c(c, m_d, hyp)
+            got, want = check_bound_diag(bound), fresh_check(bound)
+            assert got.feasible == want.feasible
+            assert np.float64(got.margin).tobytes() == np.float64(want.margin).tobytes()
+            seen[got.feasible] += 1
+        assert min(seen.values()) > 500
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("c", [0.0, 2.0, math.inf])
+    def test_non_finite_prior_rejected_by_every_reader(self, bad, c):
+        # checked before the verdicts' c = +inf answer and before any
+        # c * m_d, so no inf * 0 warns (an error under the suite's
+        # filterwarnings)
+        for grid, diagonal in ((np.diag([abs(bad), 1.0]), True), (np.ones((2, 2)), False)):
+            bound = passivity.PassivityBound(c, grid, np.array([bad, 2.0]), diagonal)
+            readers = (check_bound_full, enforce_bound) + (check_bound_diag,) * diagonal
+            for reader in readers:
+                with pytest.raises(InputError, match="prior mean coefficients must be finite"):
+                    reader(bound)
+
+    def test_half_holds_the_fresh_expressions(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            m_d = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            m_d[rng.uniform(size=n) < 0.3] = 0.0
+            c = float(10.0 ** rng.uniform(-4.0, 4.0))
+            half, active = passivity._PriorHalf(c, m_d), m_d > 0
+            assert half.finite
+            assert half.limits.tobytes() == (c * m_d).tobytes()
+            assert half.offset.tobytes() == (c * np.diag(m_d)).tobytes()
+            assert half.metric.tobytes() == np.diag(m_d[active]).tobytes()
+            assert half.active is None if active.all() else np.array_equal(half.active, active)
+        # a vacuous c or a non-finite m_d forms no c * m_d
+        for c, m_d in ((math.inf, [1.0, 0.0]), (2.0, [math.nan, 1.0]), (0.0, [math.inf, 1.0])):
+            half = passivity._PriorHalf(c, np.array(m_d))
+            assert half.finite == math.isfinite(m_d[0])
+            assert not hasattr(half, "limits") and not hasattr(half, "offset")
 
     @pytest.mark.parametrize("kind", ["diag", "full"])
     def test_search_derives_the_parts_once(self, kind, monkeypatch):
