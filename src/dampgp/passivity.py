@@ -1,25 +1,26 @@
 """Passivity bounds for the structured damping estimators.
 
 The kernels multiply each element correlation by its hypervariance
-sigma_f^2, so the bound is stated on that grid: with the scalar factor
-c = sigma_eps^2 / (sqrt(D) * max|velocity| * ||residual||), the full model
-needs the symmetric part (A + A^T)/2 of A = c*diag(m_d) - grid to be
+sigma_f^2, so the bound is stated on those hypervariances, kept in the
+kernel's layout: with the scalar factor
+c = sigma_eps^2 / (sqrt(D) * max|velocity| * ||residual||), an N x N grid
+(full) needs the symmetric part (A + A^T)/2 of A = c*diag(m_d) - grid to be
 positive semidefinite (the power bound is qd^T A qd, which sees only that
-part), the diagonal model needs sigma_f_n^2 <= c * m_d_n per dimension.
+part), an N-vector (diag) needs sigma_f_n^2 <= c * m_d_n per dimension.
+The layout picks the test, and one verdict, ``_verdict``, holds both.
 Models whose hypervariances satisfy the bound dissipate power at every
 velocity.
 
 The projection's critical c is one generalized symmetric eigenproblem,
 solved by a direct LAPACK ``dsygvd`` call (eigenvalues only, the routine
-``scipy.linalg.eigh`` runs for it); the grid and prior mean are checked
-finite first, since LAPACK would not reject a NaN or inf, and both verdicts
-check the prior mean before their c = +inf answer.  The full
-verdict's minimum eigenvalue is a direct ``dsyevd`` call (eigenvalues only,
-lower triangle, the optimal workspace: what ``numpy.linalg.eigvalsh``
-runs).  Both come from ``_lapack``, which binds them from SciPy's extension
-module without importing ``scipy.linalg``.  What a bound derives from c and
-m_d alone is built once and shared with every grid ``with_grid`` and the
-projection's step-down bound with them.
+``scipy.linalg.eigh`` runs for it); the grid is checked finite first, since
+LAPACK would not reject a NaN or inf.  The full test's minimum eigenvalue
+is a direct ``dsyevd`` call (eigenvalues only, lower triangle, the optimal
+workspace: what ``numpy.linalg.eigvalsh`` runs).  Both come from
+``_lapack``, which binds them from SciPy's extension module without
+importing ``scipy.linalg``.  What a bound derives from c and m_d alone is
+built once, where m_d is checked finite, and shared with every bound
+``with_grid`` makes.
 """
 
 from __future__ import annotations
@@ -40,16 +41,18 @@ from .models import _PIECE, Dataset, FittedModel, PriorMean, _pieces, predict_to
 class _PriorHalf:
     """The parts of a bound that depend on c and m_d alone, built once per
     bound: the mask m_d_n > 0 (None when all are), ``dsygvd``'s B diag(m_d)
-    on it and, for a finite c and m_d only (no inf * 0), the diagonal
-    verdict's limits c*m_d and the full verdict's offset c*diag(m_d)."""
+    on it and, for a finite c only (no inf * 0), the diagonal test's limits
+    c*m_d and the full test's offset c*diag(m_d).  m_d must be finite:
+    LAPACK would not reject a NaN or inf, and c * m_d would form inf * 0."""
 
     def __init__(self, c: float, m: np.ndarray):
+        if not _all(np.isfinite(m), axis=None):
+            raise InputError("the prior mean coefficients must be finite")
         self.m = m
-        self.finite = bool(_all(np.isfinite(m), axis=None))
         active = m > 0
         self.active = None if _all(active, axis=None) else active
         self.metric = np.diag(m if self.active is None else m[active])
-        if self.finite and not math.isinf(c):
+        if not math.isinf(c):
             self.limits = c * m
             self.offset = c * np.diag(m)
 
@@ -64,46 +67,43 @@ class _PriorHalf:
 
 @dataclass(frozen=True)
 class PassivityBound:
-    """The scalar bound factor c, the grid it bounds and the prior mean.
+    """The scalar bound factor c, the hypervariances it bounds and the prior mean.
 
-    Treat the arrays as read-only: the bound keeps what it derives from c
-    and m_d, outside its fields, so a bound that ``dataclasses.replace``
-    makes derives its own."""
+    ``hypervariances`` keeps the kernel's layout, and the layout picks the
+    test: an N-vector (diag) gets the diagonal one, an N x N grid (full),
+    which need not be symmetric, the full one.  Treat the arrays as
+    read-only: the bound keeps what it derives from c and m_d outside its
+    fields, so a bound that ``dataclasses.replace`` makes derives its own."""
 
     c: float
-    hypervariance_matrix: np.ndarray  # the N x N sigma_f^2 grid; need not be symmetric
+    hypervariances: np.ndarray
     mean_coefficients: np.ndarray
-    diagonal: bool  # True when built from an N-vector of hypervariances
 
     def with_grid(self, hypervariances) -> "PassivityBound":
-        """This bound's c and prior mean on the grid of ``hypervariances``:
-        what ``compute_bound`` returns for them on the same data, prior and
-        noise variance, with the same validation of the grid."""
-        return self._on(*_grid(hypervariances, self.mean_coefficients.size))
+        """This bound's c and prior mean on ``hypervariances``: what
+        ``compute_bound`` returns for them on the same data, prior and noise
+        variance, with the same validation, sharing this bound's prior half."""
+        bound = PassivityBound(
+            self.c, _hypervariances(hypervariances, self.mean_coefficients.size),
+            self.mean_coefficients)
+        object.__setattr__(bound, "_prior", self._prior)
+        return bound
 
     @cached_property
     def _prior(self) -> _PriorHalf:
         return _PriorHalf(self.c, self.mean_coefficients)
 
-    def _on(self, grid: np.ndarray, diagonal: bool) -> "PassivityBound":
-        """This bound's c, prior mean and the parts derived from them, on ``grid``."""
-        bound = PassivityBound(self.c, grid, self.mean_coefficients, diagonal)
-        object.__setattr__(bound, "_prior", self._prior)
-        return bound
 
-
-def _grid(hypervariances, n: int) -> tuple[np.ndarray, bool]:
-    """The N x N grid of ``hypervariances`` for N = ``n`` dimensions, and
-    whether it came from an N-vector."""
-    hyp = _check_numbers("hypervariances", hypervariances, zero_ok=True)
+def _hypervariances(values, n: int) -> np.ndarray:
+    """A copy of ``values`` checked as the hypervariances of N = ``n``
+    dimensions: an N-vector or an N x N grid."""
+    hyp = _check_numbers("hypervariances", values, zero_ok=True)
     if hyp.shape not in ((n,), (n, n)):
         raise InputError(
             f"hypervariances must be a {n}-vector or {n} x {n} matrix for "
             f"{n}-dimensional data, got shape {hyp.shape}"
         )
-    if hyp.ndim == 1:
-        return np.diag(hyp), True
-    return hyp.copy(), False
+    return hyp.copy()
 
 
 def compute_bound(
@@ -112,17 +112,17 @@ def compute_bound(
     noise_variance: float,
     hypervariances,
 ) -> PassivityBound:
-    """Evaluate the bound factor for the grid of ``hypervariances``.
+    """Evaluate the bound factor for ``hypervariances``.
 
     c is the +inf sentinel (vacuously feasible) when either the velocity
     sup-norm or the stacked residual vanishes.  c depends on the data, the
     prior and the noise variance only; ``PassivityBound.with_grid`` reuses
-    it for another grid.  The noise variance must be finite and > 0, as
-    for ``fit``.
+    it for other hypervariances.  The noise variance must be finite and > 0,
+    as for ``fit``.
     """
     _check_number("noise_variance", noise_variance)
     prior_mean.check_dim(data.n_dim)
-    grid, diagonal = _grid(hypervariances, data.n_dim)
+    hyp = _hypervariances(hypervariances, data.n_dim)
     q = data.velocities
     resid = data.torques - prior_mean.torque(q)
     inf_norm = float(np.max(np.abs(q)))
@@ -131,12 +131,7 @@ def compute_bound(
         c = math.inf
     else:
         c = noise_variance / (math.sqrt(data.n_samples) * inf_norm * resid_norm)
-    return PassivityBound(
-        c=c,
-        hypervariance_matrix=grid,
-        mean_coefficients=prior_mean.coefficients.copy(),
-        diagonal=diagonal,
-    )
+    return PassivityBound(c, hyp, prior_mean.coefficients.copy())
 
 
 @dataclass(frozen=True)
@@ -147,25 +142,24 @@ class BoundCheck:
     margin: float
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+def _sym(hyp: np.ndarray) -> np.ndarray:
+    """The symmetric part of the grid of ``hyp``: diag(hyp) for an N-vector."""
+    grid = np.diag(hyp) if hyp.ndim == 1 else hyp
+    return 0.5 * (grid + grid.T)
 
 
-def _finite_prior(bound: PassivityBound) -> _PriorHalf:
-    """``bound``'s prior half, its m_d checked finite first: LAPACK would not
-    reject a NaN or inf, and c * m_d would form inf * 0."""
+def _verdict(bound: PassivityBound, hyp: np.ndarray, full: bool) -> BoundCheck:
+    """The full test (PSD of sym(c*diag(m_d) - grid)) or the diagonal one
+    (sigma_f_n^2 <= c * m_d_n, for an N-vector) of ``hyp`` under ``bound``'s
+    c and m_d: vacuously feasible at c = +inf, once m_d is checked finite."""
     prior = bound._prior
-    if not prior.finite:
-        raise InputError("the prior mean coefficients must be finite")
-    return prior
-
-
-def check_bound_full(bound: PassivityBound) -> BoundCheck:
-    """PSD test of sym(c*diag(m_d) - grid) (the full-model sufficient condition)."""
-    prior = _finite_prior(bound)
     if math.isinf(bound.c):
         return BoundCheck(feasible=True, margin=math.inf)
-    residual = prior.offset - _sym(bound.hypervariance_matrix)
+    if not full:
+        # b - a >= 0 exactly when a <= b for finite floats (gradual underflow)
+        margin = float(_min(prior.limits - hyp, axis=None))
+        return BoundCheck(feasible=margin >= 0, margin=margin)
+    residual = prior.offset - _sym(hyp)
     eigvals, _, info = dsyevd(residual, compute_v=0, lower=1, **prior.workspace)
     if info != 0:
         raise NumericalError(f"dsyevd failed on the bound's residual (info={info})")
@@ -174,21 +168,21 @@ def check_bound_full(bound: PassivityBound) -> BoundCheck:
     return BoundCheck(feasible=min_eig >= -tol, margin=min_eig)
 
 
+def check_bound_full(bound: PassivityBound) -> BoundCheck:
+    """PSD test of sym(c*diag(m_d) - grid) (the full-model sufficient condition)."""
+    return _verdict(bound, bound.hypervariances, True)
+
+
 def check_bound_diag(bound: PassivityBound) -> BoundCheck:
     """Per-dimension test sigma_f_n^2 <= c * m_d_n (the diagonal condition)."""
-    if not bound.diagonal:
-        raise InputError("check_bound_diag requires a bound built from an N-vector")
-    prior = _finite_prior(bound)
-    if math.isinf(bound.c):
-        return BoundCheck(feasible=True, margin=math.inf)
-    # b - a >= 0 exactly when a <= b for finite floats (gradual underflow)
-    margin = float(_min(prior.limits - bound.hypervariance_matrix.diagonal(), axis=None))
-    return BoundCheck(feasible=margin >= 0, margin=margin)
+    if bound.hypervariances.ndim != 1:
+        raise InputError("check_bound_diag requires a bound on an N-vector of hypervariances")
+    return _verdict(bound, bound.hypervariances, False)
 
 
 def check_bound(bound: PassivityBound) -> BoundCheck:
-    """The diagonal condition for a bound built from an N-vector, else the full one."""
-    return check_bound_diag(bound) if bound.diagonal else check_bound_full(bound)
+    """The diagonal condition for an N-vector of hypervariances, else the full one."""
+    return _verdict(bound, bound.hypervariances, bound.hypervariances.ndim == 2)
 
 
 def _critical_c(bound: PassivityBound) -> float:
@@ -198,13 +192,10 @@ def _critical_c(bound: PassivityBound) -> float:
     when a zero m_d_n has a nonzero row of sym grid, 0 when no m_d_n is
     positive and the grid is zero.
     """
-    prior = _finite_prior(bound)
-    sym = _sym(bound.hypervariance_matrix)
+    prior = bound._prior
+    sym = _sym(bound.hypervariances)
     if not _all(np.isfinite(sym), axis=None):
-        raise InputError(
-            "the symmetric part of the bound's grid and the prior mean coefficients "
-            "must be finite"
-        )
+        raise InputError("the symmetric part of the bound's grid must be finite")
     active = prior.active
     if active is not None:
         if (sym[~active] != 0).any():
@@ -221,22 +212,21 @@ def _critical_c(bound: PassivityBound) -> float:
 @dataclass(frozen=True)
 class EnforcementResult:
     """Scaled hypervariances that satisfy the bound: ``alpha`` times the
-    input grid, in the same layout as the input to ``compute_bound``
-    (vector or matrix)."""
+    bound's hypervariances, in their layout."""
 
     hypervariances: np.ndarray
     alpha: float
 
 
 def enforce_bound(bound: PassivityBound) -> EnforcementResult:
-    """Scale the grid onto the feasible set in closed form.
+    """Scale the hypervariances onto the feasible set in closed form.
 
     With c* the smallest c at which the unscaled grid is feasible, the
     scale is alpha = min(1, c / c*): 1 whenever c >= c*, c = +inf
     included, so c* = +inf (a zero m_d_n with a nonzero row of sym grid)
-    raises only for a finite c.  alpha * grid can round outside the
-    bound, so alpha is stepped down an ulp at a time until the bound on
-    alpha * grid passes; ``bound.with_grid(result.hypervariances)``
+    raises only for a finite c.  alpha * hypervariances can round outside
+    the bound, so alpha is stepped down an ulp at a time until the bound's
+    verdict on them passes; ``bound.with_grid(result.hypervariances)``
     rebuilds that bound.  A NaN or negative c is rejected: no alpha
     would pass, and the step-down would not end.  c = 0, which
     ``compute_bound`` gives only when its quotient underflows, keeps a zero
@@ -254,10 +244,10 @@ def enforce_bound(bound: PassivityBound) -> EnforcementResult:
             "no positive hypervariance scale is feasible "
             "(prior mean too small for the data residual)"
         )
-    grid = bound.hypervariance_matrix
-    while not check_bound(bound._on(scaled := alpha * grid, bound.diagonal)).feasible:
+    hyp = bound.hypervariances
+    while not _verdict(bound, scaled := alpha * hyp, hyp.ndim == 2).feasible:
         alpha = np.nextafter(alpha, 0.0)
-    return EnforcementResult(scaled.diagonal() if bound.diagonal else scaled, float(alpha))
+    return EnforcementResult(scaled, float(alpha))
 
 
 # Sweep points per ``predict_torque_batch`` call: whole ``_PIECE`` pieces,

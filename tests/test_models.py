@@ -763,13 +763,12 @@ class TestOptimizeHypervariances:
             return compute_bound(*args)
 
         def checking_enforce_bound(bound):
-            grid = bound.hypervariance_matrix
-            candidate = np.diag(grid) if bound.diagonal else grid
+            candidate = bound.hypervariances
             ref = compute_bound(train, prior, 100.0, candidate)
             assert bound.c == ref.c
-            assert np.array_equal(grid, ref.hypervariance_matrix)
+            assert np.array_equal(candidate, ref.hypervariances)
             assert np.array_equal(bound.mean_coefficients, ref.mean_coefficients)
-            assert bound.diagonal == ref.diagonal == (kind == "diag")
+            assert candidate.ndim == (1 if kind == "diag" else 2)
             projected.append(bound)
             return enforce_bound(bound)
 

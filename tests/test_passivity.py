@@ -28,7 +28,7 @@ class TestComputeBound:
         bound = compute_bound(data, PriorMean(np.array([1.0])), 1.0, np.array([1.0]))
         assert bound.c == pytest.approx(1.0, rel=1e-15)
         assert np.array_equal(bound.mean_coefficients, [1.0])
-        assert bound.diagonal
+        assert np.array_equal(bound.hypervariances, [1.0])
         # doubling the residual or the velocity scale halves c
         data2 = Dataset(np.array([[1.0]]), np.array([[3.0]]))
         assert compute_bound(data2, PriorMean(np.array([1.0])), 1.0, np.array([1.0])).c == 0.5
@@ -57,16 +57,16 @@ class TestComputeBound:
         bound = compute_bound(data, PriorMean.zero(2), 1.0, np.ones(2))
         assert math.isinf(bound.c)
 
-    def test_grid_is_the_hypervariances(self):
-        # the bound holds the sigma_f^2 grid the kernel multiplies by
+    @pytest.mark.parametrize("hyp", [np.array([4.0, 9.0]), np.array([[4.0, 1.0], [1.0, 9.0]])])
+    def test_bound_keeps_the_hypervariances_in_their_layout(self, hyp):
+        # the bound holds the sigma_f^2 the kernel multiplies by, as the
+        # kernel holds them: an N-vector stays a vector
         data = Dataset(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
-        bound = compute_bound(data, PriorMean.zero(2), 1.0, np.array([4.0, 9.0]))
-        assert np.array_equal(bound.hypervariance_matrix, [[4.0, 0.0], [0.0, 9.0]])
-        hyp = np.array([[4.0, 1.0], [1.0, 9.0]])
-        bound_m = compute_bound(data, PriorMean.zero(2), 1.0, hyp)
-        assert np.array_equal(bound_m.hypervariance_matrix, hyp)
-        hyp[0, 0] = 5.0  # the bound keeps its own copy
-        assert bound_m.hypervariance_matrix[0, 0] == 4.0
+        bound = compute_bound(data, PriorMean.zero(2), 1.0, hyp)
+        assert bound.hypervariances.shape == hyp.shape
+        assert np.array_equal(bound.hypervariances, hyp)
+        hyp.flat[0] = 5.0  # the bound keeps its own copy
+        assert bound.hypervariances.flat[0] == 4.0
 
     def test_bound_tightens_as_data_appends(self):
         # c never increases when more samples are appended to the dataset
@@ -129,9 +129,9 @@ class TestComputeBound:
             hyp = rng.uniform(0.01, 5.0, (data.n_dim,) if layout == "diag" else (data.n_dim,) * 2)
             moved, ref = bound.with_grid(hyp), compute_bound(data, prior, nv, hyp)
             assert moved.c == ref.c
-            assert np.array_equal(moved.hypervariance_matrix, ref.hypervariance_matrix)
+            assert moved.hypervariances.shape == ref.hypervariances.shape == hyp.shape
+            assert np.array_equal(moved.hypervariances, ref.hypervariances)
             assert np.array_equal(moved.mean_coefficients, ref.mean_coefficients)
-            assert moved.diagonal == ref.diagonal
         with pytest.raises(InputError):
             bound.with_grid(np.full(data.n_dim, math.inf))
         with pytest.raises(InputError):
@@ -140,12 +140,10 @@ class TestComputeBound:
 
 def bound_with_c(c, m_d, hyp):
     """Bound object with exactly the requested c (direct construction)."""
-    grid, diagonal = passivity._grid(hyp, len(m_d))
     return passivity.PassivityBound(
         c=c,
-        hypervariance_matrix=grid,
+        hypervariances=passivity._hypervariances(hyp, len(m_d)),
         mean_coefficients=np.asarray(m_d, dtype=float),
-        diagonal=diagonal,
     )
 
 
@@ -186,10 +184,17 @@ class TestCheckBound:
         assert check_bound(bound_with_c(0.5, [1.0], np.array([[0.4]]))).feasible
         assert enforce_bound(bound).alpha == 1.0
 
-    def test_diag_check_rejects_matrix_bound(self):
-        bound = bound_with_c(1.0, [1.0, 1.0], np.ones((2, 2)))
-        with pytest.raises(InputError):
+    def test_layout_decides_the_test(self):
+        # a 2 x 2 grid gets the full test whatever its off-diagonal entries:
+        # sym(diag(1, 1) - grid) has eigenvalues 5 and -5
+        bound = passivity.PassivityBound(1.0, np.array([[1.0, 5.0], [5.0, 1.0]]), np.ones(2))
+        assert check_bound(bound) == check_bound_full(bound) == BoundCheck(False, -5.0)
+        with pytest.raises(InputError, match="N-vector"):
             check_bound_diag(bound)
+        res = enforce_bound(bound)
+        assert res.hypervariances.shape == (2, 2)
+        assert np.array_equal(res.hypervariances, res.alpha * bound.hypervariances)
+        assert res.alpha == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
 class TestEnforceBound:
@@ -270,8 +275,8 @@ class TestEnforceBound:
         for layout in ("diag", "sym", "full"):
             *_, bound = random_bound(rng, layout)
             res = enforce_bound(bound)
-            scaled = res.alpha * bound.hypervariance_matrix
-            assert np.array_equal(res.hypervariances, np.diag(scaled) if bound.diagonal else scaled)
+            assert res.hypervariances.shape == bound.hypervariances.shape
+            assert np.array_equal(res.hypervariances, res.alpha * bound.hypervariances)
             assert check_bound(bound.with_grid(res.hypervariances)).feasible
 
     def test_step_down_stays_within_ulps_of_closed_form(self):
@@ -295,10 +300,8 @@ class TestEnforceBound:
 def bisection_oracle(bound):
     """Bisection for the largest feasible scale of the grid, the reference
     for the closed form, bisected to 1e-10 relative on the public check."""
-    check = check_bound_diag if bound.diagonal else check_bound_full
-
     def feasible(scale):
-        return check(replace(bound, hypervariance_matrix=scale * bound.hypervariance_matrix)).feasible
+        return check_bound(replace(bound, hypervariances=scale * bound.hypervariances)).feasible
 
     if feasible(1.0):
         return 1.0
@@ -348,7 +351,7 @@ class TestSymmetricPartCondition:
         hyp = np.full((3, 3), 1e-12)
         hyp[0, 2] = 1.0
         bound = compute_bound(data, prior, 100.0, hyp)
-        residual = bound.c * np.diag(bound.mean_coefficients) - bound.hypervariance_matrix
+        residual = bound.c * np.diag(bound.mean_coefficients) - bound.hypervariances
         min_sym_eig = np.linalg.eigvalsh(0.5 * (residual + residual.T))[0]
         assert min_sym_eig == pytest.approx(-0.499, abs=1e-3)
 
@@ -360,7 +363,7 @@ class TestSymmetricPartCondition:
         assert res.alpha < 1e-2
         certified = bound.with_grid(res.hypervariances)
         assert check_bound(certified).feasible
-        projected = bound.c * np.diag(bound.mean_coefficients) - certified.hypervariance_matrix
+        projected = bound.c * np.diag(bound.mean_coefficients) - certified.hypervariances
         v = np.linalg.eigh(0.5 * (projected + projected.T))[1][:, 0]
         assert v @ projected @ v >= -1e-12 * np.trace(projected)
         rebuilt = compute_bound(data, prior, 100.0, res.hypervariances)
@@ -415,7 +418,7 @@ class TestClosedFormProjection:
             data, prior, nv, bound = random_bound(rng, layout, d=int(rng.integers(2, 8)))
             res = enforce_bound(bound)
             rebuilt = compute_bound(data, prior, nv, res.hypervariances)
-            assert np.array_equal(rebuilt.hypervariance_matrix, res.alpha * bound.hypervariance_matrix)
+            assert np.array_equal(rebuilt.hypervariances, res.alpha * bound.hypervariances)
             assert rebuilt.c == bound.c
             assert check(rebuilt).feasible
             assert check_bound(bound.with_grid(res.hypervariances)).feasible
@@ -431,17 +434,27 @@ class TestClosedFormProjection:
 
 def eigh_reference_alpha(bound):
     """enforce_bound's alpha with the critical c from ``scipy.linalg.eigh``."""
-    sym = 0.5 * (bound.hypervariance_matrix + bound.hypervariance_matrix.T)
+    hyp = bound.hypervariances
+    grid = hyp if hyp.ndim == 2 else np.diag(hyp)
+    sym = 0.5 * (grid + grid.T)
     m = bound.mean_coefficients
     active = m > 0
     eigvals = scipy.linalg.eigh(sym[np.ix_(active, active)], np.diag(m[active]),
                                 eigvals_only=True)
     critical = float(np.max(eigvals, initial=0.0))
     alpha = bound.c / critical if critical > bound.c else 1.0
-    grid = bound.hypervariance_matrix
-    while not check_bound(replace(bound, hypervariance_matrix=alpha * grid)).feasible:
+    while not check_bound(replace(bound, hypervariances=alpha * hyp)).feasible:
         alpha = np.nextafter(alpha, 0.0)
     return alpha
+
+
+def zero_rows(hyp, off):
+    """A copy of ``hyp`` with the rows and columns ``off`` of its grid zeroed."""
+    hyp = hyp.copy()
+    hyp[off] = 0.0
+    if hyp.ndim == 2:
+        hyp[:, off] = 0.0
+    return hyp
 
 
 class TestDirectLapackProjection:
@@ -459,9 +472,7 @@ class TestDirectLapackProjection:
                 # m_d = 0 on some dimensions whose grid rows and columns vanish
                 off = rng.uniform(size=n) < 0.5
                 off[rng.integers(n)] = False
-                grid = bound.hypervariance_matrix.copy()
-                grid[off], grid[:, off] = 0.0, 0.0
-                bound = replace(bound, hypervariance_matrix=grid,
+                bound = replace(bound, hypervariances=zero_rows(bound.hypervariances, off),
                                 mean_coefficients=np.where(off, 0.0, bound.mean_coefficients))
                 zeroed += bool(np.any(off))
             assert enforce_bound(bound).alpha == eigh_reference_alpha(bound)
@@ -475,15 +486,16 @@ class TestDirectLapackProjection:
         assert enforce_bound(bound).alpha == 1.0
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("diagonal", [True, False])
-    def test_non_finite_grid_rejected(self, bad, diagonal):
-        # LAPACK itself does not check its input for NaN or inf
-        grid = np.eye(2) if diagonal else np.ones((2, 2))
-        grid[1, 1 if diagonal else 0] = bad
-        bound = passivity.PassivityBound(
-            c=1.0, hypervariance_matrix=grid, mean_coefficients=np.ones(2), diagonal=diagonal)
-        with pytest.raises(InputError, match="finite"):
+    @pytest.mark.parametrize("layout", ["diag", "full"])
+    def test_non_finite_grid_rejected(self, bad, layout):
+        # LAPACK itself does not check its input for NaN or inf; m_d is
+        # finite, so the message names the grid alone
+        hyp = np.ones(2) if layout == "diag" else np.ones((2, 2))
+        hyp[1] = bad
+        bound = passivity.PassivityBound(c=1.0, hypervariances=hyp, mean_coefficients=np.ones(2))
+        with pytest.raises(InputError) as err:
             enforce_bound(bound)
+        assert str(err.value) == "the symmetric part of the bound's grid must be finite"
 
     def test_lapack_failure_raises_numerical_error(self, monkeypatch):
         monkeypatch.setattr(passivity, "dsygvd", lambda a, b, **kw: (np.zeros(len(a)), None, 3))
@@ -496,7 +508,7 @@ class TestDirectLapackProjection:
         # eigenvalue bit for bit at N <= 4, and past N = 32, where the
         # workspace sets how the tridiagonal reduction blocks
         rng = np.random.default_rng(23)
-        zero_rows = 0
+        zeroed = 0
         for trial in range(2040):
             n = int(rng.integers(1, 5)) if trial < 2000 else int(rng.integers(33, 70))
             m_d = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
@@ -504,13 +516,19 @@ class TestDirectLapackProjection:
             if rng.uniform() < 0.2:
                 off = rng.uniform(size=n) < 0.5
                 m_d[off], grid[off], grid[:, off] = 0.0, 0.0, 0.0
-                zero_rows += bool(off.any())
+                zeroed += bool(off.any())
             c = float(10.0 ** rng.uniform(-4.0, 4.0))
             residual = c * np.diag(m_d) - 0.5 * (grid + grid.T)
             expected = np.linalg.eigvalsh(residual)[0]
             margin = check_bound_full(bound_with_c(c, m_d, grid)).margin
             assert np.float64(margin).tobytes() == expected.tobytes()
-        assert zero_rows > 100
+            # the full test of an N-vector is the one of its np.diag form
+            vector = grid.diagonal().copy()
+            got = check_bound_full(bound_with_c(c, m_d, vector))
+            want = check_bound_full(bound_with_c(c, m_d, np.diag(vector)))
+            assert got.feasible == want.feasible
+            assert np.float64(got.margin).tobytes() == np.float64(want.margin).tobytes()
+        assert zeroed > 100
 
     def test_full_verdict_lapack_failure_raises_numerical_error(self, monkeypatch):
         monkeypatch.setattr(passivity, "dsyevd", lambda a, **kw: (np.zeros(len(a)), None, 2))
@@ -520,13 +538,13 @@ class TestDirectLapackProjection:
 
 def fresh_check(bound):
     """check_bound's verdict computed from the bound's fields alone."""
-    c, m, grid = bound.c, bound.mean_coefficients, bound.hypervariance_matrix
+    c, m, hyp = bound.c, bound.mean_coefficients, bound.hypervariances
     if math.isinf(c):
         return BoundCheck(feasible=True, margin=math.inf)
-    if bound.diagonal:
-        limits, hyp = c * m, grid.diagonal()
+    if hyp.ndim == 1:
+        limits = c * m
         return BoundCheck(feasible=bool(np.all(hyp <= limits)), margin=float(np.min(limits - hyp)))
-    residual = c * np.diag(m) - 0.5 * (grid + grid.T)
+    residual = c * np.diag(m) - 0.5 * (hyp + hyp.T)
     margin = float(np.linalg.eigvalsh(residual)[0])
     return BoundCheck(feasible=margin >= -1e-12 * abs(float(residual.trace())), margin=margin)
 
@@ -544,21 +562,21 @@ class TestPriorPartsPerBound:
             n = bound.mean_coefficients.size
             enforce_bound(bound), check_bound(bound)  # derive the original's parts
             m_d = rng.uniform(0.3, 3.0, n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
-            grid = bound.hypervariance_matrix.copy()
+            hyp = bound.hypervariances
             if n > 1:
                 off = rng.uniform(size=n) < 0.4
                 off[rng.integers(n)] = False
-                m_d[off], grid[off], grid[:, off] = 0.0, 0.0, 0.0
+                m_d[off], hyp = 0.0, zero_rows(hyp, off)
             c = float(bound.c * 10.0 ** rng.uniform(-2.0, 2.0))
-            zeroed = replace(bound, hypervariance_matrix=grid)
+            zeroed = replace(bound, hypervariances=hyp)
             enforce_bound(zeroed), check_bound(zeroed)
             for moved in (replace(zeroed, c=c),
                           replace(zeroed, mean_coefficients=m_d),
                           replace(zeroed, c=math.inf),
-                          passivity.PassivityBound(c, grid, m_d, bound.diagonal)):
+                          passivity.PassivityBound(c, hyp, m_d)):
                 assert check_bound(moved) == fresh_check(moved)
                 assert enforce_bound(moved).alpha == eigh_reference_alpha(moved)
-                step = moved.with_grid(0.5 * (grid.diagonal() if bound.diagonal else grid))
+                step = moved.with_grid(0.5 * hyp)
                 assert check_bound(step) == fresh_check(step)
 
     @pytest.mark.parametrize("hyp", [np.array([2.0, 0.0, 0.0]), np.diag([2.0, 0.0, 0.0])])
@@ -566,7 +584,7 @@ class TestPriorPartsPerBound:
         # c = +inf: no c * m_d is formed, so no inf * 0 (an error under the
         # suite's filterwarnings)
         bound = bound_with_c(math.inf, [1.0, 0.0, 0.0], np.ones(hyp.shape))
-        for moved in (bound, bound.with_grid(hyp), replace(bound, hypervariance_matrix=hyp)):
+        for moved in (bound, bound.with_grid(hyp), replace(bound, hypervariances=hyp)):
             assert check_bound(moved) == BoundCheck(feasible=True, margin=math.inf)
         for moved in (bound.with_grid(hyp), replace(bound.with_grid(hyp), c=math.inf)):
             res = enforce_bound(moved)
@@ -597,12 +615,13 @@ class TestPriorPartsPerBound:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("c", [0.0, 2.0, math.inf])
     def test_non_finite_prior_rejected_by_every_reader(self, bad, c):
-        # checked before the verdicts' c = +inf answer and before any
-        # c * m_d, so no inf * 0 warns (an error under the suite's
-        # filterwarnings)
-        for grid, diagonal in ((np.diag([abs(bad), 1.0]), True), (np.ones((2, 2)), False)):
-            bound = passivity.PassivityBound(c, grid, np.array([bad, 2.0]), diagonal)
-            readers = (check_bound_full, enforce_bound) + (check_bound_diag,) * diagonal
+        # checked where the prior half is built, before the verdicts' c =
+        # +inf answer and before any c * m_d, so no inf * 0 warns (an error
+        # under the suite's filterwarnings); with_grid builds it at once
+        for hyp in (np.array([abs(bad), 1.0]), np.ones((2, 2))):
+            bound = passivity.PassivityBound(c, hyp, np.array([bad, 2.0]))
+            readers = (check_bound, check_bound_full, enforce_bound,
+                       lambda b: b.with_grid(np.ones(2))) + (check_bound_diag,) * (hyp.ndim == 1)
             for reader in readers:
                 with pytest.raises(InputError, match="prior mean coefficients must be finite"):
                     reader(bound)
@@ -615,16 +634,16 @@ class TestPriorPartsPerBound:
             m_d[rng.uniform(size=n) < 0.3] = 0.0
             c = float(10.0 ** rng.uniform(-4.0, 4.0))
             half, active = passivity._PriorHalf(c, m_d), m_d > 0
-            assert half.finite
             assert half.limits.tobytes() == (c * m_d).tobytes()
             assert half.offset.tobytes() == (c * np.diag(m_d)).tobytes()
             assert half.metric.tobytes() == np.diag(m_d[active]).tobytes()
             assert half.active is None if active.all() else np.array_equal(half.active, active)
-        # a vacuous c or a non-finite m_d forms no c * m_d
-        for c, m_d in ((math.inf, [1.0, 0.0]), (2.0, [math.nan, 1.0]), (0.0, [math.inf, 1.0])):
-            half = passivity._PriorHalf(c, np.array(m_d))
-            assert half.finite == math.isfinite(m_d[0])
-            assert not hasattr(half, "limits") and not hasattr(half, "offset")
+        # a vacuous c forms no c * m_d, and a non-finite m_d no half
+        half = passivity._PriorHalf(math.inf, np.array([1.0, 0.0]))
+        assert not hasattr(half, "limits") and not hasattr(half, "offset")
+        for c, m_d in ((2.0, [math.nan, 1.0]), (0.0, [math.inf, 1.0])):
+            with pytest.raises(InputError, match="prior mean coefficients must be finite"):
+                passivity._PriorHalf(c, np.array(m_d))
 
     @pytest.mark.parametrize("kind", ["diag", "full"])
     def test_search_derives_the_parts_once(self, kind, monkeypatch):
