@@ -304,32 +304,28 @@ def _initial_hypervariances(kind: str, data: Dataset, prior_mean: PriorMean) -> 
 
     Both are formed on each column scaled by 2^-e, e the exponent of its
     max |.|, as in ``fit_prior_mean``, and only the quotients are scaled
-    back, so that no product overflows.  Scaling by a power of two is
-    exact, so the start is that of the unscaled formula wherever that is
-    finite and not subnormal; a start beyond the float range is +inf,
-    which the kernel rejects.
+    back, so that no product overflows.  There is no absolute floor:
+    velocities times 2^k and torques times 2^j give the start times
+    4^(j-k) (4^j for ard), bit for bit within the float range.  A start
+    beyond it is +inf and one below it 0; the search's first kernel rejects either.
     """
     q = data.velocities
     rvar, er = _column_moment(data.torques - prior_mean.torque(q), np.var)
     qpow, eq = _column_moment(q, lambda a, axis: np.mean(a * a, axis=axis))
-    n = data.n_dim
     with np.errstate(over="ignore"):
         if kind == "ard":
             return np.ldexp(rvar, er)
         if kind == "diag":
             return np.ldexp(rvar / qpow, er - eq)
-        return np.maximum(
-            np.ldexp(rvar[:, None] / (n * qpow[None, :]), er[:, None] - eq[None, :]), 1e-12)
+        return np.ldexp(rvar[:, None] / (data.n_dim * qpow[None, :]), er[:, None] - eq[None, :])
 
 
 def _column_moment(a: np.ndarray, moment) -> tuple[np.ndarray, np.ndarray]:
-    """``moment`` of each column of ``a``, floored at 1e-12, as (s, k) with
-    the moment s * 2^k: s is the moment of the column scaled by 2^-e."""
+    """``moment`` of each column of ``a`` as (s, k), the moment s * 2^k with s that of the column
+    scaled by 2^-e; no spread reads s = 0 as 1, the moment 4^e of the column's own magnitude."""
     e = np.frexp(np.abs(a).max(axis=0))[1]
-    s, k = moment(np.ldexp(a, -e), axis=0), 2 * e
-    with np.errstate(over="ignore"):  # inf: far above the floor
-        low = np.ldexp(s, k) < 1e-12
-    return np.where(low, 1e-12, s), np.where(low, 0, k)
+    s = moment(np.ldexp(a, -e), axis=0)
+    return np.where(s == 0, 1.0, s), 2 * e
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -385,13 +381,10 @@ def optimize_hypervariances(
     if constrained:
         search_bound = passivity.compute_bound(data_train, prior_mean, noise_variance, init)
 
-    if kind == "full":
-        # theta = (row log-scales r, column log-scales c); grid = exp(r_m + c_n)
-        row0 = 0.5 * np.log(np.maximum(init.mean(axis=1), 1e-300))
-        col0 = 0.5 * np.log(np.maximum(init.mean(axis=0), 1e-300))
-        theta = np.concatenate([row0, col0])
-    else:
-        theta = np.log(np.maximum(init, 1e-300))
+    with np.errstate(divide="ignore"):  # a start of 0: -inf, whose kernel rejects exp(-inf)
+        # full: theta = (row log-scales r, column log-scales c); grid = exp(r_m + c_n)
+        theta = (0.5 * np.log(np.concatenate([init.mean(axis=1), init.mean(axis=0)]))
+                 if kind == "full" else np.log(init))
 
     evals = 0
     best: dict = {"mse": np.inf, "model": None}
@@ -418,7 +411,8 @@ def optimize_hypervariances(
             best["model"] = model
         return mse
 
-    f_theta = evaluate(0, theta[0])
+    with np.errstate(invalid="ignore"):  # a full start past both float limits has
+        f_theta = evaluate(0, theta[0])  # r_m + c_n = -inf + inf: NaN, which its kernel rejects
     span = 2.0  # half-width of the log-space search bracket
     while evals < budget:
         improved_any = False

@@ -118,7 +118,8 @@ def compute_bound(
     sup-norm or the stacked residual vanishes.  c depends on the data, the
     prior and the noise variance only; ``PassivityBound.with_grid`` reuses
     it for other hypervariances.  The noise variance must be finite and > 0,
-    as for ``fit``.
+    as for ``fit``.  The residual's norm is that of the residual scaled by 2^-e, e the exponent
+    of its max |entry|, scaled back: no square overflows, and c keeps its bits elsewhere.
     """
     _check_number("noise_variance", noise_variance)
     prior_mean.check_dim(data.n_dim)
@@ -126,7 +127,9 @@ def compute_bound(
     q = data.velocities
     resid = data.torques - prior_mean.torque(q)
     inf_norm = float(np.max(np.abs(q)))
-    resid_norm = float(np.linalg.norm(resid.reshape(-1)))
+    e = math.frexp(_max(np.abs(resid), axis=None))[1]
+    with np.errstate(over="ignore"):  # a norm beyond the float range: inf, so c = 0
+        resid_norm = float(np.ldexp(np.linalg.norm(np.ldexp(resid, -e)), e))
     if inf_norm == 0.0 or resid_norm == 0.0:
         c = math.inf
     else:
@@ -142,6 +145,7 @@ class BoundCheck:
     margin: float
 
 
+@np.errstate(over="ignore")  # an overflowing sum reads inf: rejected, or read infeasible
 def _sym(hyp: np.ndarray) -> np.ndarray:
     """The symmetric part of the grid of ``hyp``: diag(hyp) for an N-vector."""
     grid = np.diag(hyp) if hyp.ndim == 1 else hyp

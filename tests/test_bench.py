@@ -250,6 +250,10 @@ class TestSampleTrajectory:
             bench.sample_trajectory(system, 0)
         with pytest.raises(InputError):
             bench.sample_trajectory(system, 5, waveform="chirp")
+        four = bench.make_system("four", lambda Q: np.ones((len(Q), 4, 4)), [[-1.0, 1.0]] * 4,
+                                 [1.0] * 4)
+        with pytest.raises(InputError, match="periodic waveform supports at most 3 dimensions"):
+            bench.sample_trajectory(four, 5)
 
     @pytest.mark.parametrize("count, message", [
         (2.5, "count must be an integer, got 2.5"),  # numpy's TypeError escaped

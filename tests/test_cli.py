@@ -989,7 +989,7 @@ class TestModelIo:
         kernel = models.KERNEL_TYPES[kind](np.ones(n), hyp)
         return fit(kind, kernel, prior, data, 0.7)
 
-    @pytest.mark.parametrize("header", ["current", "older"])
+    @pytest.mark.parametrize("header", ["current", "older", "blank-lines"])
     @pytest.mark.parametrize("kind", ["ard", "diag", "full"])
     def test_round_trip_predictions_identical(self, tmp_path, kind, header):
         rng = np.random.default_rng(1)
@@ -999,11 +999,14 @@ class TestModelIo:
         lines = path.read_text().splitlines(keepends=True)
         assert [line.split(":")[0].strip() for line in lines[:4]] == [
             modelio.MAGIC, "kind", "noise_variance", "[lengthscales]"]
-        if header != "current":
+        if header == "older":
             # older files carry n_dim and constrained lines; they load to the same model
             lines[2:2] = ["n_dim: 2\n"]
             lines[4:4] = ["constrained: true\n"]
             path.write_text("".join(lines))
+        elif header == "blank-lines":  # skipped, in the header and in the blocks
+            path.write_text("".join(line + "\n" if line.startswith(("kind", "[")) else line
+                                    for line in lines))
         back = modelio.load_model(path)
         assert isinstance(back, models.FittedModel)
         qs = rng.uniform(-2, 2, (5, 2))
@@ -1140,6 +1143,20 @@ class TestModelIo:
         assert run_cli("evaluate", path, test, "--out", tmp_path / "x.csv") == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
+    @pytest.mark.parametrize("drop, add, message", [
+        (None, "no colon here", ":4: expected 'key: value', got 'no colon here'"),
+        ("kind:", None, ": missing header key 'kind'"),
+        ("noise_variance:", None, ": missing header key 'noise_variance'"),
+    ], ids=["no-colon", "no-kind", "no-noise-variance"])
+    def test_malformed_header_rejected(self, tmp_path, drop, add, message):
+        path = tmp_path / "m.model"
+        modelio.save_model(path, self._model("diag", np.random.default_rng(10)))
+        lines = [line for line in path.read_text().splitlines()
+                 if drop is None or not line.startswith(drop)]
+        path.write_text("\n".join(lines[:3] + [add] * (add is not None) + lines[3:]) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
+            modelio.load_model(path)
+
     def test_missing_block(self, tmp_path):
         model = self._model("diag", np.random.default_rng(3))
         path = tmp_path / "m.model"
@@ -1197,6 +1214,10 @@ class TestCharts:
 
     def test_histogram_min_bins(self, tmp_path):
         assert charts.freedman_diaconis_bins(np.array([1.0, 1.0, 1.0])) == 10
+        assert charts.freedman_diaconis_bins(np.array([])) == charts.MIN_BINS
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="is not finite"):
+                charts.freedman_diaconis_bins(np.array([1.0, bad]))
         vals = np.random.default_rng(4).normal(0, 1, 500)
         assert charts.freedman_diaconis_bins(vals) >= 10
         path = tmp_path / "h.svg"

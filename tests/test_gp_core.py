@@ -411,6 +411,15 @@ class TestPosterior:
                 fact, np.ones((3, 1)), np.zeros(2), np.zeros(1), np.zeros(2)
             )
 
+    @pytest.mark.parametrize("bad", ["prior_mean_train", "observations", "prior_mean_test"])
+    def test_vector_shapes_checked(self, bad):
+        fact = gp_core.factorize(np.eye(2), 0.1)
+        args = {"prior_mean_train": np.zeros(2), "prior_mean_test": np.zeros(3),
+                "observations": np.zeros(2)}
+        args[bad] = np.zeros(4)
+        with pytest.raises(InputError, match=f"{bad} shape mismatch"):
+            gp_core.posterior(fact, np.ones((2, 3)), **args)
+
     @pytest.mark.parametrize("cross_cov, n_test", [
         (np.array(0.8), 1),  # 0-D: used to raise IndexError
         (np.ones((2, 3, 1)), 3),  # 3-D: used to be blamed on prior_mean_test

@@ -191,6 +191,14 @@ class TestGrid:
         with pytest.raises(InputError, match="finite"):
             type(kernel)(values["lengthscales"], values["hypervariances"])
 
+    @pytest.mark.parametrize("make", [SeArdKernelBank, DiagTorqueKernel, FullTorqueKernel,
+                                      lambda ell, _: SeArdKernel(ell, 1.0)])
+    @pytest.mark.parametrize("ell", [np.array(1.0), np.ones(0), np.ones((1, 2))],
+                             ids=["0-D", "empty", "2-D"])
+    def test_lengthscales_must_be_a_nonempty_vector(self, make, ell):
+        with pytest.raises(InputError, match="lengthscales must be a nonempty vector"):
+            make(ell, np.ones(2))
+
 
 class TestVelocityChecks:
     @pytest.mark.parametrize("make, names", [

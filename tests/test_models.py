@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import subprocess
@@ -557,16 +558,23 @@ class TestInitialHypervariances:
         assert big_start.tobytes() == start.tobytes()
 
     def test_bits_of_the_plain_formula(self):
-        # the scaled columns give the unscaled formula's start bit for bit
+        # the scaled columns give the unscaled formula's start bit for bit;
+        # there is no floor, and a column with no spread has the moment 4^e
+        # of its own magnitude, e the exponent of its max |.|
+        def moment(a, values):
+            e = np.frexp(np.abs(a).max(axis=0))[1]
+            return np.where(values == 0, 4.0 ** e, values)
+
         def plain(kind, data, prior):
             q = data.velocities
-            rvar = np.maximum(np.var(data.torques - prior.torque(q), axis=0), 1e-12)
+            resid = data.torques - prior.torque(q)
+            rvar = moment(resid, np.var(resid, axis=0))
             if kind == "ard":
                 return rvar
-            qpow = np.maximum(np.mean(q * q, axis=0), 1e-12)
+            qpow = moment(q, np.mean(q * q, axis=0))
             if kind == "diag":
                 return rvar / qpow
-            return np.maximum(rvar[:, None] / (data.n_dim * qpow[None, :]), 1e-12)
+            return rvar[:, None] / (data.n_dim * qpow[None, :])
 
         rng = np.random.default_rng(9)
         for trial in range(300):
@@ -574,11 +582,96 @@ class TestInitialHypervariances:
             q = rng.uniform(-1.0, 1.0, (d, n)) * 10.0 ** rng.uniform(-3.0, 3.0, n)
             y = q * rng.uniform(-1.0, 3.0, n) + rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-8, 3)
             q[:, 0] *= trial % 10 != 0  # a zero column, one time in ten
+            if trial % 20 == 0:  # and a constant residual on it, one time in twenty
+                y[:, 0] = 0.75
             data = Dataset(q, y)
             for kind in ("ard", "diag", "full"):
                 prior = PriorMean.zero(n) if kind == "ard" else fit_prior_mean(data)
                 got = models._initial_hypervariances(kind, data, prior)
                 assert got.tobytes() == plain(kind, data, prior).tobytes(), (trial, kind)
+
+
+def _full3_sets(seed: int):
+    """Training (D = 50), validation and test sets of full3 for ``seed``."""
+    system = bench.get_system("full3")
+    sets = [bench.generate_dataset(
+        system, bench.sample_trajectory(system, size, seed=100 * seed + 2 * i, waveform="uniform"),
+        1.0, seed=100 * seed + 2 * i + 1) for i, size in enumerate((50, 100, 200))]
+    return system.default_lengthscales, sets
+
+
+@functools.cache
+def _search_in_units(kind: str, constrained: bool, seed: int, v: float = 1.0, t: float = 1.0):
+    """Hypervariances and test NMSE of the full3 search on velocities times
+    v and torques times t, lengthscales times v and noise variance times t^2."""
+    ell, sets = _full3_sets(seed)
+    train, val, test = (Dataset(d.velocities * v, d.torques * t) for d in sets)
+    res = models.optimize_hypervariances(
+        kind, train, val, ell * v, 100.0 * t * t, constrained=constrained, budget=40)
+    pred = models.predict_torque_batch(res.model, test.velocities)
+    return res.kernel.hypervariances, bench.nmse(pred, test.torques).aggregate
+
+
+class TestUnits:
+    """The same data in other units gives the same model: the start has no
+    absolute floor, so a search on velocities times v and torques times t
+    (lengthscales times v, noise variance times t^2) picks the
+    hypervariances times (t / v)^2 and the same test NMSE."""
+
+    @pytest.mark.parametrize("v, t", [
+        (2.0**10, 2.0**-10), (2.0**20, 1.0), (1.0, 2.0**-20), (2.0**60, 1.0), (1e3, 1e-3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind, constrained", [
+        ("diag", False), ("diag", True), ("full", False), ("full", True)])
+    def test_search_in_other_units_is_the_same_search(self, kind, constrained, seed, v, t):
+        hyp, score = _search_in_units(kind, constrained, seed)
+        scaled_hyp, scaled_score = _search_in_units(kind, constrained, seed, v, t)
+        assert np.allclose(scaled_hyp / (t / v) ** 2, hyp, rtol=1e-12, atol=0.0)
+        assert scaled_score == pytest.approx(score, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["ard", "diag", "full"])
+    def test_data_with_no_spread_fits(self, kind):
+        # noise-free linear1 leaves a zero residual, and a zero velocity
+        # column has zero power: each such moment reads as its column's
+        # magnitude, so every search starts and fits, with no warning
+        system = bench.get_system("linear1")
+        clean = bench.generate_dataset(
+            system, bench.sample_trajectory(system, 20, seed=1, waveform="uniform"), 0.0)
+        rng = np.random.default_rng(84)
+        q = rng.uniform(-2.0, 2.0, (20, 2)) * [1.0, 0.0]
+        zero_column = Dataset(q, q * [1.5, 0.0] + rng.normal(0.0, 0.1, q.shape))
+        for data, constrained in ((clean, False), (clean, kind != "ard"), (zero_column, False)):
+            res = models.optimize_hypervariances(kind, data, data, np.ones(data.n_dim), 1.0,
+                                                 constrained=constrained, budget=8)
+            assert np.isfinite(res.val_mse)
+        if kind != "ard":  # the zero column's m_d is 0 under a nonzero grid
+            with pytest.raises(errors.InfeasibilityError):
+                models.optimize_hypervariances(kind, zero_column, zero_column, np.ones(2), 1.0,
+                                               constrained=True, budget=8)
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_start_below_the_float_range_is_rejected(self, kind):
+        # velocities times 2^500 and torques times 2^-500 put the start
+        # near 4^-1000: it reads 0, which the first kernel rejects
+        _, (train, val, _) = _full3_sets(0)
+        train, val = (Dataset(np.ldexp(d.velocities, 500), np.ldexp(d.torques, -500))
+                      for d in (train, val))
+        assert not models._initial_hypervariances(kind, train, fit_prior_mean(train)).all()
+        with pytest.raises(InputError, match="hypervariances must be finite and > 0"):
+            models.optimize_hypervariances(kind, train, val, np.full(3, 2.0**500), 1.0, budget=4)
+
+    def test_start_past_both_float_limits_is_rejected(self):
+        # torque columns 1e400 apart: one row of the full start underflows
+        # and the other overflows, so the first grid's r_0 + c_n reads -inf + inf
+        rng = np.random.default_rng(85)
+        q = rng.uniform(-1.0, 1.0, (10, 2))
+        data = Dataset(q, rng.normal(size=(10, 2)) * [1e-200, 1e200])
+        prior = PriorMean.zero(2)
+        start = models._initial_hypervariances("full", data, prior)
+        assert not start[0].any() and np.isinf(start[1]).all()
+        with pytest.raises(InputError, match="hypervariances must be finite and > 0"):
+            models.optimize_hypervariances("full", data, data, np.ones(2), 1.0, budget=3,
+                                           prior_mean=prior)
 
 
 class TestOptimizeHypervariances:

@@ -57,6 +57,32 @@ class TestComputeBound:
         bound = compute_bound(data, PriorMean.zero(2), 1.0, np.ones(2))
         assert math.isinf(bound.c)
 
+    def test_residual_norm_beyond_its_squares_keeps_c(self):
+        # the residual's squares overflow although its norm, sqrt(12) *
+        # 1.1e154, is a float: the plain norm read inf and c 0, with an
+        # overflow warning, which the suite turns into an error
+        q = np.tile([1.0, -1.0], 6)[:, None]
+        data = Dataset(q, 2.0 * q + np.tile([1.0, 1.0, -1.0, -1.0], 3)[:, None] * 1.1e154)
+        prior = fit_prior_mean(data)
+        c = compute_bound(data, prior, 100.0, np.ones(1)).c
+        resid = data.torques - prior.torque(data.velocities)
+        assert c > 0.0
+        assert c == pytest.approx(100.0 / (12 * 1.1e154), rel=1e-15)
+        assert np.abs(resid).max() == 1.1e154
+
+    def test_c_is_the_plain_formula_bit_for_bit(self):
+        # scaling the residual by a power of two before its norm is exact
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            d, n = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+            q = rng.uniform(-1.0, 1.0, (d, n)) * 10.0 ** rng.uniform(-100, 100)
+            data = Dataset(q, rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-100, 100))
+            prior = PriorMean(rng.uniform(0.0, 2.0, n))
+            nv = 10.0 ** rng.uniform(-3, 3)
+            resid_norm = float(np.linalg.norm((data.torques - prior.torque(q)).reshape(-1)))
+            plain = nv / (math.sqrt(d) * float(np.max(np.abs(q))) * resid_norm)
+            assert compute_bound(data, prior, nv, np.ones(n)).c == plain
+
     @pytest.mark.parametrize("hyp", [np.array([4.0, 9.0]), np.array([[4.0, 1.0], [1.0, 9.0]])])
     def test_bound_keeps_the_hypervariances_in_their_layout(self, hyp):
         # the bound holds the sigma_f^2 the kernel multiplies by, as the
@@ -496,6 +522,16 @@ class TestDirectLapackProjection:
         with pytest.raises(InputError) as err:
             enforce_bound(bound)
         assert str(err.value) == "the symmetric part of the bound's grid must be finite"
+
+    def test_overflowing_symmetric_part_is_read_without_a_warning(self):
+        # grid + grid.T overflows although the grid is finite; the suite
+        # turns warnings into errors
+        bound = passivity.PassivityBound(1.0, np.array([[1e308, 1.7e308], [1.7e308, 1e308]]),
+                                         np.ones(2))
+        verdict = check_bound(bound)
+        assert not verdict.feasible and math.isnan(verdict.margin)
+        with pytest.raises(InputError, match="symmetric part of the bound's grid must be finite"):
+            enforce_bound(bound)
 
     def test_lapack_failure_raises_numerical_error(self, monkeypatch):
         monkeypatch.setattr(passivity, "dsygvd", lambda a, b, **kw: (np.zeros(len(a)), None, 3))
